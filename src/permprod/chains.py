@@ -25,6 +25,8 @@ from .digraphs import DiGraph, quotient_digraph, two_edge_decompose, weak_compon
 from .partitions import Partition, meet_many
 from .strings import ColorGraph, StringAssignment, is_g_reduced, validate_assignment
 from .tensor import (
+    POINT_GUARD,
+    GuardExceeded,
     MultiIndexSpace,
     Permutation,
     StructuredMatrix,
@@ -32,6 +34,8 @@ from .tensor import (
     chain_product,
     conjugate_by_color,
     lift,
+    monomial_chain_norm_sq,
+    permutation_images,
     rng_stream,
     sample_uniform_permutation,
 )
@@ -80,35 +84,35 @@ class ChainSpec:
         return len(self.chi)
 
 
-def generate_inputs(spec: ChainSpec, n: int, seed: int):
-    """Deterministic factor matrices for one chain instance.
+def draw_letters(spec: ChainSpec, n: int, seed: int):
+    """Deterministic factors of one chain instance, before any dense work.
 
-    Returns (lambdas, xs): lambdas[i][j] a full-space diagonal vector,
-    xs[i][j] a structured matrix on the letter's color block.  Randomized
-    modes draw from per-(i, j) streams independent of the conjugation draws.
+    Returns (lambdas, letters): lambdas[i][j] a full-space diagonal vector;
+    letters[i][j] a Permutation of the letter's color block in the
+    permutation, cycle and identity modes, else a structured matrix.
+    Randomized modes draw from per-(i, j) streams independent of the
+    conjugation draws.
     """
     full = MultiIndexSpace.of(spec.assignment.strings, n)
     lambdas: list[tuple[np.ndarray, ...]] = []
-    xs: list[tuple[StructuredMatrix, ...]] = []
+    letters: list[tuple[Permutation | StructuredMatrix, ...]] = []
     for i, (c, l) in enumerate(zip(spec.chi, spec.ell)):
         sup = spec.assignment.sorted_strings_of(c)
         dim = n ** len(sup)
         lam_row: list[np.ndarray] = []
-        x_row: list[StructuredMatrix] = []
+        x_row: list[Permutation | StructuredMatrix] = []
         for j in range(l):
             if spec.x_mode == "permutation":
-                p = sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j))
-                x_row.append(StructuredMatrix.from_permutation(sup, n, p))
+                x_row.append(sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j)))
             elif spec.x_mode == "cycle":
-                p = Permutation(tuple((t + 1) % dim for t in range(dim)))
-                x_row.append(StructuredMatrix.from_permutation(sup, n, p))
+                x_row.append(Permutation(tuple((t + 1) % dim for t in range(dim))))
             elif spec.x_mode == "unitary":
                 rng = rng_stream(seed, 1, n, i, j)
                 z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 q = np.linalg.qr(z)[0]
                 x_row.append(StructuredMatrix.dense(sup, n, q))
             elif spec.x_mode == "identity":
-                x_row.append(StructuredMatrix.identity(sup, n))
+                x_row.append(Permutation.identity(dim))
             else:
                 x_row.append(spec.x_fixtures[i][j])
             if spec.lambda_mode == "identity":
@@ -119,9 +123,25 @@ def generate_inputs(spec: ChainSpec, n: int, seed: int):
             else:
                 lam_row.append(spec.lambda_fixtures[i][j])
         lambdas.append(tuple(lam_row))
-        xs.append(tuple(x_row))
+        letters.append(tuple(x_row))
+    return tuple(lambdas), tuple(letters)
+
+
+def generate_inputs(spec: ChainSpec, n: int, seed: int):
+    """`draw_letters` with every letter as a structured matrix on its color
+    block: (lambdas, xs)."""
+    lambdas, letters = draw_letters(spec, n, seed)
+    xs = tuple(
+        tuple(
+            StructuredMatrix.from_permutation(spec.assignment.sorted_strings_of(c), n, x)
+            if isinstance(x, Permutation)
+            else x
+            for x in row
+        )
+        for c, row in zip(spec.chi, letters)
+    )
     _check_norm_bound(spec, xs)
-    return tuple(lambdas), tuple(xs)
+    return lambdas, xs
 
 
 def _check_norm_bound(spec: ChainSpec, xs) -> None:
@@ -318,6 +338,50 @@ def chain_factors(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> l
     return ys
 
 
+@dataclass(frozen=True, eq=False)
+class MonomialChain:
+    """A chain whose letters are all permutations and whose diagonals are
+    all integer vectors: every factor is monomial.  Holds the letters as
+    block image arrays, drawn once per (spec, N, seed)."""
+
+    spec: ChainSpec
+    space: MultiIndexSpace
+    lambdas: tuple[tuple[np.ndarray, ...], ...]
+    letters: tuple[tuple[np.ndarray, ...], ...]
+
+    @staticmethod
+    def of(spec: ChainSpec, n: int, seed: int) -> "MonomialChain | None":
+        """The chain's inputs on the exact path, or None when some letter is
+        not a permutation or some diagonal is not an integer vector."""
+        lambdas, letters = draw_letters(spec, n, seed)
+        perms = [[x if isinstance(x, Permutation) else x.perm for x in row] for row in letters]
+        if any(p is None for row in perms for p in row):
+            return None
+        lambdas = tuple(tuple(np.asarray(d) for d in row) for row in lambdas)
+        if not all(np.issubdtype(d.dtype, np.integer) for row in lambdas for d in row):
+            return None
+        images = tuple(tuple(np.asarray(p.images, dtype=np.int64) for p in row) for row in perms)
+        return MonomialChain(spec, MultiIndexSpace.of(spec.assignment.strings, n), lambdas, images)
+
+    def norm_sq(self, sigmas: dict[str, Permutation]) -> Fraction:
+        """The centered, diagonally projected squared norm for one
+        conjugation draw; equal to centered_chain_norm_sq(chain_factors(...))
+        without lifting anything.  Each letter x is conjugated on its block
+        as sigma^-1 x sigma, then acts on the full space by its image array."""
+        conj = {}
+        for c in set(self.spec.chi):
+            s = np.asarray(sigmas[c].images, dtype=np.int64)
+            s_inv = np.empty_like(s)
+            s_inv[s] = np.arange(len(s))
+            conj[c] = (s, s_inv)
+        factors = []
+        for c, lams, letters in zip(self.spec.chi, self.lambdas, self.letters):
+            s, s_inv = conj[c]
+            sup = self.spec.assignment.sorted_strings_of(c)
+            factors.append([(d, permutation_images(s_inv[x[s]], sup, self.space)) for d, x in zip(lams, letters)])
+        return monomial_chain_norm_sq(factors)
+
+
 @dataclass(frozen=True)
 class SignedExpansionReport:
     lhs: object
@@ -383,9 +447,12 @@ class ResultTable:
         return lines
 
 
-def _one_sample(spec: ChainSpec, n: int, seed: int, sample: int) -> float:
-    chain = build_squared_chain(spec, n, seed)
+def _one_sample(spec: ChainSpec, n: int, seed: int, sample: int, chain) -> float:
+    """One sample's squared norm from the per-N chain: a MonomialChain takes
+    the exact point chase, a SquaredChainGraph the dense product."""
     sigmas = draw_sigmas(spec, n, seed, sample)
+    if isinstance(chain, MonomialChain):
+        return float(chain.norm_sq(sigmas))
     ys = [np.asarray(y, dtype=np.complex128) for y in chain_factors(chain, sigmas)]
     return float(centered_chain_norm_sq(ys))
 
@@ -395,14 +462,20 @@ def monte_carlo_values(
 ) -> dict[int, list[float]]:
     """Per-N sample values of the squared norm; independent streams per
     (N, sample), aggregated in sample order so worker count cannot change
-    the output."""
+    the output.  The letters and diagonals are drawn once per N; each sample
+    draws only its conjugating permutations."""
+    for n in n_grid:
+        dim = MultiIndexSpace.of(spec.assignment.strings, n).total_dim
+        if dim > POINT_GUARD:
+            raise GuardExceeded(f"full-space dimension {dim} at N={n} exceeds point guard {POINT_GUARD}")
     out: dict[int, list[float]] = {}
     for n in n_grid:
+        chain = MonomialChain.of(spec, n, seed) or build_squared_chain(spec, n, seed)
         if workers and workers > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(lambda s: _one_sample(spec, n, seed, s), range(samples)))
+                vals = list(pool.map(lambda s: _one_sample(spec, n, seed, s, chain), range(samples)))
         else:
-            vals = [_one_sample(spec, n, seed, s) for s in range(samples)]
+            vals = [_one_sample(spec, n, seed, s, chain) for s in range(samples)]
         out[n] = vals
     return out
 
@@ -435,13 +508,7 @@ def convergence_run(
     return _table_from_values(monte_carlo_values(spec, n_grid, samples, seed, workers))
 
 
-def concentration_run(
-    spec: ChainSpec, n_grid: Sequence[int], samples: int, seed: int, workers: int | None = None
-) -> ResultTable:
-    """Same sampling, read for its per-N empirical variance."""
-    if len(n_grid) < 2:
-        raise ValueError("need at least two grid points")
-    return _table_from_values(monte_carlo_values(spec, n_grid, samples, seed, workers))
+concentration_run = convergence_run  # the same table, read for its per-N variance
 
 
 def means_nonincreasing(table: ResultTable, sigmas: float = 2.0) -> bool:

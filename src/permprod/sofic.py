@@ -13,16 +13,18 @@ are exact fixed-point counts throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .strings import ColorGraph, StringAssignment, validate_assignment
 from .tensor import (
     ColorPermutationFactor,
     MultiIndexSpace,
     Permutation,
-    perm_word_trace,
+    permutation_images,
     rng_stream,
     sample_uniform_permutation,
 )
@@ -102,11 +104,25 @@ class GeneratorRep:
     n: int
     gens: tuple[Permutation, ...]
     provenance: str
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.gens:
             if p.n != self.n:
                 raise ValueError("generator size mismatch")
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    def images(self, j: int) -> np.ndarray:
+        """Image array of a signed letter, computed once."""
+        if j not in self._images:
+            if j < 0:
+                self._images[j] = _inverse_images(self.images(-j))
+            else:
+                self._images[j] = _frozen(np.asarray(self.letter(j).images, dtype=np.int64))
+        return self._images[j]
 
     def letter(self, j: int) -> Permutation:
         if j == 0 or abs(j) > len(self.gens):
@@ -122,6 +138,17 @@ class GeneratorRep:
 
     def word_trace(self, word: Sequence[int]) -> Fraction:
         return Fraction(self.word_permutation(word).fixed_points(), self.n)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _inverse_images(images: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(images)
+    inv[images] = np.arange(len(images), dtype=images.dtype)
+    return _frozen(inv)
 
 
 def left_regular_rep(g: FiniteGroupTable) -> GeneratorRep:
@@ -166,7 +193,8 @@ def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
     mismatches = sum(1 for i in range(p.n) if p(i) != q(i))
     d = Fraction(mismatches, p.n)
     via_trace = 1 - Fraction(p.inverse().compose(q).fixed_points(), p.n)
-    assert d == via_trace
+    if d != via_trace:
+        raise AssertionError(f"Hamming distance {d} disagrees with the trace identity {via_trace}")
     return d
 
 
@@ -181,10 +209,29 @@ class GraphProductRep:
     colors: tuple[str, ...]
     factors: dict  # (color, 1-based index) -> Permutation on the color block
     provenance: str
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> MultiIndexSpace:
         return MultiIndexSpace.of(self.assignment.strings, self.n)
+
+    @property
+    def dim(self) -> int:
+        return self.space.total_dim
+
+    def images(self, letter: tuple[str, int]) -> np.ndarray:
+        """Full-space image array of a signed letter (color, j), computed
+        once; a negative letter's is the inverse of the positive one's."""
+        c, j = letter
+        if (c, j) not in self._images:
+            if (c, abs(j)) not in self.factors:
+                raise ValueError(f"no generator {j} for color {c!r}")
+            if j < 0:
+                self._images[(c, j)] = _inverse_images(self.images((c, -j)))
+            else:
+                sup = self.assignment.sorted_strings_of(c)
+                self._images[(c, j)] = _frozen(permutation_images(self.factors[(c, j)].images, sup, self.space))
+        return self._images[(c, j)]
 
     def letter(self, color: str, j: int) -> ColorPermutationFactor:
         if (color, abs(j)) not in self.factors:
@@ -195,7 +242,7 @@ class GraphProductRep:
         return ColorPermutationFactor(color, self.assignment.sorted_strings_of(color), p)
 
     def word_trace(self, word: Sequence[tuple[str, int]]) -> Fraction:
-        return perm_word_trace([self.letter(c, j) for c, j in word], self.space)
+        return certify(self, [(word, True)]).entries[0].trace
 
     def word_permutation(self, word: Sequence[tuple[str, int]]) -> Permutation:
         """Materialized full-space permutation of a word (small spaces only)."""
@@ -337,15 +384,46 @@ def _letter_str(letter) -> str:
 
 
 def certify(rep, words_with_truth: Sequence[tuple[Sequence, bool]]) -> SoficCertificate:
-    """Exact trace and deviation from the trivial-word indicator, per word."""
+    """Exact trace and deviation from the trivial-word indicator, per word.
+
+    `rep` supplies `dim` and `images(letter)`, the cached image array of a
+    signed letter.  A stack holds the image arrays of the current word's
+    prefixes, so a word shares the work of its common prefix with the word
+    before it (words in any order give the same traces; sorted lists share
+    the most).  The last letter Z is never composed: the word Q Z fixes b
+    exactly when Q(b) = Z^-1(b), so its trace is one comparison against
+    Z^-1's image array.  Memory O(max word length * dim).
+    """
+    dim = rep.dim
+    prefix: list = []  # letters whose product is stacked
+    stack = [np.arange(dim, dtype=np.int64)]  # stack[t]: images of prefix[:t]
     entries = []
     for word, trivial in words_with_truth:
-        trace = rep.word_trace(word)
+        word = tuple(word)
+        if word:
+            head = word[:-1]
+            keep = 0
+            while keep < min(len(prefix), len(head)) and prefix[keep] == head[keep]:
+                keep += 1
+            del prefix[keep:], stack[keep + 1 :]
+            for letter in head[keep:]:
+                stack.append(stack[-1][rep.images(letter)])
+                prefix.append(letter)
+            fixed = int(np.count_nonzero(stack[-1] == rep.images(_inverse_letter(word[-1]))))
+        else:
+            fixed = dim
+        trace = Fraction(fixed, dim)
         if not 0 <= trace <= 1:
             raise AssertionError("trace outside [0, 1]")
         deviation = abs(trace - (1 if trivial else 0))
-        entries.append(CertificateEntry(tuple(word), bool(trivial), trace, deviation))
+        entries.append(CertificateEntry(word, bool(trivial), trace, deviation))
     return SoficCertificate(tuple(entries))
+
+
+def _inverse_letter(letter):
+    if isinstance(letter, (tuple, list)):
+        return (letter[0], -letter[1])
+    return -letter
 
 
 def all_signed_words(num_generators: int, max_length: int) -> list[tuple[int, ...]]:

@@ -1,10 +1,19 @@
 """Multi-index linear algebra on a tensor power of M_N.
 
 A structured matrix lives on a subset of the strings and acts as identity on
-the rest; it is only materialized on the full space through `lift`, which is
-guarded.  Permutation-valued matrices carry their permutation alongside the
-dense entries so that traces of words of permutations can be taken exactly,
-point by point, without any dense arithmetic.
+the rest.  There are two ways to act on the full space:
+
+- the dense path, `lift`, materializes a matrix as a dim x dim array
+  (guarded by `DENSE_GUARD`); chain products and centered norms then cost
+  O(dim^3).  Unitary, float and general fixture labels take it, and it is
+  the oracle the exact path is tested against;
+- the exact permutation path works on image arrays of length dim: a
+  permutation of a block of strings becomes, through `permutation_images`,
+  the map of every full-space point to its image (guarded by
+  `POINT_GUARD`).  Words of permutations are traced by composing image
+  arrays (`perm_word_trace`), and alternating chains of permutations and
+  integer diagonals are monomial, so their centered norm is a point chase
+  in exact integers (`monomial_chain_norm_sq`), O(letters * dim).
 
 Index convention: strings are sorted ascending; the first (lowest) string is
 the most significant digit of the mixed-radix encoding.
@@ -20,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DENSE_GUARD = 2**20
+POINT_GUARD = 2**21  # full-space points of an image array (8 bytes each)
 
 
 class GuardExceeded(RuntimeError):
@@ -47,10 +57,6 @@ class MultiIndexSpace:
     def total_dim(self) -> int:
         return self.n ** len(self.strings)
 
-    def stride(self, string: str) -> int:
-        pos = self.strings.index(string)
-        return self.n ** (len(self.strings) - 1 - pos)
-
     def encode(self, idx: Sequence[int]) -> int:
         if len(idx) != len(self.strings):
             raise ValueError("index tuple length mismatch")
@@ -69,12 +75,6 @@ class MultiIndexSpace:
             digits.append(code % self.n)
             code //= self.n
         return tuple(reversed(digits))
-
-    def project(self, code: int, sub: "MultiIndexSpace") -> int:
-        """Restrict an encoded full index to the sub-space's strings."""
-        idx = self.decode(code)
-        lookup = dict(zip(self.strings, idx))
-        return sub.encode([lookup[s] for s in sub.strings])
 
 
 @dataclass(frozen=True)
@@ -241,36 +241,36 @@ def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_
     return np.ascontiguousarray(full.reshape(target.total_dim, target.total_dim))
 
 
+def permutation_images(
+    images: Sequence[int], support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD
+) -> np.ndarray:
+    """Full-space image array of a permutation of the support block: entry a
+    is the image of point a when the permutation acts on the support
+    coordinates (encoded as in `MultiIndexSpace(support, n)`) and fixes the
+    rest.  O(total_dim), vectorized."""
+    if not set(support) <= set(space.strings):
+        raise ValueError("support not contained in target space")
+    if tuple(sorted(support)) != tuple(support):
+        raise ValueError("support must be sorted")
+    if len(images) != space.n ** len(support):
+        raise ValueError("permutation size does not match the support block")
+    if space.total_dim > point_guard:
+        raise GuardExceeded(f"full-space dimension {space.total_dim} exceeds point guard {point_guard}")
+    # grid[s, r]: the full-space point with support code s and rest code r
+    grid = np.arange(space.total_dim, dtype=np.int64).reshape((space.n,) * len(space.strings))
+    axes = [space.strings.index(s) for s in support]
+    grid = np.moveaxis(grid, axes, range(len(axes))).reshape(len(images), -1)
+    out = np.empty(space.total_dim, dtype=np.int64)
+    out[grid] = grid[np.asarray(images, dtype=np.int64)]
+    return out
+
+
 def lift_permutation(x: StructuredMatrix, target: MultiIndexSpace) -> Permutation:
     """The permutation of the full index set induced by a permutation-valued
     structured matrix: acts on the support coordinates, fixes the rest."""
     if x.perm is None:
         raise ValueError("matrix does not carry a permutation")
-    if not set(x.support) <= set(target.strings):
-        raise ValueError("support not contained in target space")
-    sub = MultiIndexSpace(x.support, x.n)
-    images = np.arange(target.total_dim, dtype=np.int64)
-    sub_codes = _sub_codes(target, sub)
-    perm_imgs = np.asarray(x.perm.images, dtype=np.int64)
-    new_sub = perm_imgs[sub_codes]
-    images = images - _expand_sub(target, sub, sub_codes) + _expand_sub(target, sub, new_sub)
-    return Permutation(tuple(int(i) for i in images))
-
-
-def _sub_codes(full: MultiIndexSpace, sub: MultiIndexSpace) -> np.ndarray:
-    """Encoded sub-index of every point of the full space (vectorized)."""
-    return _sub_codes_of(full, sub, np.arange(full.total_dim, dtype=np.int64))
-
-
-def _expand_sub(full: MultiIndexSpace, sub: MultiIndexSpace, codes: np.ndarray) -> np.ndarray:
-    """Encoded full-space contribution of sub-index codes (other digits zero)."""
-    out = np.zeros_like(codes)
-    rem = codes.copy()
-    for s in reversed(sub.strings):
-        digit = rem % full.n
-        rem //= full.n
-        out += digit * full.stride(s)
-    return out
+    return Permutation(tuple(permutation_images(x.perm.images, x.support, target).tolist()))
 
 
 def delta_vector(a: np.ndarray) -> np.ndarray:
@@ -359,27 +359,52 @@ def perm_word_trace(
 ) -> Fraction:
     """Exact normalized trace of a product of color permutations.
 
-    The product is composed pointwise on the full index set, touching only
-    each factor's coordinates; the trace is the exact fixed-point fraction.
-    Cost O(len(factors) * total_dim); no dense matrices.
+    The product is composed on the full index set from each factor's image
+    array; the trace is the exact fixed-point fraction.  Cost
+    O(len(factors) * total_dim); no dense matrices.
     """
     pts = np.arange(space.total_dim, dtype=np.int64)
     cur = pts
     # matrix product Z_1 ... Z_m acts on points by applying Z_m first
     for f in reversed(factors):
-        if f.perm.n != space.n ** len(f.support):
-            raise ValueError(f"factor for color {f.color!r} has wrong size")
-        sub = MultiIndexSpace(f.support, space.n)
-        sub_codes = _sub_codes_of(space, sub, cur)
-        imgs = np.asarray(f.perm.images, dtype=np.int64)
-        cur = cur - _expand_sub(space, sub, sub_codes) + _expand_sub(space, sub, imgs[sub_codes])
+        cur = permutation_images(f.perm.images, f.support, space)[cur]
     fixed = int(np.count_nonzero(cur == pts))
     return Fraction(fixed, space.total_dim)
 
 
-def _sub_codes_of(full: MultiIndexSpace, sub: MultiIndexSpace, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(pts)
-    for s in sub.strings:
-        digit = (pts // full.stride(s)) % full.n
-        out = out * full.n + digit
-    return out
+def monomial_chain_norm_sq(factors: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]) -> Fraction:
+    """`centered_chain_norm_sq` of monomial factors, by chasing points.
+
+    factors[i] lists the (diagonal, image array) pairs of Y_i in product
+    order, Y_i = diag(d_1) P_1 diag(d_2) P_2 ... with P e_a = e_{images[a]},
+    so every Y_i and every centered Y_i is monomial.  Each point is carried
+    right to left through the factors, picking up the diagonal entry at
+    each image; centering drops the points a factor fixes.  The diagonal of
+    the product lives on the points that return home, and the result is the
+    exact Fraction(sum of their squared coefficients, dim).  Diagonals must
+    be integer vectors; the coefficients stay in int64 while every entry is
+    -1, 0 or 1 and become Python integers otherwise.  O(letters * dim).
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    pairs = [pair for f in factors for pair in f]
+    dim = len(pairs[0][1])
+    for d, images in pairs:
+        if d.shape != (dim,) or images.shape != (dim,):
+            raise ValueError("dimension mismatch")
+        if not np.issubdtype(d.dtype, np.integer):
+            raise ValueError("diagonals must be integer vectors")
+    bounded = all(np.abs(d).max(initial=0) <= 1 for d, _ in pairs)
+    coef = np.ones(dim, dtype=np.int64 if bounded else object)
+    pts = np.arange(dim, dtype=np.int64)
+    cur = pts
+    alive = np.ones(dim, dtype=bool)
+    for f in reversed(factors):
+        y = cur
+        for d, images in reversed(f):
+            y = images[y]
+            coef = coef * d[y]
+        alive &= y != cur
+        cur = y
+    home = coef[alive & (cur == pts)]
+    return Fraction(int((home * home).sum()), dim)
