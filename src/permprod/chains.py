@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraphs import DiGraph, quotient_digraph, two_edge_decompose, weak_components
-from .partitions import Partition, meet_many
+from .digraphs import DiGraph, is_two_edge_connected, quotient_digraph
+from .partitions import Partition, connect, meet_many
 from .strings import ColorGraph, StringAssignment, is_g_reduced, validate_assignment
 from .tensor import (
     POINT_GUARD,
@@ -44,6 +44,7 @@ from .traffic import (
     MultiPartition,
     PARTITION_GUARD,
     TestGraph,
+    _merge_vertex_vectors,
     enumerate_tree_partitions,
     trace_test_graph,
 )
@@ -245,8 +246,7 @@ def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainG
             loops[primed[(i, j)]] = loops[primed[(i, j)]] * np.conjugate(lambdas[i - 1][j - 1])
 
     digraph = DiGraph.of(counter, edges)
-    dec = two_edge_decompose(digraph)
-    if dec.cut_edges or weak_components(digraph).num_blocks != 1:
+    if not is_two_edge_connected(digraph):
         raise AssertionError("squared chain failed to be two-edge connected")
     tg = TestGraph(spec.assignment, digraph, tuple(colors), tuple(labels))
     looped = LoopedTestGraph(tg, tuple(loops))
@@ -265,38 +265,21 @@ def subset_indices(k: int) -> list[tuple[int, ...]]:
 def subset_quotient_partition(chain: SquaredChainGraph, subset: Sequence[int]) -> Partition:
     """The vertex partition identifying each selected block's first and last
     vertices (mirrored blocks for negative indices)."""
-    nv = chain.test_graph.digraph.vertex_count
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    borders = []
     for i in subset:
         if i > 0:
-            a, b = chain.u(i, 1), chain.u(i, chain.spec.ell[i - 1] + 1)
+            borders.append((chain.u(i, 1), chain.u(i, chain.spec.ell[i - 1] + 1)))
         else:
-            a, b = chain.u_prime(-i, 1), chain.u_prime(-i, chain.spec.ell[-i - 1] + 1)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return Partition.from_labels([find(v) for v in range(nv)])
+            borders.append((chain.u_prime(-i, 1), chain.u_prime(-i, chain.spec.ell[-i - 1] + 1)))
+    return connect(chain.test_graph.digraph.vertex_count, borders)
 
 
 def quotient_looped(t: LoopedTestGraph, p: Partition) -> LoopedTestGraph:
     """Quotient the looped graph, multiplying the loop labels of identified
     vertices together."""
     q, _ = quotient_digraph(t.base.digraph, p)
-    loops = []
-    for b in p.blocks:
-        acc = t.vertex_labels[b[0]]
-        for v in b[1:]:
-            acc = acc * t.vertex_labels[v]
-        loops.append(acc)
     tg = TestGraph(t.base.assignment, q, t.base.edge_colors, t.base.labels)
-    return LoopedTestGraph(tg, tuple(loops))
+    return LoopedTestGraph(tg, tuple(_merge_vertex_vectors(t.vertex_labels, p)))
 
 
 def j_set(chain: SquaredChainGraph, pi: MultiPartition) -> frozenset[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, connect
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Multigraph:
         return d
 
     def components(self) -> Partition:
-        return _undirected_components(self.vertex_count, self.edges)
+        return connect(self.vertex_count, self.edges)
 
     def is_connected(self) -> bool:
         return self.components().num_blocks <= 1
@@ -71,25 +71,9 @@ class Multigraph:
         return self.is_connected() and len(self.edges) == self.vertex_count - 1
 
 
-def _undirected_components(n: int, edges: Iterable[tuple[int, int]]) -> Partition:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    return Partition.from_labels([find(i) for i in range(n)])
-
-
 def weak_components(g: DiGraph) -> Partition:
     """Partition of vertices into weakly connected components."""
-    return _undirected_components(g.vertex_count, g.edges)
+    return connect(g.vertex_count, g.edges)
 
 
 def quotient_digraph(g: DiGraph, p: Partition) -> tuple[DiGraph, tuple[int, ...]]:
@@ -123,9 +107,7 @@ def two_edge_decompose(g: DiGraph) -> TwoEdgeDecomposition:
     of the forest, an isolated forest vertex counting as two.
     """
     bridges = _find_bridges(g)
-    comp = _undirected_components(
-        g.vertex_count, [e for i, e in enumerate(g.edges) if i not in bridges]
-    )
+    comp = connect(g.vertex_count, [e for i, e in enumerate(g.edges) if i not in bridges])
     comp_of_vertex = tuple(comp.block_index(v) for v in range(g.vertex_count))
     forest_edges = tuple(
         (comp_of_vertex[g.edges[i][0]], comp_of_vertex[g.edges[i][1]]) for i in sorted(bridges)
@@ -140,15 +122,9 @@ def two_edge_decompose(g: DiGraph) -> TwoEdgeDecomposition:
     return TwoEdgeDecomposition(comp_of_vertex, frozenset(bridges), forest, leaves)
 
 
-def leaf_weight(g: DiGraph) -> int:
-    return two_edge_decompose(g).leaf_count
-
-
 def is_two_edge_connected(g: DiGraph) -> bool:
-    if g.vertex_count == 0:
-        return False
-    dec = two_edge_decompose(g)
-    return not dec.cut_edges and weak_components(g).num_blocks == 1
+    """One weak component and no bridge (an empty graph has no component)."""
+    return weak_components(g).num_blocks == 1 and not _find_bridges(g)
 
 
 def _find_bridges(g: DiGraph) -> set[int]:

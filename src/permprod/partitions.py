@@ -103,11 +103,10 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition.from_labels([(p.block_index(i), q.block_index(i)) for i in range(p.ground_size)])
 
 
-def join(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening, via union-find over both block structures."""
-    if p.ground_size != q.ground_size:
-        raise ValueError("ground size mismatch")
-    parent = list(range(p.ground_size))
+def connect(ground_size: int, pairs: Iterable[tuple[int, int]]) -> Partition:
+    """Classes of the equivalence on {0, .., ground_size-1} generated by
+    identifying each pair: union-find with path halving."""
+    parent = list(range(ground_size))
 
     def find(x):
         while parent[x] != x:
@@ -115,16 +114,18 @@ def join(p: Partition, q: Partition) -> Partition:
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
+    return Partition.from_labels([find(i) for i in range(ground_size)])
 
-    for part in (p, q):
-        for b in part.blocks:
-            for x in b[1:]:
-                union(b[0], x)
-    return Partition.from_labels([find(i) for i in range(p.ground_size)])
+
+def join(p: Partition, q: Partition) -> Partition:
+    """Finest common coarsening: tie each block's members to its first."""
+    if p.ground_size != q.ground_size:
+        raise ValueError("ground size mismatch")
+    return connect(p.ground_size, ((b[0], x) for part in (p, q) for b in part.blocks for x in b[1:]))
 
 
 def meet_many(parts: Sequence[Partition]) -> Partition:
@@ -209,8 +210,3 @@ def _factorial(k: int) -> int:
     for i in range(2, k + 1):
         out *= i
     return out
-
-
-def pullback(p: Partition, vertex_map: Sequence[int], ground_size: int) -> Partition:
-    """Pull a partition of the image back along vertex_map (must be onto blocks)."""
-    return Partition.from_labels([p.block_index(vertex_map[i]) for i in range(ground_size)])

@@ -11,7 +11,6 @@ edges, a label mode, and optional claim blocks the checker verifies.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -61,10 +60,11 @@ def matrix_from_dict(d: dict) -> StructuredMatrix:
         return StructuredMatrix.from_permutation(d["support"], d["n"], perm)
     re = np.asarray(d["entries_re"], dtype=float)
     im = np.asarray(d.get("entries_im", np.zeros_like(re)), dtype=float)
-    ent = re + 1j * im
-    if np.allclose(ent.imag, 0) and np.allclose(ent.real, np.round(ent.real)):
-        ent = np.asarray(np.round(ent.real), dtype=np.int64)
-    return StructuredMatrix.dense(d["support"], d["n"], ent)
+    # exact integer labels only when every entry is one: a float holds every
+    # integer up to 2**53 exactly, and nothing is rounded into an integer
+    if not im.any() and np.array_equal(re, np.trunc(re)) and np.all(np.abs(re) <= 2**53):
+        return StructuredMatrix.dense(d["support"], d["n"], re.astype(np.int64))
+    return StructuredMatrix.dense(d["support"], d["n"], re + 1j * im)
 
 
 def permutation_to_dict(p: Permutation) -> dict:
@@ -114,14 +114,6 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
         else:
             labels.append(matrix_from_dict(mode[i]))
     return TestGraph(a, digraph, tuple(colors), tuple(labels))
-
-
-def fraction_to_json(x) -> Any:
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x
 
 
 def dump_json(path, obj) -> None:

@@ -6,7 +6,8 @@ the rest.  There are two ways to act on the full space:
 - the dense path, `lift`, materializes a matrix as a dim x dim array
   (guarded by `DENSE_GUARD`); chain products and centered norms then cost
   O(dim^3).  Unitary, float and general fixture labels take it, and it is
-  the oracle the exact path is tested against;
+  the oracle the exact path is tested against; integer products that could
+  pass int64 are taken in Python integers (`exact_operands`);
 - the exact permutation path works on image arrays of length dim: a
   permutation of a block of strings becomes, through `permutation_images`,
   the map of every full-space point to its image (guarded by
@@ -310,6 +311,8 @@ def chain_product(lambdas: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np
     given as vectors and applied as row scalings."""
     if len(lambdas) != len(xs) or not xs:
         raise ValueError("need equally many diagonal and full factors, at least one")
+    arrays = exact_operands(list(lambdas) + list(xs), xs[0].shape[0] ** (len(xs) - 1))
+    lambdas, xs = arrays[: len(xs)], arrays[len(xs) :]
     out = None
     for lam, x in zip(lambdas, xs):
         if lam.shape[0] != x.shape[0]:
@@ -317,6 +320,18 @@ def chain_product(lambdas: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np
         factor = lam[:, None] * x
         out = factor if out is None else out @ factor
     return out
+
+
+def exact_operands(arrays: list[np.ndarray], terms: int) -> list[np.ndarray]:
+    """Fixed-width integer arrays become object arrays of Python integers
+    when a contracted entry, a sum of `terms` products of one entry from
+    each array, could leave int64; any other list is returned as it is."""
+    if not all(a.dtype != object and np.issubdtype(a.dtype, np.integer) for a in arrays):
+        return arrays
+    bound = terms
+    for a in arrays:
+        bound *= max(int(np.abs(a).max(initial=0)), 1)
+    return arrays if bound < 2**62 else [a.astype(object) for a in arrays]
 
 
 def centered_chain_norm(ys: Sequence[np.ndarray]) -> float:
@@ -329,6 +344,7 @@ def centered_chain_norm_sq(ys: Sequence[np.ndarray]):
     if not ys:
         raise ValueError("need at least one factor")
     dim = ys[0].shape[0]
+    ys = exact_operands(list(ys), dim ** (len(ys) - 1))
     prod = None
     for y in ys:
         if y.shape != (dim, dim):

@@ -17,6 +17,7 @@ float or complex label switches the computation to complex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string as _stringmod
@@ -30,6 +31,7 @@ from .digraphs import (
     DiGraph,
     Multigraph,
     TwoEdgeDecomposition,
+    is_two_edge_connected,
     quotient_digraph,
     two_edge_decompose,
     weak_components,
@@ -48,6 +50,7 @@ from .tensor import (
     Permutation,
     StructuredMatrix,
     conjugate_by_color,
+    exact_operands,
     lift,
 )
 
@@ -80,9 +83,6 @@ class TestGraph:
 
     def full_space(self, n: int | None = None) -> MultiIndexSpace:
         return MultiIndexSpace.of(self.assignment.strings, n if n is not None else self.n)
-
-    def color_space(self, color: str, n: int | None = None) -> MultiIndexSpace:
-        return MultiIndexSpace.of(self.assignment.strings_of(color), n if n is not None else self.n)
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,10 @@ def raw_graph_sum(
     operands, exact = _as_exact_or_complex(operands)
     expr = ",".join(subs) + "->"
     if exact:
+        operands = exact_operands(operands, dim**nv)
         if all(a.dtype != object for a in operands):
-            bound = dim**nv
-            for a in operands:
-                m = int(np.max(np.abs(a))) if a.size else 0
-                bound *= max(m, 1)
-            if bound < 2**62:
-                return int(np.einsum(expr, *operands, optimize=True))
-        ops = [a.astype(object) for a in operands]
-        return np.einsum(expr, *ops, optimize=False)
+            return int(np.einsum(expr, *operands, optimize=True))
+        return np.einsum(expr, *[a.astype(object) for a in operands], optimize=False)
     return complex(np.einsum(expr, *operands, optimize=True))
 
 
@@ -310,6 +305,13 @@ def all_rho(t: TestGraph) -> MultiPartition:
     return MultiPartition.of({s: rho(t, s) for s in t.assignment.strings})
 
 
+def _check_admissible(t: TestGraph, pi: MultiPartition) -> None:
+    rhos = all_rho(t)
+    for s, part in pi.items():
+        if not rhos.part(s).refines(part):
+            raise ValueError(f"pi_{s} is not above rho_{s}")
+
+
 def omega(pi: MultiPartition, assignment: StringAssignment, c: str) -> Partition:
     strings = assignment.sorted_strings_of(c)
     if not strings:
@@ -388,25 +390,36 @@ class GCCGraph:
 
 
 def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
+    return _gcc(t, pi, s, lambda c: color_quotient(t, pi, c))
+
+
+def _gcc(t: TestGraph, pi: MultiPartition, s: str, quotient) -> GCCGraph:
+    """`gcc`, taking each color's quotient from `quotient(c)`."""
     ps = pi.part(s)
     left = ps.blocks
-    colors = sorted(t.assignment.colors_of(s))
     right: list[tuple[str, tuple[int, ...]]] = []
     edges: list[tuple[int, int]] = []
     keys: list[tuple[str, tuple[int, ...]]] = []
-    for c in colors:
-        q = color_quotient(t, pi, c)
+    for c in sorted(t.assignment.colors_of(s)):
+        q = quotient(c)
         comps = q.components()
         offset = len(left) + len(right)
         for comp in comps.blocks:
             members = tuple(sorted(v for b in comp for v in q.partition.blocks[b]))
             right.append((c, members))
-        hmap = h_sc(t, pi, s, c)
         for v, block in enumerate(q.partition.blocks):
-            edges.append((hmap[v], offset + comps.block_index(v)))
+            # the block map h_sc: the meet refines pi_s, so any member names the block
+            edges.append((ps.block_index(block[0]), offset + comps.block_index(v)))
             keys.append((c, block))
     graph = Multigraph(len(left) + len(right), tuple(edges))
     return GCCGraph(graph, left, tuple(right), tuple(keys))
+
+
+def _gcc_trees(t: TestGraph, pi: MultiPartition, strings) -> bool:
+    """Whether the GCC of every listed string is a tree; each color's
+    quotient is built on first use and shared between the strings."""
+    quotient = functools.cache(lambda c: color_quotient(t, pi, c))
+    return all(_gcc(t, pi, s, quotient).is_tree() for s in strings)
 
 
 @dataclass(frozen=True)
@@ -423,10 +436,7 @@ def induced_gcc_walk(
     """The walk a quotient-graph walk induces in the graph of colored
     components: alternates string-quotient blocks with colored components,
     one GCC edge per endpoint of each relevant edge."""
-    rhos = all_rho(t)
-    for st, part in pi.items():
-        if not rhos.part(st).refines(part):
-            raise ValueError(f"pi_{st} is not above rho_{st}")
+    _check_admissible(t, pi)
     if not edge_sequence:
         raise ValueError("empty edge sequence")
     cs = sorted(t.assignment.colors_of(s))
@@ -443,12 +453,11 @@ def induced_gcc_walk(
         c = t.edge_colors[j]
         om = omega(pi, t.assignment, c)
         src, dst = t.digraph.edges[j]
-        comp_vertex = _gcc_comp_vertex(g, c, src)
         e_in = key_index[(c, om.block_containing(src))]
         e_out = key_index[(c, om.block_containing(dst))]
         if verts[-1] != ps.block_index(src):
             raise ValueError("walk is not consistent in the string quotient")
-        verts.append(comp_vertex)
+        verts.append(g.graph.edges[e_in][1])  # the colored component holding src
         verts.append(ps.block_index(dst))
         edge_ids.extend([e_in, e_out])
     last_dst = t.digraph.edges[edge_sequence[-1]][1]
@@ -469,13 +478,6 @@ def _is_quotient_walk(t: TestGraph, pi: MultiPartition, c: str, seq: Sequence[in
         if not om.same_block(t.digraph.edges[a][1], t.digraph.edges[b][0]):
             return False
     return True
-
-
-def _gcc_comp_vertex(g: GCCGraph, c: str, parent_vertex: int) -> int:
-    for i, (col, members) in enumerate(g.right_comps):
-        if col == c and parent_vertex in members:
-            return g.left_count + i
-    raise ValueError("vertex not found in any component")
 
 
 def _assert_walk_valid(g: GCCGraph, verts: Sequence[int], edges: Sequence[int]):
@@ -614,10 +616,7 @@ def gamma_expected_formula(
     base = t.base
     if weak_components(base.digraph).num_blocks != 1:
         raise ValueError("graph must be weakly connected")
-    rhos = all_rho(base)
-    for s, part in pi.items():
-        if not rhos.part(s).refines(part):
-            raise ValueError(f"pi_{s} is not above rho_{s}")
+    _check_admissible(base, pi)
     lam = lambda_value(t, pi, n, map_guard)
     if lam == 0:
         return Fraction(0) if isinstance(lam, Fraction) else 0.0
@@ -657,38 +656,40 @@ def growth_exponent(t: TestGraph, pi: MultiPartition) -> tuple[Fraction, dict[st
     minus one plus, over the string's colors, half the bridge-forest leaf
     count minus the vertex count of the colored quotient.  Nonpositive on
     two-edge-connected graphs, zero exactly when every colored-component
-    graph is a tree."""
-    rhos = all_rho(t)
-    for s, part in pi.items():
-        if not rhos.part(s).refines(part):
-            raise ValueError(f"pi_{s} is not above rho_{s}")
-    per_string: dict[str, Fraction] = {}
-    for s in t.assignment.sorted_strings():
-        term = Fraction(pi.part(s).num_blocks - 1)
-        for c in sorted(t.assignment.colors_of(s)):
-            q = color_quotient(t, pi, c)
-            dec = q.decomposition()
-            term += Fraction(dec.leaf_count, 2) - q.partition.num_blocks
-        per_string[s] = term
+    graph is a tree.  A color without edges adds zero (each quotient vertex
+    is an isolated forest vertex of two leaves) and is skipped."""
+    _check_admissible(t, pi)
+    per_string = {s: Fraction(pi.part(s).num_blocks - 1) for s in t.assignment.sorted_strings()}
+    for c in sorted(set(t.edge_colors)):
+        q = color_quotient(t, pi, c)
+        term = Fraction(q.decomposition().leaf_count, 2) - q.partition.num_blocks
+        for s in t.assignment.strings_of(c):
+            per_string[s] += term
     return sum(per_string.values(), Fraction(0)), per_string
+
+
+def _kernel_pools(t: TestGraph, partition_guard: int) -> tuple[tuple[str, ...], list[list[Partition]]]:
+    """The sorted strings and, per string, every partition above its rho_s,
+    once the count of kernel tuples is checked against the guard."""
+    rhos = all_rho(t)
+    strings = t.assignment.sorted_strings()
+    total = math.prod(bell_number(rhos.part(s).num_blocks) for s in strings)
+    if total > partition_guard:
+        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
+    return strings, [list(enumerate_partitions(t.digraph.vertex_count, rhos.part(s))) for s in strings]
 
 
 def enumerate_admissible(
     t: TestGraph, partition_guard: int = PARTITION_GUARD
 ) -> Iterator[MultiPartition]:
     """All kernel tuples lying above every minimal kernel rho_s."""
-    rhos = all_rho(t)
-    strings = t.assignment.sorted_strings()
-    total = math.prod(bell_number(rhos.part(s).num_blocks) for s in strings)
-    if total > partition_guard:
-        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
-    pools = [list(enumerate_partitions(t.digraph.vertex_count, rhos.part(s))) for s in strings]
+    strings, pools = _kernel_pools(t, partition_guard)
     for combo in itertools.product(*pools):
         yield MultiPartition(strings, tuple(combo))
 
 
 def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
-    return all(gcc(t, pi, s).is_tree() for s in t.assignment.sorted_strings())
+    return _gcc_trees(t, pi, t.assignment.sorted_strings())
 
 
 def enumerate_tree_partitions(
@@ -700,21 +701,11 @@ def enumerate_tree_partitions(
     tree test is already decided and fails; the test for string s only needs
     the partitions of the strings sharing a color with s.
     """
-    rhos = all_rho(t)
-    strings = t.assignment.sorted_strings()
-    total = math.prod(bell_number(rhos.part(s).num_blocks) for s in strings)
-    if total > partition_guard:
-        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
-    deps = {}
-    for s in strings:
-        need = set()
-        for c in t.assignment.colors_of(s):
-            need |= set(t.assignment.strings_of(c))
-        deps[s] = max(strings.index(x) for x in need)
+    strings, pools = _kernel_pools(t, partition_guard)
     check_at: dict[int, list[str]] = {}
     for s in strings:
-        check_at.setdefault(deps[s], []).append(s)
-    pools = [list(enumerate_partitions(t.digraph.vertex_count, rhos.part(s))) for s in strings]
+        last = max(strings.index(x) for c in t.assignment.colors_of(s) for x in t.assignment.strings_of(c))
+        check_at.setdefault(last, []).append(s)
 
     def rec(level: int, chosen: list[Partition]):
         if level == len(strings):
@@ -722,8 +713,7 @@ def enumerate_tree_partitions(
             return
         for part in pools[level]:
             chosen.append(part)
-            pi = _partial_multipartition(strings, chosen)
-            if all(gcc(t, pi, s).is_tree() for s in check_at.get(level, [])):
+            if _gcc_trees(t, _partial_multipartition(strings, chosen), check_at.get(level, [])):
                 yield from rec(level + 1, chosen)
             chosen.pop()
 
@@ -749,7 +739,7 @@ def expected_trace_leading_terms(
     of the colored quotients; the surviving part of the expected looped trace
     as N grows.  Returns (value, list of (pi, term))."""
     base = t.base
-    if not _is_two_edge_connected(base.digraph):
+    if not is_two_edge_connected(base.digraph):
         raise ValueError("graph must be two-edge connected")
     terms = []
     total = Fraction(0)
@@ -777,8 +767,3 @@ def expected_trace_full_sum(
     for pi in enumerate_admissible(t.base, partition_guard):
         total = total + gamma_expected_formula(t, pi, n, map_guard)
     return total
-
-
-def _is_two_edge_connected(g: DiGraph) -> bool:
-    dec = two_edge_decompose(g)
-    return not dec.cut_edges and weak_components(g).num_blocks == 1

@@ -10,12 +10,11 @@ kernel-class sums, and that off-admissible classes vanish.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .digraphs import two_edge_decompose, weak_components
-from .partitions import Partition, bell_number
-from .tensor import GuardExceeded, rng_stream, sample_uniform_permutation
+from .digraphs import is_two_edge_connected
+from .partitions import Partition
+from .tensor import rng_stream, sample_uniform_permutation
 from .traffic import (
     LoopedTestGraph,
     MultiPartition,
@@ -27,7 +26,6 @@ from .traffic import (
     gcc,
     growth_exponent,
     enumerate_admissible,
-    h_sc,
     trace_test_graph,
 )
 from .serialize import multipartition_from_dict, partition_from_blocks
@@ -77,8 +75,7 @@ def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
 def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
     """Exponent nonpositive, zero exactly at all-trees, leaf count twice the
     component count at equality, block maps injective per component at trees."""
-    dec = two_edge_decompose(t.digraph)
-    if dec.cut_edges or weak_components(t.digraph).num_blocks != 1:
+    if not is_two_edge_connected(t.digraph):
         # the growth bound assumes two-edge connectivity; nothing to check
         return [("exponent-suite", True, "skipped: graph is not two-edge connected")]
     bound_ok = True
@@ -97,14 +94,14 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
         if trees:
             for c in sorted(set(t.edge_colors)):
                 q = color_quotient(t, pi, c)
-                qdec = q.decomposition()
-                if Fraction(qdec.leaf_count, 2) != q.components().num_blocks:
-                    leaf_rule = False
                 comp = q.components()
+                if Fraction(q.decomposition().leaf_count, 2) != comp.num_blocks:
+                    leaf_rule = False
                 for s in t.assignment.sorted_strings_of(c):
-                    hmap = h_sc(t, pi, s, c)
+                    ps = pi.part(s)
                     for block in comp.blocks:
-                        images = [hmap[v] for v in block]
+                        # the block map h_sc sends each quotient vertex to the pi_s block holding it
+                        images = [ps.block_index(q.vertex_blocks[v][0]) for v in block]
                         if len(set(images)) != len(images):
                             injective_rule = False
     return [
@@ -120,13 +117,10 @@ def kernel_suite(t: TestGraph, n: int, seed: int, draws: int, partition_guard: i
     plus vanishing off the admissible cone."""
     looped = LoopedTestGraph.with_identity(_with_side(t, n))
     base = looped.base
+    admissible = list(enumerate_admissible(base, partition_guard))
     rhos = all_rho(base)
     strings = base.assignment.sorted_strings()
     nv = base.digraph.vertex_count
-    total = math.prod(bell_number(rhos.part(s).num_blocks) for s in strings)
-    if total > partition_guard:
-        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
-    admissible = list(enumerate_admissible(base, partition_guard))
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):

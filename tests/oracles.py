@@ -9,16 +9,26 @@ implementation against itself.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from permprod.digraphs import DiGraph
+from permprod.digraphs import DiGraph, Multigraph, two_edge_decompose, weak_components
 from permprod.partitions import Partition
+from permprod.traffic import GCCGraph, color_quotient, h_sc
 
 
 def brute_join(p: Partition, q: Partition) -> Partition:
     """Finest common coarsening by repeated pairwise merging to a fixpoint."""
-    blocks = [set(b) for b in p.blocks] + [set(b) for b in q.blocks]
+    return _merge_to_fixpoint(p.ground_size, [set(b) for b in p.blocks] + [set(b) for b in q.blocks])
+
+
+def brute_connect(n: int, pairs) -> Partition:
+    """Classes generated by the pairs, merging overlapping sets to a fixpoint."""
+    return _merge_to_fixpoint(n, [{x} for x in range(n)] + [{x, y} for x, y in pairs])
+
+
+def _merge_to_fixpoint(n: int, blocks: list[set[int]]) -> Partition:
     changed = True
     while changed:
         changed = False
@@ -31,7 +41,7 @@ def brute_join(p: Partition, q: Partition) -> Partition:
                     break
             if changed:
                 break
-    return Partition.of(p.ground_size, blocks)
+    return Partition.of(n, blocks)
 
 
 def brute_meet(p: Partition, q: Partition) -> Partition:
@@ -174,3 +184,42 @@ def _canonical_digraph_key(n: int, edges) -> tuple:
         if best is None or relabeled < best:
             best = relabeled
     return best
+
+
+def two_edge_connected_by_decomposition(g: DiGraph) -> bool:
+    """Two-edge connectivity read off the whole bridge decomposition."""
+    if g.vertex_count == 0:
+        return False
+    return not two_edge_decompose(g).cut_edges and weak_components(g).num_blocks == 1
+
+
+def string_major_growth_exponent(t, pi):
+    """The growth exponent string by string: every colored quotient and its
+    bridge decomposition rebuilt for each string the color carries."""
+    per_string = {}
+    for s in t.assignment.sorted_strings():
+        term = Fraction(pi.part(s).num_blocks - 1)
+        for c in sorted(t.assignment.colors_of(s)):
+            q = color_quotient(t, pi, c)
+            term += Fraction(q.decomposition().leaf_count, 2) - q.partition.num_blocks
+        per_string[s] = term
+    return sum(per_string.values(), Fraction(0)), per_string
+
+
+def h_sc_gcc(t, pi, s):
+    """The graph of colored components with each color's block map taken
+    from `h_sc`, which recomputes the meet of the color's kernels."""
+    ps = pi.part(s)
+    left = ps.blocks
+    right, edges, keys = [], [], []
+    for c in sorted(t.assignment.colors_of(s)):
+        q = color_quotient(t, pi, c)
+        comps = q.components()
+        offset = len(left) + len(right)
+        for comp in comps.blocks:
+            right.append((c, tuple(sorted(v for b in comp for v in q.partition.blocks[b]))))
+        hmap = h_sc(t, pi, s, c)
+        for v, block in enumerate(q.partition.blocks):
+            edges.append((hmap[v], offset + comps.block_index(v)))
+            keys.append((c, block))
+    return GCCGraph(Multigraph(len(left) + len(right), tuple(edges)), left, tuple(right), tuple(keys))

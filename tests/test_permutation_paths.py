@@ -83,8 +83,8 @@ def test_chain_norm_exact_path_equals_dense(x_mode, lambda_mode):
 
 
 def test_chain_norm_exact_path_large_integer_diagonals():
-    # diagonals beyond +-1 switch the coefficients to Python integers; the
-    # scale keeps the dense int64 oracle's products below 2**63
+    # diagonals beyond +-1 switch the coefficients to Python integers; at
+    # 10**7 the dense oracle's products pass int64 and must widen to match
     g, a = shared_string_model()
     n = 4
     rng = np.random.default_rng(11)
@@ -92,7 +92,7 @@ def test_chain_norm_exact_path_large_integer_diagonals():
         tuple(StructuredMatrix.from_permutation(("s",), n, sample_uniform_permutation(n, rng)) for _ in range(l))
         for l in (2, 1, 2)
     )
-    for scale in (3, 1000):
+    for scale in (3, 1000, 10**7):
         lams = tuple(tuple(rng.integers(-scale, scale + 1, size=n) for _ in range(l)) for l in (2, 1, 2))
         spec = ChainSpec(g, a, ("a", "b", "a"), (2, 1, 2), "fixture", "fixture", x_fixtures=xs, lambda_fixtures=lams)
         mono = MonomialChain.of(spec, n, 0)

@@ -45,6 +45,21 @@ def test_matrix_roundtrip_dense_and_permutation():
     assert back.perm == p.perm
 
 
+def test_float_labels_are_not_rounded_to_integers():
+    near = {"support": ["s"], "n": 2, "entries_re": [[1.000001, 0], [0, 1]], "entries_im": [[0, 0], [0, 0]]}
+    m = matrix_from_dict(near)
+    assert not np.issubdtype(m.entries.dtype, np.integer)
+    assert m.entries[0, 0] == 1.000001
+    tiny_im = dict(near, entries_re=[[1, 0], [0, 1]], entries_im=[[1e-9, 0], [0, 0]])
+    assert matrix_from_dict(tiny_im).entries[0, 0] == 1 + 1e-9j
+    # past 2**53 a float no longer pins down the integer that was written
+    huge = dict(near, entries_re=[[2.0**60, 0], [0, 1]])
+    assert not np.issubdtype(matrix_from_dict(huge).entries.dtype, np.integer)
+    exact = dict(near, entries_re=[[-3.0, 0], [2**53, 1]])
+    back = matrix_from_dict(exact)
+    assert back.entries.dtype == np.int64 and back.entries.tolist() == [[-3, 0], [2**53, 1]]
+
+
 def test_permutation_roundtrip():
     p = Permutation((2, 0, 1))
     assert permutation_from_dict(permutation_to_dict(p)) == p

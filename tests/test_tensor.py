@@ -239,6 +239,21 @@ def test_chain_product_matches_dense_oracle():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_integer_chain_products_stay_exact_past_int64():
+    # five diagonals of size 10**7 over permutation factors: products reach
+    # 10**35, far past int64, and must equal the Python-integer products
+    rng = np.random.default_rng(8)
+    dim = 16
+    lams = [rng.integers(-(10**7), 10**7 + 1, size=dim) for _ in range(5)]
+    xs = [sample_uniform_permutation(dim, rng).matrix().astype(np.int64) for _ in range(5)]
+    want = chain_product([a.astype(object) for a in lams], [x.astype(object) for x in xs])
+    got = chain_product(lams, xs)
+    assert got.tolist() == want.tolist()
+    assert max(abs(v) for v in got.ravel().tolist()) > 2**63
+    ys = [lam[:, None] * x for lam, x in zip(lams, xs)]
+    assert centered_chain_norm_sq(ys) == centered_chain_norm_sq([y.astype(object) for y in ys])
+
+
 def test_centered_chain_norm_k1_is_zero():
     rng = np.random.default_rng(6)
     y = rng.normal(size=(5, 5))
