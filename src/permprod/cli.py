@@ -132,6 +132,8 @@ def _chain_spec_from_config(data: dict) -> chains.ChainSpec:
 
 def _cmd_converge(args) -> int:
     data = serialize.load_json(args.config)
+    if not all(isinstance(data[k], list) for k in ("chi", "ell", "n_grid")):
+        raise ValueError("chi, ell and n_grid must be JSON lists")
     spec = _chain_spec_from_config(data)
     seed = args.seed if args.seed is not None else int(data.get("seed", 0))
     n_grid = [int(x) for x in data["n_grid"]]

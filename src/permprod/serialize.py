@@ -124,4 +124,7 @@ def dump_json(path, obj) -> None:
 
 def load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, not {type(data).__name__}")
+    return data

@@ -55,6 +55,7 @@ from .tensor import (
 )
 
 MAP_GUARD = 2**24
+LABELING_CHUNK = 2**14  # array entries per chunk of kernel labelings
 PARTITION_GUARD = 10**7
 
 
@@ -333,6 +334,7 @@ class ColoredQuotient:
     def vertex_blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.partition.blocks
 
+    @functools.cached_property
     def components(self) -> Partition:
         return weak_components(self.digraph)
 
@@ -402,7 +404,7 @@ def _gcc(t: TestGraph, pi: MultiPartition, s: str, quotient) -> GCCGraph:
     keys: list[tuple[str, tuple[int, ...]]] = []
     for c in sorted(t.assignment.colors_of(s)):
         q = quotient(c)
-        comps = q.components()
+        comps = q.components
         offset = len(left) + len(right)
         for comp in comps.blocks:
             members = tuple(sorted(v for b in comp for v in q.partition.blocks[b]))
@@ -493,28 +495,68 @@ def _assert_walk_valid(g: GCCGraph, verts: Sequence[int], edges: Sequence[int]):
 # kernel-class sums: empirical, exact-in-lambda, and in expectation
 
 
-def _kernel_labelings(pi: MultiPartition, n: int, map_guard: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All per-string injective block labelings realizing the kernels."""
+def _labeling_chunks(pi: MultiPartition, n: int, map_guard: int) -> tuple[int, Iterator[list[np.ndarray]]]:
+    """The guarded count of labelings whose per-string kernels are exactly pi,
+    and those labelings in itertools.product order over each string's
+    injective block maps, as chunks of per-string digit arrays (a row per
+    labeling, a column per vertex) of at most LABELING_CHUNK entries."""
     counts = [math.perm(n, p.num_blocks) for p in pi.parts]
     total = math.prod(counts)
     if total > map_guard:
         raise GuardExceeded(f"kernel labeling count {total} exceeds map guard {map_guard}")
-    pools = [itertools.permutations(range(n), p.num_blocks) for p in pi.parts]
-    return itertools.product(*pools)
+    step = max(1, LABELING_CHUNK // max(pi.parts[0].ground_size, 1))
+
+    def chunk(lo: int) -> list[np.ndarray]:
+        flat = np.arange(lo, min(lo + step, total))
+        digits = []
+        for k, p in enumerate(pi.parts):
+            rows, b = flat // math.prod(counts[k + 1 :]) % counts[k], p.num_blocks
+            digits.append(_block_maps(n, b, rows)[:, [p.block_index(v) for v in range(p.ground_size)]])
+        return digits
+
+    return total, map(chunk, range(0, total, step))
 
 
-def _encode_vertices(pi: MultiPartition, labeling, n: int, nv: int) -> list[int]:
-    codes = [0] * nv
-    for vals, part in zip(labeling, pi.parts):
-        for v in range(nv):
-            codes[v] = codes[v] * n + vals[part.block_index(v)]
-    return codes
+def _block_maps(n: int, b: int, ranks: np.ndarray) -> np.ndarray:
+    """Rows `ranks` of itertools.permutations(range(n), b): a rank's digits
+    index values among those still free, then skip those fixed before."""
+    out = np.empty((len(ranks), b), dtype=np.int64)
+    for j in range(b):
+        out[:, j] = ranks // math.perm(n - j - 1, b - j - 1) % (n - j)
+    for j in reversed(range(b - 1)):
+        out[:, j + 1 :] += out[:, j + 1 :] >= out[:, j : j + 1]
+    return out
+
+
+def _encode(digits: Sequence[np.ndarray], n: int):
+    return functools.reduce(lambda code, d: code * n + d, digits)
+
+
+def _loop_products(vecs: Sequence[np.ndarray], codes: np.ndarray) -> np.ndarray:
+    term = np.ones(len(codes), dtype=np.int64)
+    for v, vec in enumerate(vecs):
+        term = term * vec[codes[:, v]]
+    return term
+
+
+def _add_terms(total, terms: np.ndarray, exact: bool):
+    # float terms are added one at a time in labeling order, as a loop would
+    if exact:
+        return total + terms.sum()
+    for x in terms.tolist():
+        total = total + x
+    return total
+
+
+def _kernel_sum(total, exact: bool, denom: int):
+    if exact:
+        return Fraction(int(total), denom) if isinstance(total, (int, np.integer)) else Fraction(total, denom)
+    return complex(total) / denom
 
 
 def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int, map_guard: int = MAP_GUARD):
     """Normalized sum of the vertex-label products over labelings whose
     per-string kernels are exactly pi."""
-    nv = t.base.digraph.vertex_count
     denom = n ** sum(p.num_blocks for p in pi.parts)
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
@@ -522,16 +564,12 @@ def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int, map_guard: int 
         num = math.prod(math.perm(n, p.num_blocks) for p in pi.parts)
         return Fraction(num, denom)
     vecs, exact = _as_exact_or_complex(list(t.vertex_labels))
+    count, labelings = _labeling_chunks(pi, n, map_guard)
+    vecs = exact_operands(vecs, count)
     total = 0
-    for labeling in _kernel_labelings(pi, n, map_guard):
-        codes = _encode_vertices(pi, labeling, n, nv)
-        term = 1
-        for v in range(nv):
-            term = term * vecs[v][codes[v]]
-        total = total + term
-    if exact:
-        return Fraction(int(total), denom) if isinstance(total, (int, np.integer)) else Fraction(total, denom)
-    return complex(total) / denom
+    for digits in labelings:
+        total = _add_terms(total, _loop_products(vecs, _encode(digits, n)), exact)
+    return _kernel_sum(total, exact, denom)
 
 
 def _is_ones(vec: np.ndarray) -> bool:
@@ -549,58 +587,34 @@ def gamma_empirical(
     draw of the color permutations: sums only labelings whose per-string
     kernels equal pi."""
     base = t.base
-    nv = base.digraph.vertex_count
-    space = base.full_space(n)
+    dim = base.full_space(n).total_dim
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
-    strings = space.strings
-    # per-edge data: positions of support strings, conjugating permutation
-    edge_data = []
-    for c, lab in zip(base.edge_colors, base.labels):
-        sup = lab.support
-        sub = MultiIndexSpace(sup, n)
-        off_support = [i for i, s in enumerate(strings) if s not in set(sup)]
-        sup_pos = [strings.index(s) for s in sup]
-        edge_data.append((sigmas[c], lab, sub, off_support, sup_pos))
+    count, labelings = _labeling_chunks(pi, n, map_guard)
     vecs, exact_loops = _as_exact_or_complex(list(t.vertex_labels))
     exact = exact_loops and all(lab.is_exact() for lab in base.labels)
+    edges = base.digraph.edges
+    # an injective labeling gives an edge's ends one digit on a string exactly
+    # when pi puts them in one block, which every string off the support needs
+    for (src, dst), lab in zip(edges, base.labels):
+        if not all(p.same_block(src, dst) for s, p in pi.items() if s not in lab.support):
+            return _kernel_sum(0, exact, dim)
+    imgs = {c: np.asarray(sigmas[c].images) for c in set(base.edge_colors)}
+    conj = [lab.entries[imgs[c][:, None], imgs[c]] for c, lab in zip(base.edge_colors, base.labels)]
+    ops = exact_operands(vecs + conj, count)  # unchanged unless all are integer
+    vecs, conj = ops[: len(vecs)], ops[len(vecs) :]
+    supports = {lab.support for lab in base.labels}
     total = 0
-    for labeling in _kernel_labelings(pi, n, map_guard):
-        digits = [
-            [vals[part.block_index(v)] for vals, part in zip(labeling, pi.parts)]
-            for v in range(nv)
-        ]
-        # digits[v][k] = value of string k at vertex v (strings sorted)
-        term = 1
-        for v in range(nv):
-            code = 0
-            for d in digits[v]:
-                code = code * n + d
-            term = term * vecs[v][code]
-            if term == 0:
-                break
-        if term == 0:
-            continue
-        ok = True
-        for (src, dst), (sigma, lab, sub, off_support, sup_pos) in zip(base.digraph.edges, edge_data):
-            for k in off_support:
-                if digits[src][k] != digits[dst][k]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            row = sub.encode([digits[dst][k] for k in sup_pos])
-            col = sub.encode([digits[src][k] for k in sup_pos])
-            entry = lab.entries[sigma(row), sigma(col)]
-            if entry == 0:
-                ok = False
-                break
+    for digits in labelings:
+        term = _loop_products(vecs, _encode(digits, n))
+        keep = term != 0
+        codes = {sup: _encode([digits[pi.strings.index(s)] for s in sup], n) for sup in supports}
+        for (src, dst), lab, m in zip(edges, base.labels, conj):
+            entry = m[codes[lab.support][:, dst], codes[lab.support][:, src]]
+            keep &= entry != 0
             term = term * entry
-        if ok:
-            total = total + term
-    if exact:
-        return Fraction(int(total), space.total_dim) if isinstance(total, (int, np.integer)) else Fraction(total, space.total_dim)
-    return complex(total) / space.total_dim
+        total = _add_terms(total, term[keep], exact)
+    return _kernel_sum(total, exact, dim)
 
 
 def gamma_expected_formula(
@@ -643,7 +657,7 @@ def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int, map_
     q = color_quotient(t, pi, c)
     d_c = n ** len(t.assignment.strings_of(c))
     raw = raw_injective_graph_sum(q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard)
-    comps = q.components().num_blocks
+    comps = q.components.num_blocks
     return _normalize(raw, d_c, comps)
 
 

@@ -94,7 +94,7 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
         if trees:
             for c in sorted(set(t.edge_colors)):
                 q = color_quotient(t, pi, c)
-                comp = q.components()
+                comp = q.components
                 if Fraction(q.decomposition().leaf_count, 2) != comp.num_blocks:
                     leaf_rule = False
                 for s in t.assignment.sorted_strings_of(c):

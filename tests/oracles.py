@@ -9,13 +9,15 @@ implementation against itself.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from permprod.digraphs import DiGraph, Multigraph, two_edge_decompose, weak_components
 from permprod.partitions import Partition
-from permprod.traffic import GCCGraph, color_quotient, h_sc
+from permprod.tensor import GuardExceeded, MultiIndexSpace
+from permprod.traffic import MAP_GUARD, GCCGraph, _as_exact_or_complex, _is_ones, color_quotient, h_sc
 
 
 def brute_join(p: Partition, q: Partition) -> Partition:
@@ -214,7 +216,7 @@ def h_sc_gcc(t, pi, s):
     right, edges, keys = [], [], []
     for c in sorted(t.assignment.colors_of(s)):
         q = color_quotient(t, pi, c)
-        comps = q.components()
+        comps = q.components
         offset = len(left) + len(right)
         for comp in comps.blocks:
             right.append((c, tuple(sorted(v for b in comp for v in q.partition.blocks[b]))))
@@ -223,3 +225,97 @@ def h_sc_gcc(t, pi, s):
             edges.append((hmap[v], offset + comps.block_index(v)))
             keys.append((c, block))
     return GCCGraph(Multigraph(len(left) + len(right), tuple(edges)), left, tuple(right), tuple(keys))
+
+
+def _loop_kernel_labelings(pi, n, map_guard):
+    """All per-string injective block labelings realizing the kernels."""
+    counts = [math.perm(n, p.num_blocks) for p in pi.parts]
+    total = math.prod(counts)
+    if total > map_guard:
+        raise GuardExceeded(f"kernel labeling count {total} exceeds map guard {map_guard}")
+    pools = [itertools.permutations(range(n), p.num_blocks) for p in pi.parts]
+    return itertools.product(*pools)
+
+
+def _loop_encode_vertices(pi, labeling, n, nv):
+    codes = [0] * nv
+    for vals, part in zip(labeling, pi.parts):
+        for v in range(nv):
+            codes[v] = codes[v] * n + vals[part.block_index(v)]
+    return codes
+
+
+def loop_lambda_value(t, pi, n, map_guard=MAP_GUARD):
+    """`lambda_value` one labeling at a time, in fixed-width arithmetic."""
+    nv = t.base.digraph.vertex_count
+    denom = n ** sum(p.num_blocks for p in pi.parts)
+    if any(p.num_blocks > n for p in pi.parts):
+        return Fraction(0)
+    if all(_is_ones(vec) for vec in t.vertex_labels):
+        num = math.prod(math.perm(n, p.num_blocks) for p in pi.parts)
+        return Fraction(num, denom)
+    vecs, exact = _as_exact_or_complex(list(t.vertex_labels))
+    total = 0
+    for labeling in _loop_kernel_labelings(pi, n, map_guard):
+        codes = _loop_encode_vertices(pi, labeling, n, nv)
+        term = 1
+        for v in range(nv):
+            term = term * vecs[v][codes[v]]
+        total = total + term
+    if exact:
+        return Fraction(int(total), denom) if isinstance(total, (int, np.integer)) else Fraction(total, denom)
+    return complex(total) / denom
+
+
+def loop_gamma_empirical(t, pi, sigmas, n, map_guard=MAP_GUARD):
+    """`gamma_empirical` one labeling at a time: each vertex's digits rebuilt
+    from the block maps, each edge checked off its support and read through
+    its conjugating permutation, in fixed-width arithmetic."""
+    base = t.base
+    nv = base.digraph.vertex_count
+    space = base.full_space(n)
+    if any(p.num_blocks > n for p in pi.parts):
+        return Fraction(0)
+    strings = space.strings
+    edge_data = []
+    for c, lab in zip(base.edge_colors, base.labels):
+        sup = lab.support
+        sub = MultiIndexSpace(sup, n)
+        off_support = [i for i, s in enumerate(strings) if s not in set(sup)]
+        sup_pos = [strings.index(s) for s in sup]
+        edge_data.append((sigmas[c], lab, sub, off_support, sup_pos))
+    vecs, exact_loops = _as_exact_or_complex(list(t.vertex_labels))
+    exact = exact_loops and all(lab.is_exact() for lab in base.labels)
+    total = 0
+    for labeling in _loop_kernel_labelings(pi, n, map_guard):
+        digits = [[vals[part.block_index(v)] for vals, part in zip(labeling, pi.parts)] for v in range(nv)]
+        term = 1
+        for v in range(nv):
+            code = 0
+            for d in digits[v]:
+                code = code * n + d
+            term = term * vecs[v][code]
+            if term == 0:
+                break
+        if term == 0:
+            continue
+        ok = True
+        for (src, dst), (sigma, lab, sub, off_support, sup_pos) in zip(base.digraph.edges, edge_data):
+            for k in off_support:
+                if digits[src][k] != digits[dst][k]:
+                    ok = False
+                    break
+            if not ok:
+                break
+            row = sub.encode([digits[dst][k] for k in sup_pos])
+            col = sub.encode([digits[src][k] for k in sup_pos])
+            entry = lab.entries[sigma(row), sigma(col)]
+            if entry == 0:
+                ok = False
+                break
+            term = term * entry
+        if ok:
+            total = total + term
+    if exact:
+        return Fraction(int(total), space.total_dim) if isinstance(total, (int, np.integer)) else Fraction(total, space.total_dim)
+    return complex(total) / space.total_dim

@@ -254,7 +254,7 @@ def test_criterion_4_growth_exponent_exhaustive():
             if trees:
                 for c in sorted(set(t.edge_colors)):
                     q = color_quotient(t, pi, c)
-                    assert Fraction(q.decomposition().leaf_count, 2) == q.components().num_blocks
+                    assert Fraction(q.decomposition().leaf_count, 2) == q.components.num_blocks
             tuples += 1
         cases += 1
     elapsed = time.time() - start

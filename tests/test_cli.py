@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from permprod.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "appendix_a.json")
@@ -99,6 +101,26 @@ def test_converge_input_error(tmp_path):
     cfg = tmp_path / "bad.json"
     write(cfg, {"colors": ["a"], "edges": [], "chi": ["a", "a"], "ell": [1, 1], "n_grid": [2, 4]})
     assert main(["converge", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("ell", "11"), ("chi", "ab"), ("n_grid", "48")])
+def test_converge_chain_fields_must_be_lists(tmp_path, capsys, field, value):
+    # a JSON string is not read as a sequence of letters or digits
+    config = {"colors": ["a", "b"], "edges": [], "chi": ["a", "b"], "ell": [1, 1], "n_grid": [2, 4], "samples": 2}
+    config[field] = value
+    cfg = tmp_path / "conv.json"
+    write(cfg, config)
+    assert main(["converge", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "input-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", [None, [], 5])
+@pytest.mark.parametrize("command", ["string-assign", "traffic-check", "converge", "sofic-certify"])
+def test_top_level_must_be_an_object(tmp_path, capsys, command, top):
+    cfg = tmp_path / "input.json"
+    write(cfg, top)
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    assert "input-error" in capsys.readouterr().err
 
 
 def test_sofic_certify_cli(tmp_path):

@@ -260,7 +260,7 @@ def test_tree_gcc_forces_injective_block_maps():
     for s in ("1", "2", "3"):
         for c in sorted(t.assignment.colors_of(s)):
             q = color_quotient(t, sigma, c)
-            comp = q.components()
+            comp = q.components
             hmap = h_sc(t, sigma, s, c)
             for block in comp.blocks:
                 images = [hmap[v] for v in block]
@@ -588,7 +588,7 @@ def test_growth_exponent_bound_and_tree_characterization():
                 if trees:
                     for c in sorted(set(t.edge_colors)):
                         q = color_quotient(t, pi, c)
-                        assert Fraction(q.decomposition().leaf_count, 2) == q.components().num_blocks
+                        assert Fraction(q.decomposition().leaf_count, 2) == q.components.num_blocks
                 checked += 1
     assert checked > 500
 
