@@ -63,7 +63,7 @@ def main(argv=None) -> int:
         if args.command == "converge":
             return _cmd_converge(args)
         return _cmd_sofic_certify(args)
-    except GuardExceeded as exc:
+    except (GuardExceeded, MemoryError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (KeyError, ValueError, OSError) as exc:
@@ -169,8 +169,20 @@ def _vertex_group_from_config(value):
     if value == "Z":
         return sofic.INTEGERS
     if isinstance(value, str) and value.startswith("cyclic:"):
-        return sofic.FiniteGroupTable.cyclic(int(value.split(":", 1)[1]))
-    return sofic.FiniteGroupTable.of(value["table"], value["generators"])
+        order = int(value.split(":", 1)[1])
+        if order < 1:
+            raise ValueError(f"cyclic group order must be positive, not {order}")
+        return sofic.FiniteGroupTable.cyclic(order)
+    if not isinstance(value, dict):
+        raise ValueError(f'vertex group {value!r} is not "Z", "cyclic:<order>" or a table object')
+    table, generators = value["table"], value["generators"]
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and len(row) == len(table) and all(isinstance(x, int) for x in row) for row in table
+    ):
+        raise ValueError("group table must be a square JSON list of integer lists")
+    if not isinstance(generators, list) or not all(isinstance(x, int) for x in generators):
+        raise ValueError("group generators must be a JSON list of integers")
+    return sofic.FiniteGroupTable.of(table, generators)
 
 
 def _cmd_sofic_certify(args) -> int:
@@ -180,6 +192,8 @@ def _cmd_sofic_certify(args) -> int:
         a = build_string_assignment(g)
     seed = args.seed if args.seed is not None else int(data.get("seed", 0))
     n = int(data["n"])
+    if not isinstance(data["vertex_groups"], dict):
+        raise ValueError("vertex_groups must be a JSON object from color to group")
     groups = {c: _vertex_group_from_config(v) for c, v in data["vertex_groups"].items()}
     reps = {}
     for c in g.colors:

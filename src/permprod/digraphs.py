@@ -68,7 +68,7 @@ class Multigraph:
         """Connected and |E| = |V| - 1; parallel edges and loops therefore fail."""
         if self.vertex_count == 0:
             return False
-        return self.is_connected() and len(self.edges) == self.vertex_count - 1
+        return len(self.edges) == self.vertex_count - 1 and self.is_connected()
 
 
 def weak_components(g: DiGraph) -> Partition:

@@ -38,11 +38,11 @@ class Partition:
             raise ValueError("blocks do not cover the ground set")
         if self.blocks != _canonical(self.blocks):
             raise ValueError("blocks not in canonical form; use Partition.of")
-        lookup = {}
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                lookup[x] = i
-        object.__setattr__(self, "_block_of", lookup)
+        self._index()
+
+    def _index(self) -> "Partition":
+        object.__setattr__(self, "_block_of", {x: i for i, b in enumerate(self.blocks) for x in b})
+        return self
 
     @staticmethod
     def of(ground_size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -61,11 +61,16 @@ class Partition:
 
     @staticmethod
     def from_labels(labels: Sequence) -> "Partition":
-        """Partition of {0..len-1} whose blocks are the fibers of `labels`."""
+        """Partition of {0..len-1} whose blocks are the fibers of `labels`.
+        Fibers in first-occurrence order, members ascending, are already
+        canonical, so they are not validated again."""
         fibers: dict = {}
         for i, lab in enumerate(labels):
             fibers.setdefault(lab, []).append(i)
-        return Partition.of(len(labels), fibers.values())
+        out = object.__new__(Partition)
+        object.__setattr__(out, "ground_size", len(labels))
+        object.__setattr__(out, "blocks", tuple(map(tuple, fibers.values())))
+        return out._index()
 
     @property
     def num_blocks(self) -> int:

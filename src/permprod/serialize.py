@@ -98,8 +98,13 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
     if not ok:
         raise ValueError(f"invalid assignment: {violations}")
     nv = int(d["vertices"])
-    edges = [(int(e[0]), int(e[1])) for e in d["test_edges"]]
-    colors = [str(e[2]) for e in d["test_edges"]]
+    test_edges = d["test_edges"]
+    if not isinstance(test_edges, list) or not all(
+        isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e[:2]) for e in test_edges
+    ):
+        raise ValueError("test_edges must be a JSON list of [source, target, color] triples")
+    edges = [(e[0], e[1]) for e in test_edges]
+    colors = [str(e[2]) for e in test_edges]
     digraph = DiGraph.of(nv, edges)
     mode = d.get("labels", "identity")
     labels = []

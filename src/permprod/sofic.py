@@ -66,7 +66,9 @@ class FiniteGroupTable:
     def of(table: Sequence[Sequence[int]], generators: Iterable[int]) -> "FiniteGroupTable":
         table = tuple(tuple(r) for r in table)
         n = len(table)
-        identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
+        identity = next((e for e in range(n) if all(table[e][x] == x for x in range(n))), None)
+        if identity is None:
+            raise ValueError("table has no identity element")
         return FiniteGroupTable(n, table, identity, tuple(generators))
 
     @staticmethod

@@ -4,10 +4,11 @@ A structured matrix lives on a subset of the strings and acts as identity on
 the rest.  There are two ways to act on the full space:
 
 - the dense path, `lift`, materializes a matrix as a dim x dim array
-  (guarded by `DENSE_GUARD`); chain products and centered norms then cost
-  O(dim^3).  Unitary, float and general fixture labels take it, and it is
-  the oracle the exact path is tested against; integer products that could
-  pass int64 are taken in Python integers (`exact_operands`);
+  (`DENSE_GUARD` bounds its dim**2 entries); chain products and centered
+  norms then cost O(dim^3).  Unitary, float and general fixture labels
+  take it, and it is the oracle the exact path is tested against; integer
+  products that could pass int64 are taken in Python integers
+  (`exact_operands`);
 - the exact permutation path works on image arrays of length dim: a
   permutation of a block of strings becomes, through `permutation_images`,
   the map of every full-space point to its image (guarded by
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DENSE_GUARD = 2**20
+DENSE_GUARD = 2**22  # entries of a dense full-space matrix (dim**2)
 POINT_GUARD = 2**21  # full-space points of an image array (8 bytes each)
 
 
@@ -216,8 +217,8 @@ def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_
         raise ValueError("side mismatch")
     if not set(x.support) <= set(target.strings):
         raise ValueError("support not contained in target space")
-    if target.total_dim > dense_guard:
-        raise GuardExceeded(f"full-space dimension {target.total_dim} exceeds dense guard {dense_guard}")
+    if target.total_dim**2 > dense_guard:
+        raise GuardExceeded(f"dense lift of {target.total_dim}**2 entries exceeds dense guard {dense_guard}")
     n = x.n
     k = len(target.strings)
     m = len(x.support)

@@ -23,7 +23,7 @@ import math
 import string as _stringmod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,10 +330,6 @@ class ColoredQuotient:
     edge_ids: tuple[int, ...]
     labels: tuple[StructuredMatrix, ...]
 
-    @property
-    def vertex_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.partition.blocks
-
     @functools.cached_property
     def components(self) -> Partition:
         return weak_components(self.digraph)
@@ -392,18 +388,13 @@ class GCCGraph:
 
 
 def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
-    return _gcc(t, pi, s, lambda c: color_quotient(t, pi, c))
-
-
-def _gcc(t: TestGraph, pi: MultiPartition, s: str, quotient) -> GCCGraph:
-    """`gcc`, taking each color's quotient from `quotient(c)`."""
     ps = pi.part(s)
     left = ps.blocks
     right: list[tuple[str, tuple[int, ...]]] = []
     edges: list[tuple[int, int]] = []
     keys: list[tuple[str, tuple[int, ...]]] = []
     for c in sorted(t.assignment.colors_of(s)):
-        q = quotient(c)
+        q = color_quotient(t, pi, c)
         comps = q.components
         offset = len(left) + len(right)
         for comp in comps.blocks:
@@ -415,13 +406,6 @@ def _gcc(t: TestGraph, pi: MultiPartition, s: str, quotient) -> GCCGraph:
             keys.append((c, block))
     graph = Multigraph(len(left) + len(right), tuple(edges))
     return GCCGraph(graph, left, tuple(right), tuple(keys))
-
-
-def _gcc_trees(t: TestGraph, pi: MultiPartition, strings) -> bool:
-    """Whether the GCC of every listed string is a tree; each color's
-    quotient is built on first use and shared between the strings."""
-    quotient = functools.cache(lambda c: color_quotient(t, pi, c))
-    return all(_gcc(t, pi, s, quotient).is_tree() for s in strings)
 
 
 @dataclass(frozen=True)
@@ -670,16 +654,101 @@ def growth_exponent(t: TestGraph, pi: MultiPartition) -> tuple[Fraction, dict[st
     minus one plus, over the string's colors, half the bridge-forest leaf
     count minus the vertex count of the colored quotient.  Nonpositive on
     two-edge-connected graphs, zero exactly when every colored-component
-    graph is a tree.  A color without edges adds zero (each quotient vertex
-    is an isolated forest vertex of two leaves) and is skipped."""
+    graph is a tree."""
     _check_admissible(t, pi)
-    per_string = {s: Fraction(pi.part(s).num_blocks - 1) for s in t.assignment.sorted_strings()}
-    for c in sorted(set(t.edge_colors)):
-        q = color_quotient(t, pi, c)
-        term = Fraction(q.decomposition().leaf_count, 2) - q.partition.num_blocks
-        for s in t.assignment.strings_of(c):
-            per_string[s] += term
-    return sum(per_string.values(), Fraction(0)), per_string
+    record = _KernelRecord(t, exponent=True)
+    doubled = record.doubled_exponents([pi.part(s) for s in record.strings])
+    return Fraction(sum(doubled), 2), {s: Fraction(d, 2) for s, d in zip(record.strings, doubled)}
+
+
+class _ColorSummary(NamedTuple):
+    """One colored quotient as the exponent and the tree tests read it."""
+
+    reps: tuple[int, ...]  # per quotient vertex, its smallest parent vertex
+    comp_of: tuple[int, ...]  # per quotient vertex, its weak component
+    components: int
+    # the exponent sweep's fields; None in a record built for the tree search
+    leaves: int | None  # bridge-forest leaves
+    injective: bool | None  # each kernel's block map h_sc is injective per component
+
+
+class _KernelRecord:
+    """The kernel analysis of one test graph, shared by the kernel tuples of
+    one sweep.  A color's quotient depends only on the kernels of its own
+    strings and a string's GCC only on the kernels of the strings sharing a
+    color with it.  Built for the exponent sweep, the record adds leaf
+    counts and injectivity to each summary and memoises summaries and tree
+    verdicts on just those kernels; the tree search reaches each prefix
+    once, so few of its keys recur, and it keeps no memo.  Kernel tuples
+    come as sequences aligned with the sorted strings; a prefix will do
+    when it holds every kernel a lookup reads."""
+
+    def __init__(self, t: TestGraph, exponent: bool):
+        a = t.assignment
+        self.exponent = exponent
+        self.strings = a.sorted_strings()
+        self.colors = {  # color -> (its edges' digraph, its strings' positions)
+            c: (
+                t.digraph.restrict_edges([i for i, x in enumerate(t.edge_colors) if x == c]),
+                tuple(map(self.strings.index, a.sorted_strings_of(c))),
+            )
+            for c in sorted({c for s in self.strings for c in a.colors_of(s)})
+        }
+        self.string_colors = [sorted(a.colors_of(s)) for s in self.strings]
+        # the strings whose kernels decide string i's GCC, i among them
+        self.neighbors = [
+            sorted({i}.union(*(self.colors[c][1] for c in cs))) for i, cs in enumerate(self.string_colors)
+        ]
+        self._summaries: dict = {}  # (color, its strings' kernels) -> _ColorSummary
+        self._trees: dict = {}  # (string position, its neighbors' kernels) -> bool
+
+    def summary(self, c: str, parts: Sequence[Partition]) -> _ColorSummary:
+        g, idx = self.colors[c]
+        key = (c, tuple(parts[i] for i in idx))
+        out = self._summaries.get(key)
+        if out is None:
+            om = meet_many(key[1])
+            q, _ = quotient_digraph(g, om)
+            comps = weak_components(q)
+            reps = tuple(b[0] for b in om.blocks)
+            comp_of = tuple(comps.block_index(v) for v in range(om.num_blocks))
+            leaves = injective = None
+            if self.exponent:
+                # without edges each quotient vertex is an isolated forest vertex
+                leaves = two_edge_decompose(q).leaf_count if g.edges else 2 * om.num_blocks
+                pairs = list(zip(comp_of, reps))
+                injective = all(len({(k, p.block_index(r)) for k, r in pairs}) == len(reps) for p in key[1])
+            out = _ColorSummary(reps, comp_of, comps.num_blocks, leaves, injective)
+            if self.exponent:
+                self._summaries[key] = out
+        return out
+
+    def doubled_exponents(self, parts: Sequence[Partition]) -> list[int]:
+        """Twice each string's growth exponent, in sorted-string order."""
+        out = [2 * (p.num_blocks - 1) for p in parts]
+        for c, (_, idx) in self.colors.items():
+            q = self.summary(c, parts)
+            for i in idx:
+                out[i] += q.leaves - 2 * len(q.reps)
+        return out
+
+    def tree(self, i: int, parts: Sequence[Partition]) -> bool:
+        """Whether string i's GCC, as `gcc` builds it, is a tree."""
+        key = (i, tuple(parts[j] for j in self.neighbors[i]))
+        out = self._trees.get(key)
+        if out is None:
+            ps, edges, offset = parts[i], [], parts[i].num_blocks
+            for c in self.string_colors[i]:
+                q = self.summary(c, parts)
+                edges.extend((ps.block_index(r), offset + k) for r, k in zip(q.reps, q.comp_of))
+                offset += q.components
+            out = Multigraph(offset, tuple(edges)).is_tree()
+            if self.exponent:
+                self._trees[key] = out
+        return out
+
+    def all_trees(self, parts: Sequence[Partition]) -> bool:
+        return all(self.tree(i, parts) for i in range(len(self.strings)))
 
 
 def _kernel_pools(t: TestGraph, partition_guard: int) -> tuple[tuple[str, ...], list[list[Partition]]]:
@@ -703,7 +772,8 @@ def enumerate_admissible(
 
 
 def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
-    return _gcc_trees(t, pi, t.assignment.sorted_strings())
+    record = _KernelRecord(t, exponent=False)
+    return record.all_trees([pi.part(s) for s in record.strings])
 
 
 def enumerate_tree_partitions(
@@ -716,10 +786,9 @@ def enumerate_tree_partitions(
     the partitions of the strings sharing a color with s.
     """
     strings, pools = _kernel_pools(t, partition_guard)
-    check_at: dict[int, list[str]] = {}
-    for s in strings:
-        last = max(strings.index(x) for c in t.assignment.colors_of(s) for x in t.assignment.strings_of(c))
-        check_at.setdefault(last, []).append(s)
+    record = _KernelRecord(t, exponent=False)
+    # string i's tree test is decided once the last of its neighbors is chosen
+    check_at = [[i for i, near in enumerate(record.neighbors) if near[-1] == lv] for lv in range(len(strings))]
 
     def rec(level: int, chosen: list[Partition]):
         if level == len(strings):
@@ -727,19 +796,11 @@ def enumerate_tree_partitions(
             return
         for part in pools[level]:
             chosen.append(part)
-            if _gcc_trees(t, _partial_multipartition(strings, chosen), check_at.get(level, [])):
+            if all(record.tree(i, chosen) for i in check_at[level]):
                 yield from rec(level + 1, chosen)
             chosen.pop()
 
     yield from rec(0, [])
-
-
-def _partial_multipartition(strings, chosen):
-    # pad with singleton placeholders; only used for strings whose GCC
-    # does not depend on the missing entries
-    nv = chosen[0].ground_size
-    parts = list(chosen) + [Partition.singletons(nv)] * (len(strings) - len(chosen))
-    return MultiPartition(tuple(strings), tuple(parts))
 
 
 def expected_trace_leading_terms(

@@ -15,11 +15,11 @@ from fractions import Fraction
 from .digraphs import is_two_edge_connected
 from .partitions import Partition
 from .tensor import rng_stream, sample_uniform_permutation
-from .traffic import (
+from .traffic import (  # noqa: F401  (growth_exponent stays importable from here)
     LoopedTestGraph,
     MultiPartition,
     TestGraph,
-    all_gcc_trees,
+    _KernelRecord,
     all_rho,
     color_quotient,
     gamma_empirical,
@@ -83,27 +83,22 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
     leaf_rule = True
     injective_rule = True
     seen = 0
+    # the tuples come from enumerate_admissible, so they are admissible and
+    # their parts are aligned with the record's sorted strings
+    record = _KernelRecord(t, exponent=True)
     for pi in enumerate_admissible(t, partition_guard):
         seen += 1
-        expo, _ = growth_exponent(t, pi)
-        trees = all_gcc_trees(t, pi)
-        if expo > 0:
+        doubled = sum(record.doubled_exponents(pi.parts))
+        trees = record.all_trees(pi.parts)
+        if doubled > 0:
             bound_ok = False
-        if (expo == 0) != trees:
+        if (doubled == 0) != trees:
             equality_iff_trees = False
         if trees:
-            for c in sorted(set(t.edge_colors)):
-                q = color_quotient(t, pi, c)
-                comp = q.components
-                if Fraction(q.decomposition().leaf_count, 2) != comp.num_blocks:
-                    leaf_rule = False
-                for s in t.assignment.sorted_strings_of(c):
-                    ps = pi.part(s)
-                    for block in comp.blocks:
-                        # the block map h_sc sends each quotient vertex to the pi_s block holding it
-                        images = [ps.block_index(q.vertex_blocks[v][0]) for v in block]
-                        if len(set(images)) != len(images):
-                            injective_rule = False
+            for c in record.colors:
+                q = record.summary(c, pi.parts)
+                leaf_rule &= q.leaves == 2 * q.components
+                injective_rule &= q.injective
     return [
         ("exponent-nonpositive", bound_ok, f"{seen} kernel tuples"),
         ("tree-equality", equality_iff_trees, "exponent vanishes exactly at all-tree tuples"),

@@ -227,6 +227,38 @@ def h_sc_gcc(t, pi, s):
     return GCCGraph(Multigraph(len(left) + len(right), tuple(edges)), left, tuple(right), tuple(keys))
 
 
+def all_gcc_trees_by_oracles(t, pi):
+    """Whether every string's `h_sc_gcc` is a tree."""
+    return all(h_sc_gcc(t, pi, s).is_tree() for s in t.assignment.sorted_strings())
+
+
+def exponent_suite_by_oracles(t, tuples):
+    """The four exponent laws of `verify.exponent_suite`, tuple by tuple: the
+    string-major exponent, the `h_sc` GCCs, and every edge color's quotient
+    rebuilt with its bridge decomposition and its `h_sc` block maps."""
+    if not two_edge_connected_by_decomposition(t.digraph):
+        return [("exponent-suite", True, "skipped: graph is not two-edge connected")]
+    bound = equality = leaf = injective = True
+    for pi in tuples:
+        expo, _ = string_major_growth_exponent(t, pi)
+        trees = all_gcc_trees_by_oracles(t, pi)
+        bound &= expo <= 0
+        equality &= (expo == 0) == trees
+        for c in sorted(set(t.edge_colors)) if trees else ():
+            q = color_quotient(t, pi, c)
+            comps = q.components
+            leaf &= Fraction(q.decomposition().leaf_count, 2) == comps.num_blocks
+            for s in t.assignment.sorted_strings_of(c):
+                hmap = h_sc(t, pi, s, c)
+                injective &= all(len({hmap[v] for v in b}) == len(b) for b in comps.blocks)
+    return [
+        ("exponent-nonpositive", bound, f"{len(tuples)} kernel tuples"),
+        ("tree-equality", equality, "exponent vanishes exactly at all-tree tuples"),
+        ("leaf-count-at-equality", leaf, "leaf weight is twice the component count"),
+        ("tree-injectivity", injective, "block maps injective per component at trees"),
+    ]
+
+
 def _loop_kernel_labelings(pi, n, map_guard):
     """All per-string injective block labelings realizing the kernels."""
     counts = [math.perm(n, p.num_blocks) for p in pi.parts]

@@ -175,3 +175,36 @@ def test_sofic_certify_threshold_failure(tmp_path):
     )
     # the free product at tiny size cannot certify this tightly
     assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+def sofic_config(vertex_groups):
+    return {"colors": ["a"], "edges": [], "vertex_groups": vertex_groups, "n": 2}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("traffic-check", {"colors": ["a"], "edges": [], "vertices": 1, "test_edges": [[0]]}),
+        ("sofic-certify", sofic_config(["cyclic:2"])),
+        ("sofic-certify", sofic_config({"a": {"table": 5, "generators": [0]}})),
+        ("sofic-certify", sofic_config({"a": {"table": [[1, 0], [1, 0]], "generators": [0]}})),
+        ("sofic-certify", sofic_config({"a": "cyclic:0"})),
+    ],
+    ids=["short-test-edge", "vertex-groups-list", "table-not-a-list", "table-without-identity", "cyclic-zero"],
+)
+def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
+    cfg = tmp_path / "bad.json"
+    write(cfg, config)
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    assert "input-error" in capsys.readouterr().err
+
+
+def test_memory_error_is_a_guard_exit(tmp_path, capsys, monkeypatch):
+    from permprod import verify
+
+    def exhausted(*args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(verify, "exponent_suite", exhausted)
+    assert main(["traffic-check", FIXTURE, "--n", "2", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("guard: ")

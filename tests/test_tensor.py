@@ -158,6 +158,19 @@ def test_lift_guard():
         lift(x, MultiIndexSpace.of(["2"], 2))
 
 
+def test_lift_guard_bounds_entries_before_allocating(monkeypatch):
+    full = MultiIndexSpace.of(["1", "2"], 2)  # dim 4, 16 entries
+    x = StructuredMatrix.identity(["1"], 2)
+    assert lift(x, full, dense_guard=16).shape == (4, 4)
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the guard")
+
+    monkeypatch.setattr(np, "eye", allocate)
+    with pytest.raises(GuardExceeded, match=r"4\*\*2 entries"):
+        lift(x, full, dense_guard=15)  # the dimension is below the guard, its square is not
+
+
 def test_delta_basics():
     a = np.arange(9).reshape(3, 3).astype(float)
     d = delta(a)
