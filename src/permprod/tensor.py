@@ -217,8 +217,7 @@ def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_
         raise ValueError("side mismatch")
     if not set(x.support) <= set(target.strings):
         raise ValueError("support not contained in target space")
-    if target.total_dim**2 > dense_guard:
-        raise GuardExceeded(f"dense lift of {target.total_dim}**2 entries exceeds dense guard {dense_guard}")
+    _check_dense(target.total_dim, dense_guard)
     n = x.n
     k = len(target.strings)
     m = len(x.support)
@@ -241,6 +240,19 @@ def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_
             col_axes.append(2 * m + len(rest) + rest_pos[s])
     full = full.transpose(row_axes + col_axes)
     return np.ascontiguousarray(full.reshape(target.total_dim, target.total_dim))
+
+
+def _check_dense(dim: int, dense_guard: int) -> None:
+    if dim**2 > dense_guard:
+        raise GuardExceeded(f"dense lift of {dim}**2 entries exceeds dense guard {dense_guard}")
+
+
+def image_matrix(images: np.ndarray, dense_guard: int = DENSE_GUARD) -> np.ndarray:
+    """Dense 0/1 matrix M with M e_a = e_{images[a]}, under `lift`'s guard."""
+    _check_dense(len(images), dense_guard)
+    m = np.zeros((len(images),) * 2, dtype=np.int64)
+    m[images, np.arange(len(images))] = 1
+    return m
 
 
 def permutation_images(

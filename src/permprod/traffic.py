@@ -51,7 +51,9 @@ from .tensor import (
     StructuredMatrix,
     conjugate_by_color,
     exact_operands,
+    image_matrix,
     lift,
+    permutation_images,
 )
 
 MAP_GUARD = 2**24
@@ -219,33 +221,37 @@ def _merge_vertex_vectors(vectors: Sequence[np.ndarray], p: Partition) -> list[n
     return out
 
 
-def _normalize(raw, dim: int, comps: int):
-    if isinstance(raw, (int, Fraction)):
-        return Fraction(raw, dim**comps)
-    return raw / dim**comps
+def _per_component(g: DiGraph, dim: int) -> int:
+    """dim once per weak component: the denominator of traces and kernel sums."""
+    return dim ** weak_components(g).num_blocks
 
 
 # ---------------------------------------------------------------------------
 # full-space traces of (looped) test graphs
 
 
-def underline_labels(
-    t: TestGraph,
-    sigmas: dict[str, Permutation] | None,
-    n: int | None = None,
-    dense_guard: int | None = None,
-) -> list[np.ndarray]:
+def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int | None = None) -> list[np.ndarray]:
     """Dense full-space edge labels: each label conjugated by its color's
-    permutation (identity when absent) and lifted against identity factors."""
+    permutation (identity when absent) and lifted against identity factors.
+    A permutation label is built straight from its conjugated image array."""
     space = t.full_space(n)
     out = []
-    kwargs = {} if dense_guard is None else {"dense_guard": dense_guard}
     for c, lab in zip(t.edge_colors, t.labels):
-        x = lab
-        if sigmas is not None and c in sigmas:
-            x = conjugate_by_color(lab, sigmas[c])
-        out.append(lift(x, space, **kwargs))
+        sigma = sigmas.get(c) if sigmas is not None else None
+        if lab.perm is not None:
+            out.append(image_matrix(_conjugated_images(lab, sigma, space)))
+        else:
+            out.append(lift(lab if sigma is None else conjugate_by_color(lab, sigma), space))
     return out
+
+
+def _conjugated_images(lab: StructuredMatrix, sigma: Permutation | None, space: MultiIndexSpace) -> np.ndarray:
+    """Full-space image array of a permutation label x as sigma^-1 x sigma (x without sigma)."""
+    x = np.asarray(lab.perm.images)
+    if sigma is not None:
+        sig = np.asarray(sigma.images)
+        x = np.argsort(sig)[x[sig]]
+    return permutation_images(x, lab.support, space)
 
 
 def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
@@ -262,8 +268,7 @@ def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
     raw = fn(base.digraph, mats, space.total_dim, loops, guard_total)
     if not normalized:
         return raw
-    comps = weak_components(base.digraph).num_blocks
-    return _normalize(raw, space.total_dim, comps)
+    return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, space.total_dim))
 
 
 def trace_test_graph(
@@ -569,7 +574,7 @@ def gamma_empirical(
 ):
     """The kernel-class contribution to the looped trace for one concrete
     draw of the color permutations: sums only labelings whose per-string
-    kernels equal pi."""
+    kernels equal pi, divided by dim once per weak component as the trace is."""
     base = t.base
     dim = base.full_space(n).total_dim
     if any(p.num_blocks > n for p in pi.parts):
@@ -598,7 +603,54 @@ def gamma_empirical(
             keep &= entry != 0
             term = term * entry
         total = _add_terms(total, term[keep], exact)
-    return _kernel_sum(total, exact, dim)
+    return _kernel_sum(total, exact, _per_component(base.digraph, dim))
+
+
+def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD) -> dict:
+    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`},
+    for permutation labels and integer vertex labels.  A nonzero labeling is
+    fixed by its points at one root per weak component, as each conjugated
+    label has one 1 per column: one row per tuple of root points (the count
+    the guard bounds) is chased along a spanning forest, rows another edge
+    disagrees with are dropped, and loop products are summed per kernel."""
+    base, g = t.base, t.base.digraph
+    space = base.full_space(n)
+    dim, roots = space.total_dim, [b[0] for b in weak_components(g).blocks]
+    count = _per_component(g, dim)  # the rows, and the denominator of every sum
+    if count > map_guard:
+        raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
+    imgs = [_conjugated_images(lab, sigmas[c], space) for c, lab in zip(base.edge_colors, base.labels)]
+    rows = np.zeros((count, g.vertex_count), dtype=np.int64)
+    rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), len(rows)).T
+    known, keep, todo = set(roots), np.ones(len(rows), dtype=bool), list(range(g.edge_count))
+    while todo:  # take an edge with a reached end
+        e = next(e for e in todo if known.intersection(g.edges[e]))
+        todo.remove(e)
+        src, dst = g.edges[e]
+        if dst not in known:
+            rows[:, dst] = imgs[e][rows[:, src]]
+        elif src not in known:
+            rows[:, src] = np.argsort(imgs[e])[rows[:, dst]]
+        else:
+            keep &= rows[:, dst] == imgs[e][rows[:, src]]
+        known.update((src, dst))
+    weights = _loop_products(exact_operands(list(t.vertex_labels), len(rows)), rows)
+    keep &= weights != 0
+    rows, weights = rows[keep], weights[keep]
+    # per row and string, each vertex's digit; its kernel block is named by
+    # the last vertex holding the same digit
+    strings, nv = len(space.strings), g.vertex_count
+    digits = rows[:, None, :] // n ** np.arange(strings - 1, -1, -1)[:, None] % n
+    names = np.empty_like(digits)
+    for v in range(nv):
+        names[digits == digits[..., v : v + 1]] = v
+    sums: dict = {}
+    for key, weight in zip(map(tuple, names.reshape(len(rows), strings * nv).tolist()), weights.tolist()):
+        sums[key] = sums.get(key, 0) + weight
+    return {
+        tuple(Partition.from_labels(key[k * nv : (k + 1) * nv]) for k in range(strings)): _kernel_sum(total, True, count)
+        for key, total in sums.items()
+    }
 
 
 def gamma_expected_formula(
@@ -641,8 +693,7 @@ def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int, map_
     q = color_quotient(t, pi, c)
     d_c = n ** len(t.assignment.strings_of(c))
     raw = raw_injective_graph_sum(q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard)
-    comps = q.components.num_blocks
-    return _normalize(raw, d_c, comps)
+    return _kernel_sum(raw, isinstance(raw, int), d_c**q.components.num_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +730,8 @@ class _KernelRecord:
     color with it.  Built for the exponent sweep, the record adds leaf
     counts and injectivity to each summary and memoises summaries and tree
     verdicts on just those kernels; the tree search reaches each prefix
-    once, so few of its keys recur, and it keeps no memo.  Kernel tuples
+    once, so few of its keys recur, and it keeps only each color's latest
+    summary, which the choices of later strings reuse.  Kernel tuples
     come as sequences aligned with the sorted strings; a prefix will do
     when it holds every kernel a lookup reads."""
 
@@ -719,8 +771,9 @@ class _KernelRecord:
                 pairs = list(zip(comp_of, reps))
                 injective = all(len({(k, p.block_index(r)) for k, r in pairs}) == len(reps) for p in key[1])
             out = _ColorSummary(reps, comp_of, comps.num_blocks, leaves, injective)
-            if self.exponent:
-                self._summaries[key] = out
+            if not self.exponent:  # the tree search keeps only each color's latest summary
+                self._summaries = {k: v for k, v in self._summaries.items() if k[0] != c}
+            self._summaries[key] = out
         return out
 
     def doubled_exponents(self, parts: Sequence[Partition]) -> list[int]:

@@ -4,8 +4,12 @@ Each suite returns (name, passed, detail) triples.  The exponent suite
 sweeps every admissible kernel tuple and checks the sign of the growth
 exponent, the tree characterization of equality, the leaf-to-component
 count at equality, and injectivity of the block maps at trees.  The kernel
-suite checks, per draw, that the looped trace splits exactly into the
-kernel-class sums, and that off-admissible classes vanish.
+suite checks, per draw, that the looped trace (the einsum graph sum) splits
+exactly into the kernel-class sums, and that off-admissible classes vanish.
+When every label is a permutation, one chase per draw gives every
+kernel-class sum at once and every kernel tuple a nonzero labeling lands in
+must be admissible; dense labels take one `gamma_empirical` per admissible
+tuple and one probe below the minimal kernels.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .traffic import (  # noqa: F401  (growth_exponent stays importable from her
     MultiPartition,
     TestGraph,
     _KernelRecord,
+    _kernel_buckets,
     all_rho,
     color_quotient,
     gamma_empirical,
@@ -113,9 +118,11 @@ def kernel_suite(t: TestGraph, n: int, seed: int, draws: int, partition_guard: i
     looped = LoopedTestGraph.with_identity(_with_side(t, n))
     base = looped.base
     admissible = list(enumerate_admissible(base, partition_guard))
-    rhos = all_rho(base)
-    strings = base.assignment.sorted_strings()
-    nv = base.digraph.vertex_count
+    # permutation labels: one chase per draw buckets every kernel-class sum;
+    # dense labels sum each admissible tuple and probe one tuple off the cone
+    chase = all(lab.perm is not None for lab in base.labels)
+    cone = {pi.parts for pi in admissible}
+    probes = [] if chase else _some_non_admissible(base)
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):
@@ -124,14 +131,13 @@ def kernel_suite(t: TestGraph, n: int, seed: int, draws: int, partition_guard: i
             dim = n ** len(base.assignment.strings_of(c))
             sigmas[c] = sample_uniform_permutation(dim, rng_stream(seed, 7, d, ci))
         tau = trace_test_graph(looped, n=n, sigmas=sigmas)
-        total_gamma = Fraction(0)
-        for pi in admissible:
-            total_gamma = total_gamma + gamma_empirical(looped, pi, sigmas, n)
-        if total_gamma != tau:
-            decomposition_ok = False
-        for pi in _some_non_admissible(rhos, strings, nv):
-            if gamma_empirical(looped, pi, sigmas, n) != 0:
-                vanishing_ok = False
+        if chase:
+            sums = _kernel_buckets(looped, sigmas, n)
+            vanishing_ok &= cone.issuperset(sums)
+        else:
+            sums = {pi.parts: gamma_empirical(looped, pi, sigmas, n) for pi in admissible}
+            vanishing_ok &= all(gamma_empirical(looped, pi, sigmas, n) == 0 for pi in probes)
+        decomposition_ok &= sum(sums.values(), Fraction(0)) == tau
     return [
         ("kernel-decomposition", decomposition_ok, f"{draws} draws, {len(admissible)} admissible tuples"),
         ("off-cone-vanishing", vanishing_ok, "kernel sums vanish off the admissible cone"),
@@ -151,8 +157,9 @@ def _with_side(t: TestGraph, n: int) -> TestGraph:
     return TestGraph(t.assignment, t.digraph, t.edge_colors, labels)
 
 
-def _some_non_admissible(rhos, strings, nv):
+def _some_non_admissible(t: TestGraph):
     """A kernel tuple strictly below some minimal kernel, when one exists."""
+    rhos, strings, nv = all_rho(t), t.assignment.sorted_strings(), t.digraph.vertex_count
     if all(rhos.part(s).num_blocks == nv for s in strings):
         return []
     parts = {s: Partition.singletons(nv) for s in strings}

@@ -302,7 +302,8 @@ def loop_lambda_value(t, pi, n, map_guard=MAP_GUARD):
 def loop_gamma_empirical(t, pi, sigmas, n, map_guard=MAP_GUARD):
     """`gamma_empirical` one labeling at a time: each vertex's digits rebuilt
     from the block maps, each edge checked off its support and read through
-    its conjugating permutation, in fixed-width arithmetic."""
+    its conjugating permutation, in fixed-width arithmetic; divided by dim
+    once per weak component, as the trace is."""
     base = t.base
     nv = base.digraph.vertex_count
     space = base.full_space(n)
@@ -348,6 +349,7 @@ def loop_gamma_empirical(t, pi, sigmas, n, map_guard=MAP_GUARD):
             term = term * entry
         if ok:
             total = total + term
+    denom = space.total_dim ** len(components_by_bfs(nv, base.digraph.edges))
     if exact:
-        return Fraction(int(total), space.total_dim) if isinstance(total, (int, np.integer)) else Fraction(total, space.total_dim)
-    return complex(total) / space.total_dim
+        return Fraction(int(total), denom) if isinstance(total, (int, np.integer)) else Fraction(total, denom)
+    return complex(total) / denom

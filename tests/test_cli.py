@@ -72,6 +72,60 @@ def test_traffic_check_exponent_suite_runs_on_two_edge_connected_fixture(tmp_pat
     assert byname["tree-equality"]["passed"]
 
 
+@pytest.mark.parametrize(
+    "nv, test_edges, labels",
+    [
+        (2, [[0, 0, "R"], [1, 1, "R"]], "identity"),
+        (3, [[0, 1, "R"], [1, 0, "R"], [2, 2, "G"]], "permutation"),
+    ],
+)
+def test_traffic_check_passes_on_disconnected_graphs(tmp_path, nv, test_edges, labels):
+    # the kernel-class sums are divided by dim once per weak component, as the trace is
+    data = json.load(open(FIXTURE))
+    data.update(vertices=nv, test_edges=test_edges, labels=labels, claims={})
+    fixture = tmp_path / "split.json"
+    write(fixture, data)
+    assert main(["traffic-check", str(fixture), "--n", "2", "--out", str(tmp_path)]) == 0
+    byname = {c["name"]: c for c in json.load(open(tmp_path / "report.json"))["checks"]}
+    assert byname["kernel-decomposition"]["passed"]
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, "a"], [1, 0, "a"]], [[0, 1, "a"], [1, 0, "a"], [2, 2, "a"]]])
+def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, monkeypatch, edges):
+    from permprod import verify
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return verify_gamma(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the chase needs permutation labels")
+
+    verify_gamma = verify.gamma_empirical
+    monkeypatch.setattr(verify, "gamma_empirical", counted)
+    monkeypatch.setattr(verify, "_kernel_buckets", refused)
+    entries = [[[2, -1], [0, 3]], [[1, 1], [-2, 0]], [[0, 4], [1, -1]]]
+    fixture = tmp_path / "dense.json"
+    write(
+        fixture,
+        {
+            "colors": ["a"],
+            "edges": [],
+            "strings": ["s"],
+            "incidence": [["s", "a"]],
+            "vertices": 1 + max(max(e[:2]) for e in edges),
+            "test_edges": edges,
+            "labels": [{"support": ["s"], "n": 2, "entries_re": entries[i]} for i in range(len(edges))],
+        },
+    )
+    assert main(["traffic-check", str(fixture), "--n", "2", "--out", str(tmp_path)]) == 0
+    report = json.load(open(tmp_path / "report.json"))
+    assert report["passed"]
+    assert calls  # three draws over every admissible tuple, plus the off-cone probe
+
+
 def test_converge_cli_and_determinism(tmp_path):
     cfg = tmp_path / "conv.json"
     write(

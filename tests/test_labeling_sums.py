@@ -5,6 +5,8 @@ per-string kernels are exactly pi as numpy chunks.  The loops they replace
 live in `oracles.py`; on every multipartition of small graphs over the four
 wirings, both must give the same value of the same type (the same repr, so
 float sums keep their order).  Integer sums must stay exact past int64.
+With permutation labels and integer loops, the bucketed chase
+(`traffic._kernel_buckets`) must give every one of those sums from one call.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ WIRINGS = {
     "shared-string": (shared_string_model, [((0, 1), "a"), ((1, 2), "b"), ((2, 0), "a"), ((0, 2), "b")]),
     "disjoint-string": (disjoint_string_model, [((0, 1), "a"), ((1, 2), "b"), ((2, 0), "a"), ((1, 0), "b")]),
     "three-color": (three_color_model, [((0, 1), "B"), ((1, 2), "G"), ((2, 0), "R"), ((0, 2), "G")]),
+    # two weak components: every sum is divided by dim once per component
+    "two-component": (shared_string_model, [((0, 1), "a"), ((1, 0), "b"), ((2, 2), "a")]),
 }
 
 
@@ -75,9 +79,16 @@ def _sweep(wiring, n, labels, loops):
     t = _graph(wiring, n, labels)
     lt = _looped(t, n, loops)
     sigmas = draw_color_permutations(t, n, 1)
+    chased = None
+    if labels in ("identity", "permutation") and loops in ("identity", "integer"):
+        chased = traffic._kernel_buckets(lt, sigmas, n)
     for pi in _all_multipartitions(t):
-        _same(gamma_empirical(lt, pi, sigmas, n), loop_gamma_empirical(lt, pi, sigmas, n))
+        want = loop_gamma_empirical(lt, pi, sigmas, n)
+        _same(gamma_empirical(lt, pi, sigmas, n), want)
+        if chased is not None:
+            _same(chased.pop(pi.parts, Fraction(0)), want)
         _same(lambda_value(lt, pi, n), loop_lambda_value(lt, pi, n))
+    assert not chased  # no bucket outside the multipartitions
 
 
 @pytest.mark.parametrize("wiring", sorted(WIRINGS))
@@ -139,6 +150,19 @@ def test_guard_trips_before_the_off_support_zero():
     for fn in (lambda_value, loop_lambda_value):
         with pytest.raises(GuardExceeded, match=message):
             fn(loops, pi, 3, map_guard=5)
+
+
+def test_chase_guard_bounds_one_row_per_point_and_component():
+    # two looped vertices at n=2 on one string: two components of dim 2, so
+    # the chase builds 2**2 rows, one per pair of root points
+    _, a = one_color_model()
+    t = make_test_graph(a, 2, [((0, 0), "a"), ((1, 1), "a")], 2)
+    lt = LoopedTestGraph.with_identity(t)
+    sigmas = draw_color_permutations(t, 2, 0)
+    with pytest.raises(GuardExceeded, match=r"chased labeling count 2\*\*2 exceeds map guard 3"):
+        traffic._kernel_buckets(lt, sigmas, 2, map_guard=3)
+    sums = traffic._kernel_buckets(lt, sigmas, 2, map_guard=4)
+    assert sum(sums.values()) == traffic.trace_test_graph(lt, 2, sigmas) == 1
 
 
 def test_integer_sums_stay_exact_past_int64():
