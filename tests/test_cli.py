@@ -94,7 +94,7 @@ def test_traffic_check_passes_on_disconnected_graphs(tmp_path, nv, test_edges, l
 def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, monkeypatch, edges):
     from permprod import verify
 
-    calls = []
+    calls, verify_gamma = [], verify.gamma_empirical
 
     def counted(*args, **kwargs):
         calls.append(args[1])
@@ -103,7 +103,6 @@ def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, mo
     def refused(*args, **kwargs):
         raise AssertionError("the chase needs permutation labels")
 
-    verify_gamma = verify.gamma_empirical
     monkeypatch.setattr(verify, "gamma_empirical", counted)
     monkeypatch.setattr(verify, "_kernel_buckets", refused)
     entries = [[[2, -1], [0, 3]], [[1, 1], [-2, 0]], [[0, 4], [1, -1]]]

@@ -128,3 +128,21 @@ def test_each_memo_key_builds_one_quotient(monkeypatch):
     decompositions.clear()
     assert sum(len(list(enumerate_tree_partitions(t))) for t in graphs) > 0
     assert decompositions == []
+
+
+def test_tree_search_reuses_each_colors_latest_summary(monkeypatch):
+    # the tree search keeps each color's latest summary, so no color's
+    # summary is built twice in a row on the same kernels of its strings
+    meets = counting(monkeypatch, "meet_many")
+    quotients = counting(monkeypatch, "quotient_digraph")
+    built = 0
+    for t in graphs_under_test():
+        meets.clear()
+        quotients.clear()
+        list(enumerate_tree_partitions(t))
+        latest = {}
+        for (kernels,), (g, _) in zip(meets, quotients, strict=True):
+            assert latest.get(id(g)) != kernels
+            latest[id(g)] = kernels
+        built += len(quotients)
+    assert built > 1000

@@ -2,9 +2,9 @@
 
 `gamma_empirical` and `lambda_value` enumerate the labelings whose
 per-string kernels are exactly pi as numpy chunks.  The loops they replace
-live in `oracles.py`; on every multipartition of small graphs over the four
-wirings, both must give the same value of the same type (the same repr, so
-float sums keep their order).  Integer sums must stay exact past int64.
+live in `oracles.py`; on every multipartition of small graphs over the
+wirings (one of them with two weak components), both must give the same
+value of the same type (the same repr, so float sums keep their order).  Integer sums must stay exact past int64.
 With permutation labels and integer loops, the bucketed chase
 (`traffic._kernel_buckets`) must give every one of those sums from one call.
 """
@@ -37,8 +37,9 @@ WIRINGS = {
     "shared-string": (shared_string_model, [((0, 1), "a"), ((1, 2), "b"), ((2, 0), "a"), ((0, 2), "b")]),
     "disjoint-string": (disjoint_string_model, [((0, 1), "a"), ((1, 2), "b"), ((2, 0), "a"), ((1, 0), "b")]),
     "three-color": (three_color_model, [((0, 1), "B"), ((1, 2), "G"), ((2, 0), "R"), ((0, 2), "G")]),
-    # two weak components: every sum is divided by dim once per component
-    "two-component": (shared_string_model, [((0, 1), "a"), ((1, 0), "b"), ((2, 2), "a")]),
+    # two weak components: every sum is divided by dim once per component;
+    # the first edge points into vertex 0, so the chase walks it backwards
+    "two-component": (shared_string_model, [((1, 0), "a"), ((0, 1), "b"), ((2, 2), "a")]),
 }
 
 
