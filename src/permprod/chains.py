@@ -89,31 +89,32 @@ def draw_letters(spec: ChainSpec, n: int, seed: int):
     """Deterministic factors of one chain instance, before any dense work.
 
     Returns (lambdas, letters): lambdas[i][j] a full-space diagonal vector;
-    letters[i][j] a Permutation of the letter's color block in the
-    permutation, cycle and identity modes, else a structured matrix.
-    Randomized modes draw from per-(i, j) streams independent of the
-    conjugation draws.
+    letters[i][j] a structured matrix on the letter's color block, a
+    permutation in the permutation, cycle and identity modes.  Randomized
+    modes draw from per-(i, j) streams independent of the conjugation
+    draws.
     """
     full = MultiIndexSpace.of(spec.assignment.strings, n)
     lambdas: list[tuple[np.ndarray, ...]] = []
-    letters: list[tuple[Permutation | StructuredMatrix, ...]] = []
+    letters: list[tuple[StructuredMatrix, ...]] = []
     for i, (c, l) in enumerate(zip(spec.chi, spec.ell)):
         sup = spec.assignment.sorted_strings_of(c)
         dim = n ** len(sup)
         lam_row: list[np.ndarray] = []
-        x_row: list[Permutation | StructuredMatrix] = []
+        x_row: list[StructuredMatrix] = []
         for j in range(l):
             if spec.x_mode == "permutation":
-                x_row.append(sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j)))
+                p = sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j))
+                x_row.append(StructuredMatrix.from_permutation(sup, n, p))
             elif spec.x_mode == "cycle":
-                x_row.append(Permutation(tuple((t + 1) % dim for t in range(dim))))
+                x_row.append(StructuredMatrix.from_permutation(sup, n, Permutation((np.arange(dim) + 1) % dim)))
             elif spec.x_mode == "unitary":
                 rng = rng_stream(seed, 1, n, i, j)
                 z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 q = np.linalg.qr(z)[0]
                 x_row.append(StructuredMatrix.dense(sup, n, q))
             elif spec.x_mode == "identity":
-                x_row.append(Permutation.identity(dim))
+                x_row.append(StructuredMatrix.identity(sup, n))
             else:
                 x_row.append(spec.x_fixtures[i][j])
             if spec.lambda_mode == "identity":
@@ -126,23 +127,6 @@ def draw_letters(spec: ChainSpec, n: int, seed: int):
         lambdas.append(tuple(lam_row))
         letters.append(tuple(x_row))
     return tuple(lambdas), tuple(letters)
-
-
-def generate_inputs(spec: ChainSpec, n: int, seed: int):
-    """`draw_letters` with every letter as a structured matrix on its color
-    block: (lambdas, xs)."""
-    lambdas, letters = draw_letters(spec, n, seed)
-    xs = tuple(
-        tuple(
-            StructuredMatrix.from_permutation(spec.assignment.sorted_strings_of(c), n, x)
-            if isinstance(x, Permutation)
-            else x
-            for x in row
-        )
-        for c, row in zip(spec.chi, letters)
-    )
-    _check_norm_bound(spec, xs)
-    return lambdas, xs
 
 
 def _check_norm_bound(spec: ChainSpec, xs) -> None:
@@ -199,7 +183,8 @@ def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainG
     2*sum(ell) - 1 and the result is two-edge connected (single-block chains
     degenerate to self-loops, which are never cut edges).
     """
-    lambdas, xs = generate_inputs(spec, n, seed)
+    lambdas, xs = draw_letters(spec, n, seed)
+    _check_norm_bound(spec, xs)
     k = spec.k
     total = sum(spec.ell)
     full = MultiIndexSpace.of(spec.assignment.strings, n)
@@ -324,44 +309,38 @@ def chain_factors(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> l
 @dataclass(frozen=True, eq=False)
 class MonomialChain:
     """A chain whose letters are all permutations and whose diagonals are
-    all integer vectors: every factor is monomial.  Holds the letters as
-    block image arrays, drawn once per (spec, N, seed)."""
+    all integer vectors: every factor is monomial.  Holds the letters'
+    block permutations, drawn once per (spec, N, seed)."""
 
     spec: ChainSpec
     space: MultiIndexSpace
     lambdas: tuple[tuple[np.ndarray, ...], ...]
-    letters: tuple[tuple[np.ndarray, ...], ...]
+    letters: tuple[tuple[Permutation, ...], ...]
 
     @staticmethod
     def of(spec: ChainSpec, n: int, seed: int) -> "MonomialChain | None":
         """The chain's inputs on the exact path, or None when some letter is
         not a permutation or some diagonal is not an integer vector."""
         lambdas, letters = draw_letters(spec, n, seed)
-        perms = [[x if isinstance(x, Permutation) else x.perm for x in row] for row in letters]
+        perms = tuple(tuple(x.perm for x in row) for row in letters)
         if any(p is None for row in perms for p in row):
             return None
         lambdas = tuple(tuple(np.asarray(d) for d in row) for row in lambdas)
         if not all(np.issubdtype(d.dtype, np.integer) for row in lambdas for d in row):
             return None
-        images = tuple(tuple(np.asarray(p.images, dtype=np.int64) for p in row) for row in perms)
-        return MonomialChain(spec, MultiIndexSpace.of(spec.assignment.strings, n), lambdas, images)
+        return MonomialChain(spec, MultiIndexSpace.of(spec.assignment.strings, n), lambdas, perms)
 
     def norm_sq(self, sigmas: dict[str, Permutation]) -> Fraction:
         """The centered, diagonally projected squared norm for one
         conjugation draw; equal to centered_chain_norm_sq(chain_factors(...))
         without lifting anything.  Each letter x is conjugated on its block
         as sigma^-1 x sigma, then acts on the full space by its image array."""
-        conj = {}
-        for c in set(self.spec.chi):
-            s = np.asarray(sigmas[c].images, dtype=np.int64)
-            s_inv = np.empty_like(s)
-            s_inv[s] = np.arange(len(s))
-            conj[c] = (s, s_inv)
         factors = []
         for c, lams, letters in zip(self.spec.chi, self.lambdas, self.letters):
-            s, s_inv = conj[c]
             sup = self.spec.assignment.sorted_strings_of(c)
-            factors.append([(d, permutation_images(s_inv[x[s]], sup, self.space)) for d, x in zip(lams, letters)])
+            factors.append(
+                [(d, permutation_images(x.conjugate(sigmas[c]).images, sup, self.space)) for d, x in zip(lams, letters)]
+            )
         return monomial_chain_norm_sq(factors)
 
 
@@ -502,7 +481,3 @@ def means_nonincreasing(table: ResultTable, sigmas: float = 2.0) -> bool:
         if b["mean"] > a["mean"] + allowance:
             return False
     return True
-
-
-def variance_decreasing(table: ResultTable) -> bool:
-    return table.rows[-1]["variance"] < table.rows[0]["variance"]

@@ -97,9 +97,6 @@ class Partition:
     def __ge__(self, other: "Partition") -> bool:
         return other.refines(self)
 
-    def as_sets(self) -> frozenset:
-        return frozenset(frozenset(b) for b in self.blocks)
-
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: blockwise intersections."""
@@ -184,10 +181,6 @@ def _restricted_growth(n: int) -> Iterator[tuple[int, ...]]:
         for j in range(i + 1, n):
             rgs[j] = 0
             maxes[j] = maxes[i]
-
-
-def count_coarsenings(p: Partition) -> int:
-    return bell_number(p.num_blocks)
 
 
 def bell_number(n: int) -> int:

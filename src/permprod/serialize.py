@@ -50,7 +50,7 @@ def matrix_to_dict(m: StructuredMatrix) -> dict:
         "entries_im": arr.imag.tolist(),
     }
     if m.perm is not None:
-        out["permutation"] = {"n": m.perm.n, "images": list(m.perm.images)}
+        out["permutation"] = permutation_to_dict(m.perm)
     return out
 
 
@@ -68,13 +68,14 @@ def matrix_from_dict(d: dict) -> StructuredMatrix:
 
 
 def permutation_to_dict(p: Permutation) -> dict:
-    return {"n": p.n, "images": list(p.images)}
+    return {"n": p.n, "images": p.images.tolist()}
 
 
 def permutation_from_dict(d: dict) -> Permutation:
-    if len(d["images"]) != d["n"]:
+    p = Permutation(d["images"])
+    if p.n != d["n"]:
         raise ValueError("permutation length mismatch")
-    return Permutation(tuple(d["images"]))
+    return p
 
 
 def partition_from_blocks(ground_size: int, blocks) -> Partition:

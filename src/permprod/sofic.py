@@ -21,10 +21,10 @@ import numpy as np
 
 from .strings import ColorGraph, StringAssignment, validate_assignment
 from .tensor import (
-    ColorPermutationFactor,
     MultiIndexSpace,
     Permutation,
-    permutation_images,
+    StructuredMatrix,
+    lift_permutation,
     rng_stream,
     sample_uniform_permutation,
 )
@@ -120,10 +120,7 @@ class GeneratorRep:
     def images(self, j: int) -> np.ndarray:
         """Image array of a signed letter, computed once."""
         if j not in self._images:
-            if j < 0:
-                self._images[j] = _inverse_images(self.images(-j))
-            else:
-                self._images[j] = _frozen(np.asarray(self.letter(j).images, dtype=np.int64))
+            self._images[j] = self.letter(j).images
         return self._images[j]
 
     def letter(self, j: int) -> Permutation:
@@ -142,24 +139,10 @@ class GeneratorRep:
         return Fraction(self.word_permutation(word).fixed_points(), self.n)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _inverse_images(images: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(images)
-    inv[images] = np.arange(len(images), dtype=images.dtype)
-    return _frozen(inv)
-
-
 def left_regular_rep(g: FiniteGroupTable) -> GeneratorRep:
     """Left multiplication by each generator; word traces match triviality
     exactly at size equal to the group order."""
-    gens = tuple(
-        Permutation(tuple(g.mul(g.generators[i], x) for x in range(g.order)))
-        for i in range(len(g.generators))
-    )
+    gens = tuple(Permutation(g.table[x]) for x in g.generators)  # row x: y -> x*y
     return GeneratorRep(g.order, gens, "left-regular")
 
 
@@ -167,7 +150,7 @@ def cyclic_shift_rep(n: int) -> GeneratorRep:
     """The full cycle on n points: exact for integer words shorter than n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return GeneratorRep(n, (Permutation(tuple((i + 1) % n for i in range(n))),), "cyclic-shift")
+    return GeneratorRep(n, (Permutation((np.arange(n) + 1) % n),), "cyclic-shift")
 
 
 def pad_rep(rep: GeneratorRep, target_n: int) -> GeneratorRep:
@@ -175,16 +158,11 @@ def pad_rep(rep: GeneratorRep, target_n: int) -> GeneratorRep:
     copies, r = target % n fixed points; a word's trace moves by at most r/target."""
     if target_n < rep.n:
         raise ValueError("target size smaller than representation")
-    q, r = divmod(target_n, rep.n)
-    gens = []
-    for p in rep.gens:
-        images = []
-        for b in range(q):
-            off = b * rep.n
-            images.extend(off + img for img in p.images)
-        images.extend(range(q * rep.n, target_n))
-        gens.append(Permutation(tuple(images)))
-    return GeneratorRep(target_n, tuple(gens), "padded")
+    q = target_n // rep.n
+    offsets = rep.n * np.arange(q)[:, None]
+    rest = np.arange(q * rep.n, target_n)
+    gens = tuple(Permutation(np.concatenate([(offsets + p.images).ravel(), rest])) for p in rep.gens)
+    return GeneratorRep(target_n, gens, "padded")
 
 
 def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
@@ -192,8 +170,7 @@ def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
     arithmetic to one minus the fixed-point fraction of p^-1 q."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    mismatches = sum(1 for i in range(p.n) if p(i) != q(i))
-    d = Fraction(mismatches, p.n)
+    d = Fraction(int(np.count_nonzero(p.images != q.images)), p.n)
     via_trace = 1 - Fraction(p.inverse().compose(q).fixed_points(), p.n)
     if d != via_trace:
         raise AssertionError(f"Hamming distance {d} disagrees with the trace identity {via_trace}")
@@ -209,7 +186,7 @@ class GraphProductRep:
     assignment: StringAssignment
     n: int
     colors: tuple[str, ...]
-    factors: dict  # (color, 1-based index) -> Permutation on the color block
+    factors: dict  # (color, 1-based index) -> permutation of the color block
     provenance: str
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -222,39 +199,27 @@ class GraphProductRep:
         return self.space.total_dim
 
     def images(self, letter: tuple[str, int]) -> np.ndarray:
-        """Full-space image array of a signed letter (color, j), computed
-        once; a negative letter's is the inverse of the positive one's."""
+        """Full-space image array of a signed letter (color, j), computed once."""
         c, j = letter
         if (c, j) not in self._images:
-            if (c, abs(j)) not in self.factors:
-                raise ValueError(f"no generator {j} for color {c!r}")
-            if j < 0:
-                self._images[(c, j)] = _inverse_images(self.images((c, -j)))
-            else:
-                sup = self.assignment.sorted_strings_of(c)
-                self._images[(c, j)] = _frozen(permutation_images(self.factors[(c, j)].images, sup, self.space))
+            self._images[(c, j)] = lift_permutation(self.letter(c, j), self.space).images
         return self._images[(c, j)]
 
-    def letter(self, color: str, j: int) -> ColorPermutationFactor:
+    def letter(self, color: str, j: int) -> StructuredMatrix:
+        """The signed generator as a permutation of the color's block."""
         if (color, abs(j)) not in self.factors:
             raise ValueError(f"no generator {j} for color {color!r}")
-        p = self.factors[(color, abs(j))]
-        if j < 0:
-            p = p.inverse()
-        return ColorPermutationFactor(color, self.assignment.sorted_strings_of(color), p)
+        x = self.factors[(color, abs(j))]
+        return x if j > 0 else x.adjoint()
 
     def word_trace(self, word: Sequence[tuple[str, int]]) -> Fraction:
         return certify(self, [(word, True)]).entries[0].trace
 
     def word_permutation(self, word: Sequence[tuple[str, int]]) -> Permutation:
         """Materialized full-space permutation of a word (small spaces only)."""
-        from .tensor import lift_permutation, StructuredMatrix
-
         out = Permutation.identity(self.space.total_dim)
         for c, j in word:
-            f = self.letter(c, j)
-            sm = StructuredMatrix.from_permutation(f.support, self.n, f.perm)
-            out = out.compose(lift_permutation(sm, self.space))
+            out = out.compose(lift_permutation(self.letter(c, j), self.space))
         return out
 
 
@@ -280,9 +245,9 @@ def graph_product_rep(
                 f"representation for color {c!r} has size {rep.n}, block needs {dim}"
             )
         sigma = sample_uniform_permutation(dim, rng_stream(seed, ci))
-        sigma_inv = sigma.inverse()
+        sup = assignment.sorted_strings_of(c)
         for idx, p in enumerate(rep.gens, start=1):
-            factors[(c, idx)] = sigma_inv.compose(p).compose(sigma)
+            factors[(c, idx)] = StructuredMatrix.from_permutation(sup, n, p.conjugate(sigma))
     return GraphProductRep(assignment, n, tuple(sorted(g.colors)), factors, "graph-product")
 
 

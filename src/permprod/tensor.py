@@ -1,19 +1,22 @@
 """Multi-index linear algebra on a tensor power of M_N.
 
 A structured matrix lives on a subset of the strings and acts as identity on
-the rest.  There are two ways to act on the full space:
+the rest.  It holds dense values or a `Permutation` of its block, whose
+read-only image array is the one representation of a permutation from
+JSON to the full space.  There are two ways to act on the full space:
 
 - the dense path, `lift`, materializes a matrix as a dim x dim array
   (`DENSE_GUARD` bounds its dim**2 entries); chain products and centered
   norms then cost O(dim^3).  Unitary, float and general fixture labels
   take it, and it is the oracle the exact path is tested against; integer
   products that could pass int64 are taken in Python integers
-  (`exact_operands`);
+  (`exact_operands`).  A permutation's 0/1 `entries` are built only when
+  something reads them;
 - the exact permutation path works on image arrays of length dim: a
-  permutation of a block of strings becomes, through `permutation_images`,
-  the map of every full-space point to its image (guarded by
-  `POINT_GUARD`).  Words of permutations are traced by composing image
-  arrays (`perm_word_trace`), and alternating chains of permutations and
+  permutation of a block of strings becomes, through `lift_permutation`,
+  the permutation of every full-space point (guarded by `POINT_GUARD`).
+  Words of permutations are traced by composing image arrays
+  (`perm_word_trace`), and alternating chains of permutations and
   integer diagonals are monomial, so their centered norm is a point chase
   in exact integers (`monomial_chain_norm_sq`), O(letters * dim).
 
@@ -23,6 +26,7 @@ the most significant digit of the mixed-radix encoding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,45 +83,78 @@ class MultiIndexSpace:
         return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    images: tuple[int, ...]
+    """A bijection of 0..n-1 as a read-only int64 image array; equal and
+    hashed by value.  The constructor is the one validation point: a 1-D
+    integer (not bool) array holding every point once.  Permutations
+    derived from valid ones skip the check (`_trusted`)."""
+
+    images: np.ndarray
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+        images = np.array(self.images)
+        # dtype kinds "i" and "u" are the integers; bool, float, object and str are not
+        if images.ndim != 1 or images.size and images.dtype.kind not in "iu":
+            raise ValueError(f"permutation images must be a 1-D integer array, not {images.dtype} {images.shape}")
+        images = images.astype(np.int64, copy=False)
+        if not (np.sort(images) == np.arange(len(images))).all():
             raise ValueError("not a bijection of 0..n-1")
+        images.setflags(write=False)
+        object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images: np.ndarray) -> "Permutation":
+        p = object.__new__(cls)
+        images.setflags(write=False)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
+        return Permutation._trusted(np.arange(n, dtype=np.int64))
 
     @property
     def n(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i]
+        return int(self.images[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return np.array_equal(self.images, other.images)
+
+    def __hash__(self) -> int:
+        return hash(self.images.tobytes())
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other (matrix product order)."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
+        return Permutation._trusted(self.images[other.images])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self.images)
+        inv[self.images] = np.arange(self.n, dtype=np.int64)
+        return Permutation._trusted(inv)
+
+    def conjugate(self, sigma: "Permutation") -> "Permutation":
+        """sigma^-1 self sigma, the permutation whose matrix is P^T M P for
+        the matrices P of sigma and M of self."""
+        if sigma.n != self.n:
+            raise ValueError("size mismatch")
+        return Permutation._trusted(sigma.inverse().images[self.images[sigma.images]])
 
     def fixed_points(self) -> int:
-        return sum(1 for i, j in enumerate(self.images) if i == j)
+        return int(np.count_nonzero(self.images == np.arange(self.n)))
 
     def matrix(self) -> np.ndarray:
-        """0/1 matrix M with M e_i = e_{images[i]}."""
+        """0/1 matrix M with M e_i = e_{images[i]}, under `lift`'s guard."""
+        _check_dense(self.n, DENSE_GUARD)
         m = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in enumerate(self.images):
-            m[j, i] = 1
+        m[self.images, np.arange(self.n)] = 1
         return m
 
 
@@ -134,38 +171,47 @@ def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         images[i], images[j] = images[j], images[i]
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 @dataclass(frozen=True)
 class StructuredMatrix:
     """A matrix supported on a subset of strings, identity elsewhere.
 
-    `entries` is dense of dimension n^len(support).  When the matrix is
-    exactly a permutation matrix, `perm` carries the permutation so exact
-    integer paths can bypass the dense entries.
+    It holds either dense `values` of dimension n^len(support) or a
+    permutation `perm` of the support block, never both.  `entries` reads
+    the dense matrix; a permutation builds its 0/1 matrix on the first
+    read only, so the exact paths never materialize one.
     """
 
     support: tuple[str, ...]  # sorted ascending
     n: int
-    entries: np.ndarray
+    values: np.ndarray | None = None
     perm: Permutation | None = None
 
     def __post_init__(self):
-        dim = self.n ** len(self.support)
-        if self.entries.shape != (dim, dim):
-            raise ValueError("entries shape does not match support")
         if tuple(sorted(self.support)) != self.support:
             raise ValueError("support must be sorted")
+        if (self.values is None) == (self.perm is None):
+            raise ValueError("give exactly one of dense values and a permutation")
         if self.perm is not None:
-            if self.perm.n != dim:
+            if self.perm.n != self.dim:
                 raise ValueError("permutation size mismatch")
-            if not np.array_equal(self.entries, self.perm.matrix()):
-                raise ValueError("entries disagree with the attached permutation")
+            return
+        if self.values.shape != (self.dim, self.dim):
+            raise ValueError("entries shape does not match support")
         # matrices are immutable values; freeze a private copy of the entries
-        frozen = self.entries.copy()
+        frozen = self.values.copy()
         frozen.setflags(write=False)
-        object.__setattr__(self, "entries", frozen)
+        object.__setattr__(self, "values", frozen)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        if self.perm is None:
+            return self.values
+        m = self.perm.matrix()
+        m.setflags(write=False)
+        return m
 
     @staticmethod
     def dense(support: Iterable[str], n: int, entries: np.ndarray) -> "StructuredMatrix":
@@ -173,13 +219,12 @@ class StructuredMatrix:
 
     @staticmethod
     def from_permutation(support: Iterable[str], n: int, perm: Permutation) -> "StructuredMatrix":
-        return StructuredMatrix(tuple(sorted(support)), n, perm.matrix(), perm)
+        return StructuredMatrix(tuple(sorted(support)), n, perm=perm)
 
     @staticmethod
     def identity(support: Iterable[str], n: int) -> "StructuredMatrix":
         support = tuple(sorted(support))
-        dim = n ** len(support)
-        return StructuredMatrix(support, n, np.eye(dim, dtype=np.int64), Permutation.identity(dim))
+        return StructuredMatrix(support, n, perm=Permutation.identity(n ** len(support)))
 
     @property
     def dim(self) -> int:
@@ -190,12 +235,15 @@ class StructuredMatrix:
         return MultiIndexSpace(self.support, self.n)
 
     def is_exact(self) -> bool:
-        return self.entries.dtype == object or np.issubdtype(self.entries.dtype, np.integer)
+        v = self.values
+        return v is None or v.dtype == object or np.issubdtype(v.dtype, np.integer)
 
     def adjoint(self) -> "StructuredMatrix":
-        ent = self.entries.conj().T if np.issubdtype(self.entries.dtype, np.complexfloating) else self.entries.T
-        p = self.perm.inverse() if self.perm is not None else None
-        return StructuredMatrix(self.support, self.n, np.ascontiguousarray(ent), p)
+        if self.perm is not None:
+            return StructuredMatrix(self.support, self.n, perm=self.perm.inverse())
+        v = self.values
+        ent = v.conj().T if np.issubdtype(v.dtype, np.complexfloating) else v.T
+        return StructuredMatrix(self.support, self.n, np.ascontiguousarray(ent))
 
 
 def conjugate_by_color(x: StructuredMatrix, sigma: Permutation) -> StructuredMatrix:
@@ -203,12 +251,9 @@ def conjugate_by_color(x: StructuredMatrix, sigma: Permutation) -> StructuredMat
     relabeling: out[a, b] = x[sigma(a), sigma(b)]."""
     if sigma.n != x.dim:
         raise ValueError("permutation size does not match matrix dimension")
-    imgs = np.asarray(sigma.images)
-    ent = x.entries[np.ix_(imgs, imgs)]
-    p = None
     if x.perm is not None:
-        p = sigma.inverse().compose(x.perm).compose(sigma)
-    return StructuredMatrix(x.support, x.n, ent, p)
+        return StructuredMatrix(x.support, x.n, perm=x.perm.conjugate(sigma))
+    return StructuredMatrix(x.support, x.n, x.values[np.ix_(sigma.images, sigma.images)])
 
 
 def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_GUARD) -> np.ndarray:
@@ -247,14 +292,6 @@ def _check_dense(dim: int, dense_guard: int) -> None:
         raise GuardExceeded(f"dense lift of {dim}**2 entries exceeds dense guard {dense_guard}")
 
 
-def image_matrix(images: np.ndarray, dense_guard: int = DENSE_GUARD) -> np.ndarray:
-    """Dense 0/1 matrix M with M e_a = e_{images[a]}, under `lift`'s guard."""
-    _check_dense(len(images), dense_guard)
-    m = np.zeros((len(images),) * 2, dtype=np.int64)
-    m[images, np.arange(len(images))] = 1
-    return m
-
-
 def permutation_images(
     images: Sequence[int], support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD
 ) -> np.ndarray:
@@ -284,7 +321,7 @@ def lift_permutation(x: StructuredMatrix, target: MultiIndexSpace) -> Permutatio
     structured matrix: acts on the support coordinates, fixes the rest."""
     if x.perm is None:
         raise ValueError("matrix does not carry a permutation")
-    return Permutation(tuple(permutation_images(x.perm.images, x.support, target).tolist()))
+    return Permutation._trusted(permutation_images(x.perm.images, x.support, target))
 
 
 def delta_vector(a: np.ndarray) -> np.ndarray:
@@ -373,20 +410,8 @@ def centered_chain_norm_sq(ys: Sequence[np.ndarray]):
     return Fraction(total, dim)
 
 
-@dataclass(frozen=True)
-class ColorPermutationFactor:
-    """One letter of a permutation word: a permutation of the color's string
-    block, acting on those coordinates of the full space only."""
-
-    color: str
-    support: tuple[str, ...]  # sorted
-    perm: Permutation
-
-
-def perm_word_trace(
-    factors: Sequence[ColorPermutationFactor], space: MultiIndexSpace
-) -> Fraction:
-    """Exact normalized trace of a product of color permutations.
+def perm_word_trace(factors: Sequence[StructuredMatrix], space: MultiIndexSpace) -> Fraction:
+    """Exact normalized trace of a product of permutations of string blocks.
 
     The product is composed on the full index set from each factor's image
     array; the trace is the exact fixed-point fraction.  Cost
@@ -396,7 +421,7 @@ def perm_word_trace(
     cur = pts
     # matrix product Z_1 ... Z_m acts on points by applying Z_m first
     for f in reversed(factors):
-        cur = permutation_images(f.perm.images, f.support, space)[cur]
+        cur = lift_permutation(f, space).images[cur]
     fixed = int(np.count_nonzero(cur == pts))
     return Fraction(fixed, space.total_dim)
 

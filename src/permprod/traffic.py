@@ -51,7 +51,6 @@ from .tensor import (
     StructuredMatrix,
     conjugate_by_color,
     exact_operands,
-    image_matrix,
     lift,
     permutation_images,
 )
@@ -100,8 +99,9 @@ class LoopedTestGraph:
             raise ValueError("one vertex label per vertex")
 
     @staticmethod
-    def with_identity(base: TestGraph) -> "LoopedTestGraph":
-        dim = base.full_space().total_dim
+    def with_identity(base: TestGraph, n: int | None = None) -> "LoopedTestGraph":
+        """All-ones loops over the side-n space (the labels' side by default)."""
+        dim = base.full_space(n).total_dim
         ones = np.ones(dim, dtype=np.int64)
         return LoopedTestGraph(base, tuple(ones for _ in range(base.digraph.vertex_count)))
 
@@ -233,25 +233,24 @@ def _per_component(g: DiGraph, dim: int) -> int:
 def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int | None = None) -> list[np.ndarray]:
     """Dense full-space edge labels: each label conjugated by its color's
     permutation (identity when absent) and lifted against identity factors.
-    A permutation label is built straight from its conjugated image array."""
+    A permutation label is built straight from its conjugated full-space
+    permutation."""
     space = t.full_space(n)
     out = []
     for c, lab in zip(t.edge_colors, t.labels):
         sigma = sigmas.get(c) if sigmas is not None else None
         if lab.perm is not None:
-            out.append(image_matrix(_conjugated_images(lab, sigma, space)))
+            out.append(_conjugated_lift(lab, sigma, space).matrix())
         else:
             out.append(lift(lab if sigma is None else conjugate_by_color(lab, sigma), space))
     return out
 
 
-def _conjugated_images(lab: StructuredMatrix, sigma: Permutation | None, space: MultiIndexSpace) -> np.ndarray:
-    """Full-space image array of a permutation label x as sigma^-1 x sigma (x without sigma)."""
-    x = np.asarray(lab.perm.images)
-    if sigma is not None:
-        sig = np.asarray(sigma.images)
-        x = np.argsort(sig)[x[sig]]
-    return permutation_images(x, lab.support, space)
+def _conjugated_lift(lab: StructuredMatrix, sigma: Permutation | None, space: MultiIndexSpace) -> Permutation:
+    """Full-space permutation of a permutation label x as sigma^-1 x sigma (x without sigma)."""
+    perm = lab.perm if sigma is None else lab.perm.conjugate(sigma)
+    # a permutation of the support block lifts to a bijection of the space
+    return Permutation._trusted(permutation_images(perm.images, lab.support, space))
 
 
 def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
@@ -588,7 +587,7 @@ def gamma_empirical(
     for (src, dst), lab in zip(edges, base.labels):
         if not all(p.same_block(src, dst) for s, p in pi.items() if s not in lab.support):
             return _kernel_sum(0, exact, dim)
-    imgs = {c: np.asarray(sigmas[c].images) for c in set(base.edge_colors)}
+    imgs = {c: sigmas[c].images for c in set(base.edge_colors)}
     conj = [lab.entries[imgs[c][:, None], imgs[c]] for c, lab in zip(base.edge_colors, base.labels)]
     ops = exact_operands(vecs + conj, count)  # unchanged unless all are integer
     vecs, conj = ops[: len(vecs)], ops[len(vecs) :]
@@ -619,7 +618,7 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
     count = _per_component(g, dim)  # the rows, and the denominator of every sum
     if count > map_guard:
         raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
-    imgs = [_conjugated_images(lab, sigmas[c], space) for c, lab in zip(base.edge_colors, base.labels)]
+    lifts = [_conjugated_lift(lab, sigmas[c], space) for c, lab in zip(base.edge_colors, base.labels)]
     rows = np.zeros((count, g.vertex_count), dtype=np.int64)
     rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), len(rows)).T
     known, keep, todo = set(roots), np.ones(len(rows), dtype=bool), list(range(g.edge_count))
@@ -628,11 +627,11 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
         todo.remove(e)
         src, dst = g.edges[e]
         if dst not in known:
-            rows[:, dst] = imgs[e][rows[:, src]]
+            rows[:, dst] = lifts[e].images[rows[:, src]]
         elif src not in known:
-            rows[:, src] = np.argsort(imgs[e])[rows[:, dst]]
+            rows[:, src] = lifts[e].inverse().images[rows[:, dst]]
         else:
-            keep &= rows[:, dst] == imgs[e][rows[:, src]]
+            keep &= rows[:, dst] == lifts[e].images[rows[:, src]]
         known.update((src, dst))
     weights = _loop_products(exact_operands(list(t.vertex_labels), len(rows)), rows)
     keep &= weights != 0

@@ -115,7 +115,7 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
 def kernel_suite(t: TestGraph, n: int, seed: int, draws: int, partition_guard: int) -> list[CheckResult]:
     """Per-draw decomposition of the looped trace into kernel-class sums,
     plus vanishing off the admissible cone."""
-    looped = LoopedTestGraph.with_identity(_with_side(t, n))
+    looped = LoopedTestGraph.with_identity(_with_side(t, n), n)
     base = looped.base
     admissible = list(enumerate_admissible(base, partition_guard))
     # permutation labels: one chase per draw buckets every kernel-class sum;

@@ -160,6 +160,30 @@ def dense_conjugation_oracle(x: np.ndarray, perm_images) -> np.ndarray:
     return s.conj().T @ x @ s
 
 
+def loop_compose(p, q) -> tuple[int, ...]:
+    """p after q on image sequences, one point at a time."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def loop_inverse(p) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def loop_fixed_points(p) -> int:
+    return sum(1 for i, j in enumerate(p) if i == j)
+
+
+def loop_matrix(p) -> np.ndarray:
+    """0/1 matrix M with M e_i = e_{p[i]}, one entry at a time."""
+    m = np.zeros((len(p), len(p)), dtype=np.int64)
+    for i, j in enumerate(p):
+        m[j, i] = 1
+    return m
+
+
 def connected_multidigraphs(num_vertices: int, max_edges: int):
     """All weakly connected directed multigraphs on a fixed vertex set with at
     most max_edges edges, up to relabeling of the vertices."""

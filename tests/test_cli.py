@@ -90,6 +90,17 @@ def test_traffic_check_passes_on_disconnected_graphs(tmp_path, nv, test_edges, l
     assert byname["kernel-decomposition"]["passed"]
 
 
+def test_traffic_check_passes_on_an_edgeless_graph(tmp_path):
+    # no labels to read the side from: the identity loops take the --n side
+    data = json.load(open(FIXTURE))
+    data.update(vertices=1, test_edges=[], claims={})
+    fixture = tmp_path / "edgeless.json"
+    write(fixture, data)
+    assert main(["traffic-check", str(fixture), "--n", "2", "--out", str(tmp_path)]) == 0
+    byname = {c["name"]: c for c in json.load(open(tmp_path / "report.json"))["checks"]}
+    assert byname["kernel-decomposition"]["passed"]
+
+
 @pytest.mark.parametrize("edges", [[[0, 1, "a"], [1, 0, "a"]], [[0, 1, "a"], [1, 0, "a"], [2, 2, "a"]]])
 def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, monkeypatch, edges):
     from permprod import verify
@@ -234,6 +245,12 @@ def sofic_config(vertex_groups):
     return {"colors": ["a"], "edges": [], "vertex_groups": vertex_groups, "n": 2}
 
 
+def permutation_label_fixture(images):
+    label = {"support": ["s"], "n": 2, "permutation": {"n": 2, "images": images}}
+    model = {"colors": ["a"], "edges": [], "strings": ["s"], "incidence": [["s", "a"]]}
+    return dict(model, vertices=2, test_edges=[[0, 1, "a"]], labels=[label])
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -242,8 +259,20 @@ def sofic_config(vertex_groups):
         ("sofic-certify", sofic_config({"a": {"table": 5, "generators": [0]}})),
         ("sofic-certify", sofic_config({"a": {"table": [[1, 0], [1, 0]], "generators": [0]}})),
         ("sofic-certify", sofic_config({"a": "cyclic:0"})),
+        ("traffic-check", permutation_label_fixture([1.0, 0.0])),
+        ("traffic-check", permutation_label_fixture([True, False])),
+        ("traffic-check", permutation_label_fixture(5)),
     ],
-    ids=["short-test-edge", "vertex-groups-list", "table-not-a-list", "table-without-identity", "cyclic-zero"],
+    ids=[
+        "short-test-edge",
+        "vertex-groups-list",
+        "table-not-a-list",
+        "table-without-identity",
+        "cyclic-zero",
+        "float-permutation-images",
+        "bool-permutation-images",
+        "scalar-permutation-images",
+    ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

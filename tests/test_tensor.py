@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permprod.tensor import (
-    ColorPermutationFactor,
     GuardExceeded,
     MultiIndexSpace,
     Permutation,
@@ -25,7 +25,14 @@ from permprod.tensor import (
     sample_uniform_permutation,
     two_norm,
 )
-from oracles import dense_conjugation_oracle, kron_lift_oracle
+from oracles import (
+    dense_conjugation_oracle,
+    kron_lift_oracle,
+    loop_compose,
+    loop_fixed_points,
+    loop_inverse,
+    loop_matrix,
+)
 
 
 def test_encode_examples():
@@ -49,8 +56,8 @@ def test_encode_decode_roundtrip():
 
 def test_permutation_basics():
     p = Permutation((2, 0, 1))
-    assert p.inverse().compose(p).images == (0, 1, 2)
-    assert p.compose(p.inverse()).images == (0, 1, 2)
+    assert p.inverse().compose(p).images.tolist() == [0, 1, 2]
+    assert p.compose(p.inverse()).images.tolist() == [0, 1, 2]
     assert Permutation.identity(3).fixed_points() == 3
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
@@ -58,6 +65,92 @@ def test_permutation_basics():
     m = p.matrix()
     for i in range(3):
         assert m[p(i), i] == 1
+
+
+def test_permutation_rejects_non_integer_images():
+    for bad in ((1.0, 0.0), (True, False), np.array([[0, 1]]), (0, "1"), (0, 2**70)):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    assert Permutation(np.array([1, 0], dtype=np.uint8)) == Permutation((1, 0))
+    assert Permutation(()).n == 0
+
+
+def test_permutation_is_a_read_only_value():
+    src = np.array([2, 0, 1])
+    p = Permutation(src)
+    src[0] = 0  # the permutation holds its own copy
+    assert p.images.tolist() == [2, 0, 1]
+    with pytest.raises(ValueError):
+        p.images[0] = 1
+    for derived in (p.inverse(), p.compose(p), p.conjugate(p), Permutation.identity(3)):
+        assert not derived.images.flags.writeable
+    q = Permutation([2, 0, 1])
+    assert p == q and hash(p) == hash(q) and len({p, q, p.inverse()}) == 2
+    assert p != Permutation((2, 0, 1, 3)) and p != (2, 0, 1)
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(0, 8))
+    return tuple(tuple(draw(st.permutations(range(n)))) for _ in range(2))
+
+
+@given(permutation_pairs())
+def test_permutation_operations_equal_the_loops(pair):
+    p, s = pair
+    perm, sigma = Permutation(p), Permutation(s)
+    assert perm.compose(sigma).images.tolist() == list(loop_compose(p, s))
+    assert perm.inverse().images.tolist() == list(loop_inverse(p))
+    assert perm.fixed_points() == loop_fixed_points(p)
+    assert np.array_equal(perm.matrix(), loop_matrix(p))
+    conj = perm.conjugate(sigma)
+    assert conj.images.tolist() == list(loop_compose(loop_inverse(s), loop_compose(p, s)))
+    assert np.array_equal(conj.matrix(), dense_conjugation_oracle(loop_matrix(p), s))
+
+
+@given(permutation_pairs())
+def test_conjugate_by_color_of_a_permutation_label_equals_the_dense_oracle(pair):
+    p, s = pair
+    if not p:
+        return  # a label's block has at least one point
+    x = StructuredMatrix.from_permutation(["s"], len(p), Permutation(p))
+    conj = conjugate_by_color(x, Permutation(s))
+    assert np.array_equal(conj.entries, dense_conjugation_oracle(loop_matrix(p), s))
+
+
+def test_permutation_labels_build_no_dense_matrix_until_read(monkeypatch):
+    built = []
+    matrix = Permutation.matrix
+
+    def counted(self, *args, **kwargs):
+        built.append(self.n)
+        return matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "matrix", counted)
+    sigma = Permutation((2, 0, 1, 3))
+    x = StructuredMatrix.from_permutation(["s"], 4, Permutation((1, 2, 3, 0)))
+    derived = [x, StructuredMatrix.identity(["s"], 4), x.adjoint(), conjugate_by_color(x, sigma)]
+    assert built == []
+    assert np.array_equal(derived[3].entries, dense_conjugation_oracle(x.entries, sigma.images))
+    assert built == [4, 4]  # one matrix each for the two labels read
+    derived[3].entries
+    assert built == [4, 4]  # built once, then cached
+
+
+def test_permutation_matrix_is_guarded():
+    with pytest.raises(GuardExceeded):
+        Permutation.identity(2049).matrix()  # 2049**2 entries pass the dense guard, 2**22
+
+
+def test_structured_matrix_holds_values_or_a_permutation():
+    p = Permutation((1, 0))
+    with pytest.raises(ValueError):
+        StructuredMatrix(("s",), 2, np.eye(2, dtype=np.int64), p)
+    with pytest.raises(ValueError):
+        StructuredMatrix(("s",), 2)
+    with pytest.raises(ValueError):
+        StructuredMatrix.from_permutation(["s"], 3, p)
+    assert not StructuredMatrix.from_permutation(["s"], 2, p).entries.flags.writeable
 
 
 def test_sample_uniform_identity_for_n1():
@@ -78,7 +171,7 @@ def test_sample_uniform_determinism():
 def test_sample_uniform_frequencies_multinomial():
     # each of the 6 permutations of 3 points within 5 sigma of 1/6
     rng = rng_stream(2024)
-    counts = Counter(sample_uniform_permutation(3, rng).images for _ in range(6000))
+    counts = Counter(tuple(sample_uniform_permutation(3, rng).images.tolist()) for _ in range(6000))
     p = 1 / 6
     sigma = (6000 * p * (1 - p)) ** 0.5
     for images in itertools.permutations(range(3)):
@@ -289,14 +382,14 @@ def test_perm_word_trace_empty_and_inverse():
     sp = MultiIndexSpace.of(["1", "2"], 2)
     assert perm_word_trace([], sp) == 1
     p = Permutation((1, 2, 3, 0))
-    f = ColorPermutationFactor("c", ("1", "2"), p)
-    finv = ColorPermutationFactor("c", ("1", "2"), p.inverse())
+    f = StructuredMatrix.from_permutation(("1", "2"), 2, p)
+    finv = StructuredMatrix.from_permutation(("1", "2"), 2, p.inverse())
     assert perm_word_trace([f, finv], sp) == 1
 
 
 def test_perm_word_trace_single_swap_on_one_string():
     sp = MultiIndexSpace.of(["1", "2"], 2)
-    f = ColorPermutationFactor("c", ("1",), Permutation((1, 0)))
+    f = StructuredMatrix.from_permutation(("1",), 2, Permutation((1, 0)))
     # direct fixed-point oracle: the swap moves every point
     assert perm_word_trace([f], sp) == 0
 
@@ -314,8 +407,8 @@ def test_perm_word_trace_matches_dense_words():
             for _ in range(m):
                 sup = supports[int(rng.integers(len(supports)))]
                 p = sample_uniform_permutation(n ** len(sup), rng)
-                factors.append(ColorPermutationFactor("c", sup, p))
                 sm = StructuredMatrix.from_permutation(sup, n, p)
+                factors.append(sm)
                 dense = dense @ lift(sm, sp)
             assert perm_word_trace(factors, sp) == normalized_trace(dense)
 
