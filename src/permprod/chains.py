@@ -34,10 +34,11 @@ from .tensor import (
     chain_product,
     conjugate_by_color,
     lift,
+    lift_permutation,
     monomial_chain_norm_sq,
-    permutation_images,
     rng_stream,
     sample_uniform_permutation,
+    sums_agree,
 )
 from .traffic import (
     LoopedTestGraph,
@@ -79,79 +80,106 @@ class ChainSpec:
             raise ValueError("coloring word is not reduced for the color graph")
         if self.x_mode not in X_MODES or self.lambda_mode not in LAMBDA_MODES:
             raise ValueError("unknown generator mode")
+        for mode, fixtures in ((self.x_mode, self.x_fixtures), (self.lambda_mode, self.lambda_fixtures)):
+            if mode == "fixture" and fixtures is None:
+                raise ValueError("a fixture mode needs its fixtures")
 
     @property
     def k(self) -> int:
         return len(self.chi)
 
 
-def draw_letters(spec: ChainSpec, n: int, seed: int):
-    """Deterministic factors of one chain instance, before any dense work.
-
-    Returns (lambdas, letters): lambdas[i][j] a full-space diagonal vector;
+@dataclass(frozen=True, eq=False)
+class ChainDraw:
+    """One draw of a chain's diagonals and letters, made once per (spec, N,
+    seed) and read by the point chase, the dense products and the squared
+    test graph alike.  lambdas[i][j] is a full-space diagonal vector and
     letters[i][j] a structured matrix on the letter's color block, a
-    permutation in the permutation, cycle and identity modes.  Randomized
-    modes draw from per-(i, j) streams independent of the conjugation
-    draws.
-    """
-    full = MultiIndexSpace.of(spec.assignment.strings, n)
-    lambdas: list[tuple[np.ndarray, ...]] = []
-    letters: list[tuple[StructuredMatrix, ...]] = []
-    for i, (c, l) in enumerate(zip(spec.chi, spec.ell)):
-        sup = spec.assignment.sorted_strings_of(c)
-        dim = n ** len(sup)
-        lam_row: list[np.ndarray] = []
-        x_row: list[StructuredMatrix] = []
-        for j in range(l):
-            if spec.x_mode == "permutation":
-                p = sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j))
-                x_row.append(StructuredMatrix.from_permutation(sup, n, p))
-            elif spec.x_mode == "cycle":
-                x_row.append(StructuredMatrix.from_permutation(sup, n, Permutation((np.arange(dim) + 1) % dim)))
-            elif spec.x_mode == "unitary":
-                rng = rng_stream(seed, 1, n, i, j)
-                z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                q = np.linalg.qr(z)[0]
-                x_row.append(StructuredMatrix.dense(sup, n, q))
-            elif spec.x_mode == "identity":
-                x_row.append(StructuredMatrix.identity(sup, n))
-            else:
-                x_row.append(spec.x_fixtures[i][j])
-            if spec.lambda_mode == "identity":
-                lam_row.append(np.ones(full.total_dim, dtype=np.int64))
-            elif spec.lambda_mode == "signs":
-                rng = rng_stream(seed, 2, n, i, j)
-                lam_row.append(2 * rng.integers(0, 2, size=full.total_dim, dtype=np.int64) - 1)
-            else:
-                lam_row.append(spec.lambda_fixtures[i][j])
-        lambdas.append(tuple(lam_row))
-        letters.append(tuple(x_row))
-    return tuple(lambdas), tuple(letters)
+    permutation in the permutation, cycle and identity modes."""
 
+    spec: ChainSpec
+    space: MultiIndexSpace
+    lambdas: tuple[tuple[np.ndarray, ...], ...]
+    letters: tuple[tuple[StructuredMatrix, ...], ...]
 
-def _check_norm_bound(spec: ChainSpec, xs) -> None:
-    for row in xs:
-        for x in row:
+    @staticmethod
+    def of(spec: ChainSpec, n: int, seed: int) -> "ChainDraw":
+        """Deterministic factors of one chain instance, before any dense
+        work.  Randomized modes draw from per-(i, j) streams independent of
+        the conjugation draws; a dense letter must respect the norm bound."""
+        space = MultiIndexSpace.of(spec.assignment.strings, n)
+        lambdas: list[tuple[np.ndarray, ...]] = []
+        letters: list[tuple[StructuredMatrix, ...]] = []
+        for i, (c, l) in enumerate(zip(spec.chi, spec.ell)):
+            sup = spec.assignment.sorted_strings_of(c)
+            dim = n ** len(sup)
+            lam_row: list[np.ndarray] = []
+            x_row: list[StructuredMatrix] = []
+            for j in range(l):
+                if spec.x_mode == "permutation":
+                    p = sample_uniform_permutation(dim, rng_stream(seed, 1, n, i, j))
+                    x_row.append(StructuredMatrix.from_permutation(sup, n, p))
+                elif spec.x_mode == "cycle":
+                    x_row.append(StructuredMatrix.from_permutation(sup, n, Permutation((np.arange(dim) + 1) % dim)))
+                elif spec.x_mode == "unitary":
+                    rng = rng_stream(seed, 1, n, i, j)
+                    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                    q = np.linalg.qr(z)[0]
+                    x_row.append(StructuredMatrix.dense(sup, n, q))
+                elif spec.x_mode == "identity":
+                    x_row.append(StructuredMatrix.identity(sup, n))
+                else:
+                    x_row.append(spec.x_fixtures[i][j])
+                if spec.lambda_mode == "identity":
+                    lam_row.append(np.ones(space.total_dim, dtype=np.int64))
+                elif spec.lambda_mode == "signs":
+                    rng = rng_stream(seed, 2, n, i, j)
+                    lam_row.append(2 * rng.integers(0, 2, size=space.total_dim, dtype=np.int64) - 1)
+                else:
+                    lam_row.append(np.asarray(spec.lambda_fixtures[i][j]))
+            lambdas.append(tuple(lam_row))
+            letters.append(tuple(x_row))
+        for x in itertools.chain.from_iterable(letters):
             if x.perm is not None:
                 continue  # permutation matrices have operator norm one
             nrm = float(np.linalg.norm(np.asarray(x.entries, dtype=np.complex128), ord=2))
             if nrm > spec.norm_bound + 1e-9:
                 raise ValueError(f"factor operator norm {nrm} exceeds bound {spec.norm_bound}")
+        return ChainDraw(spec, space, tuple(lambdas), tuple(letters))
+
+    @property
+    def monomial(self) -> bool:
+        """Every letter a permutation and every diagonal an integer vector:
+        the chain's factors are monomial and `norm_sq` applies."""
+        return all(x.perm is not None for row in self.letters for x in row) and all(
+            np.issubdtype(d.dtype, np.integer) for row in self.lambdas for d in row
+        )
+
+    def norm_sq(self, sigmas: dict[str, Permutation]) -> Fraction:
+        """The centered, diagonally projected squared norm of a monomial
+        chain for one conjugation draw; equal to
+        centered_chain_norm_sq(chain_factors(...)) without lifting anything.
+        Each conjugated letter acts on the full space by its image array."""
+        factors = [
+            [(d, lift_permutation(conjugate_by_color(x, sigmas[c]), self.space).images) for d, x in zip(lams, row)]
+            for c, lams, row in zip(self.spec.chi, self.lambdas, self.letters)
+        ]
+        return monomial_chain_norm_sq(factors)
 
 
 @dataclass(frozen=True, eq=False)
 class SquaredChainGraph:
-    """Two glued cycles with adjoint labels on the mirror, plus the vertex
-    bookkeeping needed for subset quotients."""
+    """Two glued cycles with adjoint labels on the mirror, over one chain
+    draw.  The chain's letters, flattened in order, give the unprimed
+    vertices 0..m-1; the mirror shares vertex 0 and numbers the rest
+    m..2m-2, where m = sum(ell)."""
 
-    spec: ChainSpec
-    n: int
-    seed: int
+    draw: ChainDraw
     looped: LoopedTestGraph
-    lambdas: tuple
-    xs: tuple
-    unprimed: dict
-    primed: dict
+
+    @property
+    def spec(self) -> ChainSpec:
+        return self.draw.spec
 
     @property
     def test_graph(self) -> TestGraph:
@@ -160,18 +188,16 @@ class SquaredChainGraph:
     def u(self, i: int, j: int) -> int:
         """Vertex of block i at slot j (1-based); the slot past a block's
         last edge is the next block's first vertex."""
-        return self.unprimed[self._wrap(i, j)]
+        ell, k = self.spec.ell, self.spec.k
+        if not 1 <= i <= k or not 1 <= j <= ell[i - 1] + 1:
+            raise ValueError(f"no vertex ({i},{j})")
+        if j == ell[i - 1] + 1:
+            i, j = i % k + 1, 1
+        return sum(ell[: i - 1]) + j - 1
 
     def u_prime(self, i: int, j: int) -> int:
-        return self.primed[self._wrap(i, j)]
-
-    def _wrap(self, i: int, j: int) -> tuple[int, int]:
-        k = self.spec.k
-        if not 1 <= i <= k or not 1 <= j <= self.spec.ell[i - 1] + 1:
-            raise ValueError(f"no vertex ({i},{j})")
-        if j == self.spec.ell[i - 1] + 1:
-            return (i % k + 1, 1)
-        return (i, j)
+        v = self.u(i, j)
+        return v and v + sum(self.spec.ell) - 1
 
 
 def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainGraph:
@@ -183,59 +209,30 @@ def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainG
     2*sum(ell) - 1 and the result is two-edge connected (single-block chains
     degenerate to self-loops, which are never cut edges).
     """
-    lambdas, xs = draw_letters(spec, n, seed)
-    _check_norm_bound(spec, xs)
-    k = spec.k
+    draw = ChainDraw.of(spec, n, seed)
     total = sum(spec.ell)
-    full = MultiIndexSpace.of(spec.assignment.strings, n)
-
-    unprimed: dict[tuple[int, int], int] = {}
-    primed: dict[tuple[int, int], int] = {}
-    counter = 0
-    for i in range(1, k + 1):
-        for j in range(1, spec.ell[i - 1] + 1):
-            unprimed[(i, j)] = counter
-            counter += 1
-    primed[(1, 1)] = unprimed[(1, 1)]
-    for i in range(1, k + 1):
-        for j in range(1, spec.ell[i - 1] + 1):
-            if (i, j) != (1, 1):
-                primed[(i, j)] = counter
-                counter += 1
-    assert counter == 2 * total - 1
-
-    def u(i, j):
-        return unprimed[(i % k + 1, 1)] if j == spec.ell[i - 1] + 1 else unprimed[(i, j)]
-
-    def up(i, j):
-        return primed[(i % k + 1, 1)] if j == spec.ell[i - 1] + 1 else primed[(i, j)]
-
+    count = 2 * total - 1
+    flat = [
+        (c, lam, x) for c, lams, row in zip(spec.chi, draw.lambdas, draw.letters) for lam, x in zip(lams, row)
+    ]
     edges: list[tuple[int, int]] = []
     colors: list[str] = []
     labels: list[StructuredMatrix] = []
-    for i in range(1, k + 1):
-        for j in range(1, spec.ell[i - 1] + 1):
-            edges.append((u(i, j + 1), u(i, j)))
-            colors.append(spec.chi[i - 1])
-            labels.append(xs[i - 1][j - 1])
-    for i in range(1, k + 1):
-        for j in range(1, spec.ell[i - 1] + 1):
-            edges.append((up(i, j), up(i, j + 1)))
-            colors.append(spec.chi[i - 1])
-            labels.append(xs[i - 1][j - 1].adjoint())
+    loops: list[np.ndarray] = [np.ones(draw.space.total_dim, dtype=np.int64) for _ in range(count)]
+    # a chain edge runs from its letter's next vertex to the letter's own, a mirror edge the other way
+    for mirror, cycle in enumerate((range(total), [0, *range(total, count)])):
+        for m, (c, lam, x) in enumerate(flat):
+            here, after = cycle[m], cycle[(m + 1) % total]
+            edges.append((here, after) if mirror else (after, here))
+            colors.append(c)
+            labels.append(x.adjoint() if mirror else x)
+            loops[here] = loops[here] * (np.conjugate(lam) if mirror else lam)
 
-    loops: list[np.ndarray] = [np.ones(full.total_dim, dtype=np.int64) for _ in range(counter)]
-    for i in range(1, k + 1):
-        for j in range(1, spec.ell[i - 1] + 1):
-            loops[unprimed[(i, j)]] = loops[unprimed[(i, j)]] * lambdas[i - 1][j - 1]
-            loops[primed[(i, j)]] = loops[primed[(i, j)]] * np.conjugate(lambdas[i - 1][j - 1])
-
-    digraph = DiGraph.of(counter, edges)
+    digraph = DiGraph.of(count, edges)
     if not is_two_edge_connected(digraph):
         raise AssertionError("squared chain failed to be two-edge connected")
     tg = TestGraph(spec.assignment, digraph, tuple(colors), tuple(labels))
-    looped = LoopedTestGraph(tg, tuple(loops))
-    return SquaredChainGraph(spec, n, seed, looped, lambdas, xs, unprimed, primed)
+    return SquaredChainGraph(draw, LoopedTestGraph(tg, tuple(loops)))
 
 
 def subset_indices(k: int) -> list[tuple[int, ...]]:
@@ -291,57 +288,12 @@ def draw_sigmas(spec: ChainSpec, n: int, seed: int, sample: int = 0) -> dict[str
     return out
 
 
-def chain_factors(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> list[np.ndarray]:
+def chain_factors(draw: ChainDraw, sigmas: dict[str, Permutation]) -> list[np.ndarray]:
     """The dense alternating products Y_i for one conjugation draw."""
-    spec = chain.spec
-    full = MultiIndexSpace.of(spec.assignment.strings, chain.n)
-    ys = []
-    for i in range(spec.k):
-        lams = list(chain.lambdas[i])
-        mats = [
-            lift(conjugate_by_color(chain.xs[i][j], sigmas[spec.chi[i]]), full)
-            for j in range(spec.ell[i])
-        ]
-        ys.append(chain_product(lams, mats))
-    return ys
-
-
-@dataclass(frozen=True, eq=False)
-class MonomialChain:
-    """A chain whose letters are all permutations and whose diagonals are
-    all integer vectors: every factor is monomial.  Holds the letters'
-    block permutations, drawn once per (spec, N, seed)."""
-
-    spec: ChainSpec
-    space: MultiIndexSpace
-    lambdas: tuple[tuple[np.ndarray, ...], ...]
-    letters: tuple[tuple[Permutation, ...], ...]
-
-    @staticmethod
-    def of(spec: ChainSpec, n: int, seed: int) -> "MonomialChain | None":
-        """The chain's inputs on the exact path, or None when some letter is
-        not a permutation or some diagonal is not an integer vector."""
-        lambdas, letters = draw_letters(spec, n, seed)
-        perms = tuple(tuple(x.perm for x in row) for row in letters)
-        if any(p is None for row in perms for p in row):
-            return None
-        lambdas = tuple(tuple(np.asarray(d) for d in row) for row in lambdas)
-        if not all(np.issubdtype(d.dtype, np.integer) for row in lambdas for d in row):
-            return None
-        return MonomialChain(spec, MultiIndexSpace.of(spec.assignment.strings, n), lambdas, perms)
-
-    def norm_sq(self, sigmas: dict[str, Permutation]) -> Fraction:
-        """The centered, diagonally projected squared norm for one
-        conjugation draw; equal to centered_chain_norm_sq(chain_factors(...))
-        without lifting anything.  Each letter x is conjugated on its block
-        as sigma^-1 x sigma, then acts on the full space by its image array."""
-        factors = []
-        for c, lams, letters in zip(self.spec.chi, self.lambdas, self.letters):
-            sup = self.spec.assignment.sorted_strings_of(c)
-            factors.append(
-                [(d, permutation_images(x.conjugate(sigmas[c]).images, sup, self.space)) for d, x in zip(lams, letters)]
-            )
-        return monomial_chain_norm_sq(factors)
+    return [
+        chain_product(list(lams), [lift(conjugate_by_color(x, sigmas[c]), draw.space) for x in row])
+        for c, lams, row in zip(draw.spec.chi, draw.lambdas, draw.letters)
+    ]
 
 
 @dataclass(frozen=True)
@@ -359,7 +311,7 @@ def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9
     subset quotients.  Exact equality with integer labels, else within tol."""
     chain = build_squared_chain(spec, n, seed)
     sigmas = draw_sigmas(spec, n, seed)
-    ys = chain_factors(chain, sigmas)
+    ys = chain_factors(chain.draw, sigmas)
     lhs = centered_chain_norm_sq(ys)
     rhs: object = Fraction(0)
     terms = []
@@ -371,11 +323,7 @@ def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9
         rhs = rhs + sign * tau
         terms.append((subset, tau))
     exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-    if exact:
-        match = lhs == rhs
-    else:
-        match = abs(complex(lhs) - complex(rhs)) <= tol
-    return SignedExpansionReport(lhs, rhs, exact, match, tuple(terms))
+    return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), tuple(terms))
 
 
 def inconsistency_search(
@@ -409,13 +357,13 @@ class ResultTable:
         return lines
 
 
-def _one_sample(spec: ChainSpec, n: int, seed: int, sample: int, chain) -> float:
-    """One sample's squared norm from the per-N chain: a MonomialChain takes
-    the exact point chase, a SquaredChainGraph the dense product."""
-    sigmas = draw_sigmas(spec, n, seed, sample)
-    if isinstance(chain, MonomialChain):
-        return float(chain.norm_sq(sigmas))
-    ys = [np.asarray(y, dtype=np.complex128) for y in chain_factors(chain, sigmas)]
+def _one_sample(draw: ChainDraw, seed: int, sample: int) -> float:
+    """One sample's squared norm from the per-N draw: a monomial chain takes
+    the exact point chase, any other the dense product."""
+    sigmas = draw_sigmas(draw.spec, draw.space.n, seed, sample)
+    if draw.monomial:
+        return float(draw.norm_sq(sigmas))
+    ys = [np.asarray(y, dtype=np.complex128) for y in chain_factors(draw, sigmas)]
     return float(centered_chain_norm_sq(ys))
 
 
@@ -432,12 +380,12 @@ def monte_carlo_values(
             raise GuardExceeded(f"full-space dimension {dim} at N={n} exceeds point guard {POINT_GUARD}")
     out: dict[int, list[float]] = {}
     for n in n_grid:
-        chain = MonomialChain.of(spec, n, seed) or build_squared_chain(spec, n, seed)
+        draw = ChainDraw.of(spec, n, seed)
         if workers and workers > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(lambda s: _one_sample(spec, n, seed, s, chain), range(samples)))
+                vals = list(pool.map(lambda s: _one_sample(draw, seed, s), range(samples)))
         else:
-            vals = [_one_sample(spec, n, seed, s, chain) for s in range(samples)]
+            vals = [_one_sample(draw, seed, s) for s in range(samples)]
         out[n] = vals
     return out
 

@@ -85,7 +85,7 @@ def _cmd_string_assign(args) -> int:
 
 def _cmd_traffic_check(args) -> int:
     data = serialize.load_json(args.fixture)
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
+    seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
     n = args.n
     t = serialize.load_test_graph(data, n, seed)
     if t.digraph.vertex_count and n ** t.digraph.vertex_count > args.guard_maps:
@@ -98,7 +98,7 @@ def _cmd_traffic_check(args) -> int:
     results.extend(verify.check_claims(t, data.get("claims", {})))
     results.extend(verify.exponent_suite(t, args.guard_partitions))
     try:
-        results.extend(verify.kernel_suite(t, n, seed, args.draws, args.guard_partitions))
+        results.extend(verify.kernel_suite(t, n, seed, args.draws, args.guard_partitions, args.guard_maps))
     except GuardExceeded as exc:
         results.append(("kernel-decomposition", True, f"skipped: {exc}"))
     report = {
@@ -123,10 +123,10 @@ def _chain_spec_from_config(data: dict) -> chains.ChainSpec:
         graph=g,
         assignment=a,
         chi=tuple(data["chi"]),
-        ell=tuple(int(x) for x in data["ell"]),
+        ell=tuple(serialize.json_int(x, "ell entry") for x in data["ell"]),
         x_mode=data.get("x_mode", "permutation"),
         lambda_mode=data.get("lambda_mode", "identity"),
-        norm_bound=float(data.get("norm_bound", 1.0)),
+        norm_bound=float(serialize.json_number(data.get("norm_bound", 1.0), "norm_bound")),
     )
 
 
@@ -135,10 +135,15 @@ def _cmd_converge(args) -> int:
     if not all(isinstance(data[k], list) for k in ("chi", "ell", "n_grid")):
         raise ValueError("chi, ell and n_grid must be JSON lists")
     spec = _chain_spec_from_config(data)
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
-    n_grid = [int(x) for x in data["n_grid"]]
-    samples = int(data.get("samples", 200))
-    band = data.get("slope_band", [-1.6, -0.6])
+    seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
+    n_grid = [serialize.json_int(x, "n_grid entry") for x in data["n_grid"]]
+    samples = serialize.json_int(data.get("samples", 200), "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, not {samples}")
+    band = serialize.json_list(data.get("slope_band", [-1.6, -0.6]), "slope_band")
+    band = [serialize.json_number(x, "slope_band entry") for x in band]
+    if len(band) != 2:
+        raise ValueError(f"slope_band must hold two numbers, not {len(band)}")
     workers = args.workers if args.workers is not None else os.cpu_count()
     table = chains.convergence_run(spec, n_grid, samples, seed, workers)
     with open(os.path.join(args.out, "results.csv"), "w") as fh:
@@ -190,8 +195,8 @@ def _cmd_sofic_certify(args) -> int:
     g, a = serialize.model_from_dict(data)
     if a is None:
         a = build_string_assignment(g)
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
-    n = int(data["n"])
+    seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
+    n = serialize.json_int(data["n"], "n")
     if not isinstance(data["vertex_groups"], dict):
         raise ValueError("vertex_groups must be a JSON object from color to group")
     groups = {c: _vertex_group_from_config(v) for c, v in data["vertex_groups"].items()}
@@ -249,10 +254,10 @@ def _words_from_config(data: dict, g, groups):
         words = []
         import itertools
 
-        for m in range(1, int(spec["max_length"]) + 1):
+        for m in range(1, serialize.json_int(spec["max_length"], "words max_length") + 1):
             words.extend(itertools.product(alphabet, repeat=m))
     else:
-        words = [tuple((str(c), int(j)) for c, j in w) for w in spec]
+        words = [tuple(map(_word_letter, serialize.json_list(w, "word"))) for w in serialize.json_list(spec, "words")]
     out = []
     for w in words:
         letters = []
@@ -264,6 +269,12 @@ def _words_from_config(data: dict, g, groups):
                 letters.append((c, group.generator(j)))
         out.append((w, sofic.word_triviality(g, groups, letters)))
     return out
+
+
+def _word_letter(x) -> tuple[str, int]:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise ValueError(f"a word letter must be a JSON [color, index] pair, not {x!r}")
+    return str(x[0]), serialize.json_int(x[1], "word letter index")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,31 @@ def model_to_dict(g: ColorGraph, a: StringAssignment | None = None) -> dict:
     return out
 
 
+def json_int(value, name: str) -> int:
+    """A field read as a JSON integer (not a bool), else an input error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, not {value!r}")
+    return value
+
+
+def json_number(value, name: str) -> int | float:
+    """A field read as a JSON number (not a bool), else an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, not {value!r}")
+    return value
+
+
+def json_list(value, name: str) -> list:
+    """A field read as a JSON list, else an input error."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, not {value!r}")
+    return value
+
+
 def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
+    for key in ("colors", "edges", "strings", "incidence"):
+        if key in d:
+            json_list(d[key], key)
     g = ColorGraph.of(d["colors"], d.get("edges", []))
     a = None
     if "strings" in d:
@@ -55,16 +79,19 @@ def matrix_to_dict(m: StructuredMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> StructuredMatrix:
+    if not isinstance(d, dict):
+        raise ValueError(f"a matrix must be a JSON object, not {d!r}")
+    support, n = json_list(d["support"], "matrix support"), json_int(d["n"], "matrix side")
     if "permutation" in d:
         perm = permutation_from_dict(d["permutation"])
-        return StructuredMatrix.from_permutation(d["support"], d["n"], perm)
+        return StructuredMatrix.from_permutation(support, n, perm)
     re = np.asarray(d["entries_re"], dtype=float)
     im = np.asarray(d.get("entries_im", np.zeros_like(re)), dtype=float)
     # exact integer labels only when every entry is one: a float holds every
     # integer up to 2**53 exactly, and nothing is rounded into an integer
     if not im.any() and np.array_equal(re, np.trunc(re)) and np.all(np.abs(re) <= 2**53):
-        return StructuredMatrix.dense(d["support"], d["n"], re.astype(np.int64))
-    return StructuredMatrix.dense(d["support"], d["n"], re + 1j * im)
+        return StructuredMatrix.dense(support, n, re.astype(np.int64))
+    return StructuredMatrix.dense(support, n, re + 1j * im)
 
 
 def permutation_to_dict(p: Permutation) -> dict:
@@ -91,14 +118,14 @@ def multipartition_from_dict(d: dict, ground_size: int) -> MultiPartition:
 def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
     """Build a test graph from a fixture dict, generating labels per the
     fixture's label mode ("identity" default, "permutation" for seeded
-    uniform draws, or a list of matrix dicts)."""
+    uniform draws, or a list of matrix dicts, each of side n)."""
     g, a = model_from_dict(d)
     if a is None:
         a = build_string_assignment(g)
     ok, violations = validate_assignment(g, a)
     if not ok:
         raise ValueError(f"invalid assignment: {violations}")
-    nv = int(d["vertices"])
+    nv = json_int(d["vertices"], "vertices")
     test_edges = d["test_edges"]
     if not isinstance(test_edges, list) or not all(
         isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e[:2]) for e in test_edges
@@ -108,6 +135,8 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
     colors = [str(e[2]) for e in test_edges]
     digraph = DiGraph.of(nv, edges)
     mode = d.get("labels", "identity")
+    if mode not in ("identity", "permutation") and not (isinstance(mode, list) and len(mode) == len(edges)):
+        raise ValueError('labels must be "identity", "permutation" or a JSON list of one matrix per test edge')
     labels = []
     for i, c in enumerate(colors):
         sup = a.sorted_strings_of(c)
@@ -118,7 +147,10 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
             p = sample_uniform_permutation(dim, rng_stream(seed, 3, i))
             labels.append(StructuredMatrix.from_permutation(sup, n, p))
         else:
-            labels.append(matrix_from_dict(mode[i]))
+            lab = matrix_from_dict(mode[i])
+            if lab.n != n:
+                raise ValueError(f"label of test edge {i} has side {lab.n}, not the requested side {n}")
+            labels.append(lab)
     return TestGraph(a, digraph, tuple(colors), tuple(labels))
 
 

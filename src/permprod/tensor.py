@@ -348,6 +348,15 @@ def normalized_trace(a: np.ndarray):
     return complex(tr) / a.shape[0]
 
 
+def sums_agree(a, b, tol: float = 1e-9) -> bool:
+    """Exact equality when both sums are Fractions; otherwise agreement
+    within tol as complex numbers, since float sums taken in different
+    orders differ by rounding."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return abs(complex(a) - complex(b)) <= tol
+
+
 def two_norm(a: np.ndarray) -> float:
     """Normalized Hilbert-Schmidt norm sqrt(sum |a_ij|^2 / dim)."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -52,7 +52,7 @@ from .tensor import (
     conjugate_by_color,
     exact_operands,
     lift,
-    permutation_images,
+    lift_permutation,
 )
 
 MAP_GUARD = 2**24
@@ -239,18 +239,9 @@ def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int
     out = []
     for c, lab in zip(t.edge_colors, t.labels):
         sigma = sigmas.get(c) if sigmas is not None else None
-        if lab.perm is not None:
-            out.append(_conjugated_lift(lab, sigma, space).matrix())
-        else:
-            out.append(lift(lab if sigma is None else conjugate_by_color(lab, sigma), space))
+        lab = lab if sigma is None else conjugate_by_color(lab, sigma)
+        out.append(lift_permutation(lab, space).matrix() if lab.perm is not None else lift(lab, space))
     return out
-
-
-def _conjugated_lift(lab: StructuredMatrix, sigma: Permutation | None, space: MultiIndexSpace) -> Permutation:
-    """Full-space permutation of a permutation label x as sigma^-1 x sigma (x without sigma)."""
-    perm = lab.perm if sigma is None else lab.perm.conjugate(sigma)
-    # a permutation of the support block lifts to a bijection of the space
-    return Permutation._trusted(permutation_images(perm.images, lab.support, space))
 
 
 def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
@@ -618,7 +609,9 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
     count = _per_component(g, dim)  # the rows, and the denominator of every sum
     if count > map_guard:
         raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
-    lifts = [_conjugated_lift(lab, sigmas[c], space) for c, lab in zip(base.edge_colors, base.labels)]
+    lifts = [
+        lift_permutation(conjugate_by_color(lab, sigmas[c]), space) for c, lab in zip(base.edge_colors, base.labels)
+    ]
     rows = np.zeros((count, g.vertex_count), dtype=np.int64)
     rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), len(rows)).T
     known, keep, todo = set(roots), np.ones(len(rows), dtype=bool), list(range(g.edge_count))

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
 from .partitions import Partition
-from .tensor import rng_stream, sample_uniform_permutation
+from .tensor import rng_stream, sample_uniform_permutation, sums_agree
 from .traffic import (  # noqa: F401  (growth_exponent stays importable from here)
+    MAP_GUARD,
     LoopedTestGraph,
     MultiPartition,
     TestGraph,
@@ -40,6 +41,8 @@ CheckResult = tuple[str, bool, str]
 
 
 def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
+    if not isinstance(claims, dict):
+        raise ValueError(f"claims must be a JSON object, not {claims!r}")
     out: list[CheckResult] = []
     nv = t.digraph.vertex_count
     for s, blocks in claims.get("rho", {}).items():
@@ -112,49 +115,38 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
     ]
 
 
-def kernel_suite(t: TestGraph, n: int, seed: int, draws: int, partition_guard: int) -> list[CheckResult]:
+def kernel_suite(
+    t: TestGraph, n: int, seed: int, draws: int, partition_guard: int, map_guard: int = MAP_GUARD
+) -> list[CheckResult]:
     """Per-draw decomposition of the looped trace into kernel-class sums,
-    plus vanishing off the admissible cone."""
-    looped = LoopedTestGraph.with_identity(_with_side(t, n), n)
-    base = looped.base
-    admissible = list(enumerate_admissible(base, partition_guard))
+    plus vanishing off the admissible cone.  Exact sums must match exactly;
+    float sums agree within `sums_agree`'s tolerance."""
+    looped = LoopedTestGraph.with_identity(t, n)
+    admissible = list(enumerate_admissible(t, partition_guard))
     # permutation labels: one chase per draw buckets every kernel-class sum;
     # dense labels sum each admissible tuple and probe one tuple off the cone
-    chase = all(lab.perm is not None for lab in base.labels)
+    chase = all(lab.perm is not None for lab in t.labels)
     cone = {pi.parts for pi in admissible}
-    probes = [] if chase else _some_non_admissible(base)
+    probes = [] if chase else _some_non_admissible(t)
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):
         sigmas = {}
-        for ci, c in enumerate(sorted(set(base.edge_colors))):
-            dim = n ** len(base.assignment.strings_of(c))
+        for ci, c in enumerate(sorted(set(t.edge_colors))):
+            dim = n ** len(t.assignment.strings_of(c))
             sigmas[c] = sample_uniform_permutation(dim, rng_stream(seed, 7, d, ci))
-        tau = trace_test_graph(looped, n=n, sigmas=sigmas)
+        tau = trace_test_graph(looped, n=n, sigmas=sigmas, map_guard=map_guard)
         if chase:
-            sums = _kernel_buckets(looped, sigmas, n)
+            sums = _kernel_buckets(looped, sigmas, n, map_guard)
             vanishing_ok &= cone.issuperset(sums)
         else:
-            sums = {pi.parts: gamma_empirical(looped, pi, sigmas, n) for pi in admissible}
-            vanishing_ok &= all(gamma_empirical(looped, pi, sigmas, n) == 0 for pi in probes)
-        decomposition_ok &= sum(sums.values(), Fraction(0)) == tau
+            sums = {pi.parts: gamma_empirical(looped, pi, sigmas, n, map_guard) for pi in admissible}
+            vanishing_ok &= all(gamma_empirical(looped, pi, sigmas, n, map_guard) == 0 for pi in probes)
+        decomposition_ok &= sums_agree(sum(sums.values(), Fraction(0)), tau)
     return [
         ("kernel-decomposition", decomposition_ok, f"{draws} draws, {len(admissible)} admissible tuples"),
         ("off-cone-vanishing", vanishing_ok, "kernel sums vanish off the admissible cone"),
     ]
-
-
-def _with_side(t: TestGraph, n: int) -> TestGraph:
-    """Regenerate identity labels at the requested side when the fixture was
-    built for a different one."""
-    if t.labels and t.labels[0].n == n:
-        return t
-    from .tensor import StructuredMatrix
-
-    labels = tuple(
-        StructuredMatrix.identity(t.assignment.sorted_strings_of(c), n) for c in t.edge_colors
-    )
-    return TestGraph(t.assignment, t.digraph, t.edge_colors, labels)
 
 
 def _some_non_admissible(t: TestGraph):

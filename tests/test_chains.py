@@ -88,7 +88,7 @@ def test_build_mirror_labels_are_adjoints():
 def test_build_loop_labels_multiply_at_shared_vertex():
     spec = edgeless_spec(("a", "b"), (1, 1), lambda_mode="signs")
     chain = build_squared_chain(spec, 2, seed=9)
-    lam = chain.lambdas
+    lam = chain.draw.lambdas
     shared = chain.u(1, 1)
     want = lam[0][0] * np.conjugate(lam[0][0])
     assert np.array_equal(chain.looped.vertex_labels[shared], want)
@@ -232,9 +232,9 @@ def test_chain_factors_are_conjugated_products():
     spec = edgeless_spec(("a", "b"), (2, 1), x_mode="permutation")
     chain = build_squared_chain(spec, 3, seed=4)
     sigmas = draw_sigmas(spec, 3, seed=4)
-    ys = chain_factors(chain, sigmas)
+    ys = chain_factors(chain.draw, sigmas)
     full = MultiIndexSpace.of(spec.assignment.strings, 3)
-    y0 = lift(conjugate_by_color(chain.xs[0][0], sigmas["a"]), full) @ lift(
-        conjugate_by_color(chain.xs[0][1], sigmas["a"]), full
+    y0 = lift(conjugate_by_color(chain.draw.letters[0][0], sigmas["a"]), full) @ lift(
+        conjugate_by_color(chain.draw.letters[0][1], sigmas["a"]), full
     )
     assert np.array_equal(ys[0], y0)

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,63 @@ def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, mo
     assert calls  # three draws over every admissible tuple, plus the off-cone probe
 
 
+def float_label_fixture(seed=0):
+    """Dense float labels on the appendix wiring, entries rounded to 3 decimals."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    data = json.load(open(FIXTURE))
+    supports = {"B": ["1", "2"], "G": ["2", "3"], "R": ["3"]}
+    edges = [[0, 1, "R"], [1, 2, "G"], [1, 2, "B"], [2, 0, "B"]]
+    labels = []
+    for _, _, c in edges:
+        dim = 2 ** len(supports[c])
+        labels.append({"support": supports[c], "n": 2, "entries_re": np.round(rng.random((dim, dim)), 3).tolist()})
+    data.update(vertices=3, test_edges=edges, labels=labels, claims={})
+    return data
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_traffic_check_float_labels_agree_within_rounding(tmp_path, seed):
+    # the kernel sums and the einsum trace add the same float terms in
+    # different orders; they agree to rounding, not bit for bit
+    fixture = tmp_path / "float.json"
+    write(fixture, float_label_fixture(seed))
+    assert main(["traffic-check", str(fixture), "--n", "2", "--out", str(tmp_path)]) == 0
+    byname = {c["name"]: c for c in json.load(open(tmp_path / "report.json"))["checks"]}
+    assert byname["kernel-decomposition"]["passed"]
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 8), Fraction(1, 10**12)])
+def test_traffic_check_exact_sums_must_match_exactly(tmp_path, capsys, monkeypatch, offset):
+    # an exact trace off by 1/dim (dim = 2**3 at n=2), or by far less than
+    # the float tolerance, fails the decomposition
+    from permprod import verify
+
+    exact_trace = verify.trace_test_graph
+    monkeypatch.setattr(verify, "trace_test_graph", lambda *a, **k: exact_trace(*a, **k) + offset)
+    assert main(["traffic-check", FIXTURE, "--n", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == "check-failed: kernel-decomposition"
+
+
+def test_traffic_check_rejects_labels_of_another_side(tmp_path, capsys):
+    fixture = tmp_path / "float.json"
+    write(fixture, float_label_fixture())
+    assert main(["traffic-check", str(fixture), "--n", "3", "--out", str(tmp_path)]) == 2
+    assert "not the requested side 3" in capsys.readouterr().err
+
+
+def test_traffic_check_map_guard_reaches_the_kernel_chase(tmp_path):
+    # n**V = 8 passes the CLI's pre-check; the chase needs 8**3 rows
+    data = json.load(open(FIXTURE))
+    data.update(vertices=3, test_edges=[[0, 0, "B"], [1, 1, "G"], [2, 2, "R"]], claims={})
+    fixture = tmp_path / "loops.json"
+    write(fixture, data)
+    assert main(["traffic-check", str(fixture), "--n", "2", "--guard-maps", "100", "--out", str(tmp_path)]) == 0
+    byname = {c["name"]: c for c in json.load(open(tmp_path / "report.json"))["checks"]}
+    assert "exceeds map guard 100" in byname["kernel-decomposition"]["detail"]
+
+
 def test_converge_cli_and_determinism(tmp_path):
     cfg = tmp_path / "conv.json"
     write(
@@ -251,6 +309,10 @@ def permutation_label_fixture(images):
     return dict(model, vertices=2, test_edges=[[0, 1, "a"]], labels=[label])
 
 
+CONVERGE = {"colors": ["a", "b"], "edges": [], "chi": ["a", "b"], "ell": [1, 1], "n_grid": [2, 4], "samples": 2}
+LABEL_FIXTURE = permutation_label_fixture([1, 0])
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -262,6 +324,21 @@ def permutation_label_fixture(images):
         ("traffic-check", permutation_label_fixture([1.0, 0.0])),
         ("traffic-check", permutation_label_fixture([True, False])),
         ("traffic-check", permutation_label_fixture(5)),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), n=[2])),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=5)),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words={"max_length": None})),
+        ("converge", dict(CONVERGE, samples=None)),
+        ("converge", dict(CONVERGE, ell=[[1], 1])),
+        ("converge", dict(CONVERGE, samples=0)),
+        ("converge", dict(CONVERGE, colors="ab")),
+        ("converge", dict(CONVERGE, x_mode="fixture")),
+        ("converge", dict(CONVERGE, lambda_mode="fixture")),
+        ("converge", dict(CONVERGE, norm_bound=None)),
+        ("converge", dict(CONVERGE, slope_band=5)),
+        ("traffic-check", dict(LABEL_FIXTURE, vertices=None)),
+        ("traffic-check", dict(LABEL_FIXTURE, labels=5)),
+        ("traffic-check", dict(LABEL_FIXTURE, labels=[])),
+        ("traffic-check", dict(LABEL_FIXTURE, claims=[1])),
     ],
     ids=[
         "short-test-edge",
@@ -272,6 +349,21 @@ def permutation_label_fixture(images):
         "float-permutation-images",
         "bool-permutation-images",
         "scalar-permutation-images",
+        "sofic-side-not-an-integer",
+        "sofic-words-not-a-list",
+        "sofic-max-length-null",
+        "converge-samples-null",
+        "converge-ell-entry-a-list",
+        "converge-samples-zero",
+        "converge-colors-a-string",
+        "converge-x-fixture-mode-without-fixtures",
+        "converge-lambda-fixture-mode-without-fixtures",
+        "converge-norm-bound-null",
+        "converge-slope-band-a-number",
+        "traffic-vertices-null",
+        "traffic-labels-a-number",
+        "traffic-labels-too-few",
+        "traffic-claims-a-list",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):

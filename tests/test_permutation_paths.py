@@ -18,9 +18,8 @@ import pytest
 
 from permprod import chains
 from permprod.chains import (
+    ChainDraw,
     ChainSpec,
-    MonomialChain,
-    build_squared_chain,
     chain_factors,
     convergence_run,
     draw_sigmas,
@@ -64,8 +63,8 @@ def specs(x_mode, lambda_mode):
 
 def dense_norm_sq(spec, n, seed, sample):
     """The oracle: lifted dense factors in integer arithmetic."""
-    chain = build_squared_chain(spec, n, seed)
-    return centered_chain_norm_sq(chain_factors(chain, draw_sigmas(spec, n, seed, sample)))
+    draw = ChainDraw.of(spec, n, seed)
+    return centered_chain_norm_sq(chain_factors(draw, draw_sigmas(spec, n, seed, sample)))
 
 
 @pytest.mark.parametrize("x_mode,lambda_mode", EXACT_MODES)
@@ -73,8 +72,8 @@ def test_chain_norm_exact_path_equals_dense(x_mode, lambda_mode):
     for spec in specs(x_mode, lambda_mode):
         for n in range(1, 7):
             for seed in (0, 1, 5):
-                mono = MonomialChain.of(spec, n, seed)
-                assert mono is not None
+                mono = ChainDraw.of(spec, n, seed)
+                assert mono.monomial
                 for sample in (0, 3):
                     sigmas = draw_sigmas(spec, n, seed, sample)
                     want = dense_norm_sq(spec, n, seed, sample)
@@ -95,7 +94,8 @@ def test_chain_norm_exact_path_large_integer_diagonals():
     for scale in (3, 1000, 10**7):
         lams = tuple(tuple(rng.integers(-scale, scale + 1, size=n) for _ in range(l)) for l in (2, 1, 2))
         spec = ChainSpec(g, a, ("a", "b", "a"), (2, 1, 2), "fixture", "fixture", x_fixtures=xs, lambda_fixtures=lams)
-        mono = MonomialChain.of(spec, n, 0)
+        mono = ChainDraw.of(spec, n, 0)
+        assert mono.monomial
         for sample in range(4):
             assert mono.norm_sq(draw_sigmas(spec, n, 0, sample)) == dense_norm_sq(spec, n, 0, sample)
 
@@ -118,17 +118,39 @@ def test_exact_path_does_no_dense_work(monkeypatch):
         assert len(table.rows) == 2
 
 
+def test_unitary_run_draws_its_letters_once_per_n(monkeypatch):
+    # one QR per letter per N: the dense path reuses the per-N draw and
+    # builds no squared test graph
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(z):
+        calls.append(z.shape)
+        return qr(z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("squared chain built")
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(chains, "build_squared_chain", refuse)
+    g, a = shared_string_model()
+    spec = ChainSpec(g, a, ("a", "b", "a"), (1, 2, 1), "unitary")
+    table = convergence_run(spec, [2, 3], 3, seed=2)
+    assert len(table.rows) == 2
+    assert calls == [(n, n) for n in (2, 3) for _ in range(sum(spec.ell))]
+
+
 def test_dense_path_kept_for_unitary_and_float_inputs():
     g, a = shared_string_model()
-    assert MonomialChain.of(ChainSpec(g, a, ("a", "b"), (1, 1), "unitary"), 3, 0) is None
+    assert not ChainDraw.of(ChainSpec(g, a, ("a", "b"), (1, 1), "unitary"), 3, 0).monomial
     n = 3
     x = (StructuredMatrix.from_permutation(("s",), n, Permutation((1, 2, 0))),)
     lam = (np.full(n, 0.5),)
     spec = ChainSpec(g, a, ("a",), (1,), "fixture", "fixture", x_fixtures=(x,), lambda_fixtures=(lam,))
-    assert MonomialChain.of(spec, n, 0) is None
+    assert not ChainDraw.of(spec, n, 0).monomial
     dense = (StructuredMatrix.dense(("s",), n, np.eye(n)),)
     spec = ChainSpec(g, a, ("a",), (1,), "fixture", "identity", x_fixtures=(dense,))
-    assert MonomialChain.of(spec, n, 0) is None
+    assert not ChainDraw.of(spec, n, 0).monomial
 
 
 def test_permutation_images_matches_dense_lift():
