@@ -13,6 +13,7 @@ empty border-merge set, and the exhaustive search verifies there are none.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .traffic import (
     PARTITION_GUARD,
     TestGraph,
     _merge_vertex_vectors,
+    chase_labelings,
     enumerate_tree_partitions,
     trace_test_graph,
 )
@@ -235,25 +237,25 @@ def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainG
     return SquaredChainGraph(draw, LoopedTestGraph(tg, tuple(loops)))
 
 
-def subset_indices(k: int) -> list[tuple[int, ...]]:
-    """All subsets of {1..k, -1..-k}, by size then lexicographic."""
+@functools.cache
+def subset_indices(k: int) -> tuple[tuple[int, ...], ...]:
+    """All subsets of {1..k, -1..-k}, by size then lexicographic; built once
+    per k, so every report shares its subset tuples."""
     universe = list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
-    out = []
-    for r in range(len(universe) + 1):
-        out.extend(itertools.combinations(universe, r))
-    return out
+    return tuple(itertools.chain.from_iterable(itertools.combinations(universe, r) for r in range(len(universe) + 1)))
+
+
+def border_pair(chain: SquaredChainGraph, i: int) -> tuple[int, int]:
+    """The first and last vertices of block i (of mirrored block -i for a
+    negative index)."""
+    u = chain.u if i > 0 else chain.u_prime
+    return u(abs(i), 1), u(abs(i), chain.spec.ell[abs(i) - 1] + 1)
 
 
 def subset_quotient_partition(chain: SquaredChainGraph, subset: Sequence[int]) -> Partition:
     """The vertex partition identifying each selected block's first and last
     vertices (mirrored blocks for negative indices)."""
-    borders = []
-    for i in subset:
-        if i > 0:
-            borders.append((chain.u(i, 1), chain.u(i, chain.spec.ell[i - 1] + 1)))
-        else:
-            borders.append((chain.u_prime(-i, 1), chain.u_prime(-i, chain.spec.ell[-i - 1] + 1)))
-    return connect(chain.test_graph.digraph.vertex_count, borders)
+    return connect(chain.test_graph.digraph.vertex_count, [border_pair(chain, i) for i in subset])
 
 
 def quotient_looped(t: LoopedTestGraph, p: Partition) -> LoopedTestGraph:
@@ -305,25 +307,47 @@ class SignedExpansionReport:
     terms: tuple
 
 
+def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> list[Fraction]:
+    """The looped trace of every subset quotient of a monomial draw, in
+    `subset_indices` order, from one chase of the squared chain: a labeling
+    of a quotient is a labeling of the chain that agrees on each identified
+    border pair, so each trace sums the chased weights on the rows where
+    every selected pair agrees.  The chain and its quotients are connected,
+    so each sum is divided by dim once."""
+    rows, weights, count = chase_labelings(chain.looped, sigmas, chain.draw.space.n)
+    agree = {}
+    for i in range(1, chain.spec.k + 1):
+        for b in (i, -i):
+            first, last = border_pair(chain, b)
+            agree[b] = rows[:, first] == rows[:, last]
+    everywhere = np.ones(len(rows), dtype=bool)
+    return [
+        Fraction(int(weights[functools.reduce(np.logical_and, (agree[i] for i in s), everywhere)].sum()), count)
+        for s in subset_indices(chain.spec.k)
+    ]
+
+
 def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9) -> SignedExpansionReport:
     """For one conjugation draw, compare the centered diagonally-projected
     squared norm of the chain against the signed sum of looped traces of the
-    subset quotients.  Exact equality with integer labels, else within tol."""
+    subset quotients.  Exact equality with integer labels, else within tol.
+    A monomial draw takes every trace from one chase of the squared chain;
+    any other contracts each quotient graph densely."""
     chain = build_squared_chain(spec, n, seed)
     sigmas = draw_sigmas(spec, n, seed)
-    ys = chain_factors(chain.draw, sigmas)
-    lhs = centered_chain_norm_sq(ys)
-    rhs: object = Fraction(0)
-    terms = []
-    for subset in subset_indices(spec.k):
-        p = subset_quotient_partition(chain, subset)
-        looped = quotient_looped(chain.looped, p)
-        tau = trace_test_graph(looped, n=n, sigmas=sigmas)
-        sign = -1 if len(subset) % 2 else 1
-        rhs = rhs + sign * tau
-        terms.append((subset, tau))
+    lhs = centered_chain_norm_sq(chain_factors(chain.draw, sigmas))
+    subsets = subset_indices(spec.k)
+    if chain.draw.monomial:
+        taus = _chased_subset_traces(chain, sigmas)
+    else:
+        taus = [
+            trace_test_graph(quotient_looped(chain.looped, subset_quotient_partition(chain, s)), n=n, sigmas=sigmas)
+            for s in subsets
+        ]
+    terms = tuple(zip(subsets, taus))
+    rhs = sum(((-1 if len(subset) % 2 else 1) * tau for subset, tau in terms), Fraction(0))
     exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-    return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), tuple(terms))
+    return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), terms)
 
 
 def inconsistency_search(

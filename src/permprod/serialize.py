@@ -54,6 +54,20 @@ def json_list(value, name: str) -> list:
     return value
 
 
+def json_object(value, name: str) -> dict:
+    """A field read as a JSON object, else an input error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {value!r}")
+    return value
+
+
+def json_str(value, name: str) -> str:
+    """A field read as a JSON string, else an input error."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a JSON string, not {value!r}")
+    return value
+
+
 def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
     for key in ("colors", "edges", "strings", "incidence"):
         if key in d:
@@ -79,8 +93,7 @@ def matrix_to_dict(m: StructuredMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> StructuredMatrix:
-    if not isinstance(d, dict):
-        raise ValueError(f"a matrix must be a JSON object, not {d!r}")
+    json_object(d, "a matrix")
     support, n = json_list(d["support"], "matrix support"), json_int(d["n"], "matrix side")
     if "permutation" in d:
         perm = permutation_from_dict(d["permutation"])
@@ -106,12 +119,13 @@ def permutation_from_dict(d: dict) -> Permutation:
 
 
 def partition_from_blocks(ground_size: int, blocks) -> Partition:
-    return Partition.of(ground_size, [tuple(b) for b in blocks])
+    blocks = [json_list(b, "a block") for b in json_list(blocks, "partition blocks")]
+    return Partition.of(ground_size, [tuple(json_int(v, "a block member") for v in b) for b in blocks])
 
 
 def multipartition_from_dict(d: dict, ground_size: int) -> MultiPartition:
     return MultiPartition.of(
-        {s: partition_from_blocks(ground_size, blocks) for s, blocks in d.items()}
+        {s: partition_from_blocks(ground_size, blocks) for s, blocks in json_object(d, "a kernel tuple").items()}
     )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .strings import ColorGraph, StringAssignment, validate_assignment
 from .tensor import (
+    GuardExceeded,
     MultiIndexSpace,
     Permutation,
     StructuredMatrix,
@@ -28,6 +29,8 @@ from .tensor import (
     rng_stream,
     sample_uniform_permutation,
 )
+
+TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
 
 
 @dataclass(frozen=True)
@@ -39,25 +42,22 @@ class FiniteGroupTable:
 
     def __post_init__(self):
         n = self.order
+        if n**3 > TABLE_GUARD:
+            raise GuardExceeded(f"associativity check of {n}**3 products exceeds table guard {TABLE_GUARD}")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table is not n by n")
-        for r in self.table:
-            if sorted(r) != list(range(n)):
-                raise ValueError("a row is not a permutation of the elements")
-        for c in range(n):
-            if sorted(self.table[r][c] for r in range(n)) != list(range(n)):
-                raise ValueError("a column is not a permutation of the elements")
+        # Latin rows: every element has a right inverse
+        if any(sorted(r) != list(range(n)) for r in self.table):
+            raise ValueError("a row is not a permutation of the elements")
+        t, elements = np.array(self.table, dtype=np.int64).reshape(n, n), np.arange(n)
+        if not (np.sort(t, axis=0) == elements[:, None]).all():
+            raise ValueError("a column is not a permutation of the elements")
         e = self.identity
-        if any(self.table[e][x] != x or self.table[x][e] != x for x in range(n)):
+        if not ((t[e] == elements).all() and (t[:, e] == elements).all()):
             raise ValueError("identity element does not act trivially")
-        for x in range(n):
-            if all(self.table[x][y] != e for y in range(n)):
-                raise ValueError(f"element {x} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("multiplication is not associative")
+        for a in range(n):  # (ab)c against a(bc), one row of (b, c) at a time
+            if not np.array_equal(t[t[a]], t[a][t]):
+                raise ValueError("multiplication is not associative")
         for g in self.generators:
             if not 0 <= g < n:
                 raise ValueError("generator index out of range")

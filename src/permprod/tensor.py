@@ -181,7 +181,9 @@ class StructuredMatrix:
     It holds either dense `values` of dimension n^len(support) or a
     permutation `perm` of the support block, never both.  `entries` reads
     the dense matrix; a permutation builds its 0/1 matrix on the first
-    read only, so the exact paths never materialize one.
+    read only, so the exact paths never materialize one.  Labels compare as
+    matrices: same support and side, then the same permutation, or equal
+    entries when either is dense; the hash reads the support and side only.
     """
 
     support: tuple[str, ...]  # sorted ascending
@@ -204,6 +206,18 @@ class StructuredMatrix:
         frozen = self.values.copy()
         frozen.setflags(write=False)
         object.__setattr__(self, "values", frozen)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StructuredMatrix):
+            return NotImplemented
+        if (self.support, self.n) != (other.support, other.n):
+            return False
+        if self.perm is not None and other.perm is not None:
+            return self.perm == other.perm
+        return np.array_equal(self.entries, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.support, self.n))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:

@@ -596,17 +596,21 @@ def gamma_empirical(
     return _kernel_sum(total, exact, _per_component(base.digraph, dim))
 
 
-def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD) -> dict:
-    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`},
-    for permutation labels and integer vertex labels.  A nonzero labeling is
-    fixed by its points at one root per weak component, as each conjugated
-    label has one 1 per column: one row per tuple of root points (the count
-    the guard bounds) is chased along a spanning forest, rows another edge
-    disagrees with are dropped, and loop products are summed per kernel."""
+def chase_labelings(
+    t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero labelings of a looped graph with permutation labels and
+    integer vertex labels, as (rows, weights, count): a row of full-space
+    points per labeling (a column per vertex), its exact loop product, and
+    dim**components, the number of rows chased and the denominator of the
+    trace.  A nonzero labeling is fixed by its points at one root per weak
+    component, as each conjugated label has one 1 per column: one row per
+    tuple of root points (the count the guard bounds) is chased along a
+    spanning forest, and rows another edge disagrees with are dropped."""
     base, g = t.base, t.base.digraph
     space = base.full_space(n)
     dim, roots = space.total_dim, [b[0] for b in weak_components(g).blocks]
-    count = _per_component(g, dim)  # the rows, and the denominator of every sum
+    count = _per_component(g, dim)
     if count > map_guard:
         raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
     lifts = [
@@ -628,10 +632,17 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
         known.update((src, dst))
     weights = _loop_products(exact_operands(list(t.vertex_labels), len(rows)), rows)
     keep &= weights != 0
-    rows, weights = rows[keep], weights[keep]
+    return rows[keep], weights[keep], count
+
+
+def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD) -> dict:
+    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`},
+    for permutation labels and integer vertex labels: the chased labelings'
+    loop products summed per kernel tuple."""
+    rows, weights, count = chase_labelings(t, sigmas, n, map_guard)
     # per row and string, each vertex's digit; its kernel block is named by
     # the last vertex holding the same digit
-    strings, nv = len(space.strings), g.vertex_count
+    strings, nv = len(t.base.full_space(n).strings), rows.shape[1]
     digits = rows[:, None, :] // n ** np.arange(strings - 1, -1, -1)[:, None] % n
     names = np.empty_like(digits)
     for v in range(nv):

@@ -34,18 +34,17 @@ from .traffic import (  # noqa: F401  (growth_exponent stays importable from her
     enumerate_admissible,
     trace_test_graph,
 )
-from .serialize import multipartition_from_dict, partition_from_blocks
+from .serialize import json_list, json_object, json_str, multipartition_from_dict, partition_from_blocks
 from .traffic import rho as rho_of
 
 CheckResult = tuple[str, bool, str]
 
 
 def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
-    if not isinstance(claims, dict):
-        raise ValueError(f"claims must be a JSON object, not {claims!r}")
+    json_object(claims, "claims")
     out: list[CheckResult] = []
     nv = t.digraph.vertex_count
-    for s, blocks in claims.get("rho", {}).items():
+    for s, blocks in json_object(claims.get("rho", {}), "rho claims").items():
         want = partition_from_blocks(nv, blocks)
         got = rho_of(t, s)
         out.append(
@@ -55,11 +54,12 @@ def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
                 f"got {got.blocks}, claimed {want.blocks}",
             )
         )
-    for item in claims.get("color_quotients", []):
+    for item in json_list(claims.get("color_quotients", []), "color_quotients"):
+        json_object(item, "a color-quotient claim")
         pi = multipartition_from_dict(item["pi"], nv)
-        q = color_quotient(t, pi, item["color"])
-        want_blocks = tuple(tuple(b) for b in item["vertex_blocks"])
-        ok = q.partition.blocks == want_blocks and list(q.edge_ids) == list(item["edge_ids"])
+        q = color_quotient(t, pi, json_str(item["color"], "claimed color"))
+        want_blocks = tuple(tuple(json_list(b, "a block")) for b in json_list(item["vertex_blocks"], "vertex_blocks"))
+        ok = q.partition.blocks == want_blocks and list(q.edge_ids) == json_list(item["edge_ids"], "edge_ids")
         out.append(
             (
                 f"color-quotient[{item['color']}]",
@@ -67,9 +67,10 @@ def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
                 f"blocks {q.partition.blocks}, edges {q.edge_ids}",
             )
         )
-    for item in claims.get("gcc_trees", []):
+    for item in json_list(claims.get("gcc_trees", []), "gcc_trees"):
+        json_object(item, "a gcc-tree claim")
         pi = multipartition_from_dict(item["pi"], nv)
-        got = gcc(t, pi, item["string"]).is_tree()
+        got = gcc(t, pi, json_str(item["string"], "claimed string")).is_tree()
         out.append(
             (
                 f"gcc-tree[{item['string']}]",

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from permprod import traffic
 from permprod.digraphs import two_edge_decompose, weak_components
 from permprod.partitions import meet_many
-from permprod.tensor import StructuredMatrix
+from permprod.tensor import Permutation, StructuredMatrix
 from permprod.chains import (
     ChainSpec,
     build_squared_chain,
@@ -16,11 +17,12 @@ from permprod.chains import (
     inconsistency_search,
     j_set,
     means_nonincreasing,
+    quotient_looped,
     signed_expansion_check,
     subset_indices,
     subset_quotient_partition,
 )
-from permprod.traffic import enumerate_admissible
+from permprod.traffic import enumerate_admissible, trace_test_graph
 from helpers import shared_string_model, disjoint_string_model, three_color_model
 
 
@@ -169,6 +171,97 @@ def test_signed_expansion_unitary_mode():
     assert r.match
     # norm-one inputs, nonnegative squared norm
     assert float(r.lhs) >= -1e-12
+
+
+def chase_family():
+    """The criterion-6 specs and the shapes of the signed-expansion tests
+    above, one (graph, assignment, chi, ell) each."""
+    shared, disjoint, three = shared_string_model(), disjoint_string_model(), three_color_model()
+    return [
+        (shared, ("a",), (1,)),
+        (shared, ("a",), (2,)),
+        (shared, ("a", "b"), (1, 1)),
+        (shared, ("a", "b"), (2, 1)),
+        (shared, ("a", "b"), (1, 2)),
+        (shared, ("a", "b", "a"), (1, 1, 1)),
+        (disjoint, ("a", "b"), (1, 2)),
+        (disjoint, ("a", "b"), (2, 1)),
+        (three, ("B", "G", "B"), (1, 1, 1)),
+    ]
+
+
+def einsum_terms(spec, n, seed):
+    """Each subset's looped trace from its own quotient graph and dense sum."""
+    chain = build_squared_chain(spec, n, seed)
+    sigmas = draw_sigmas(spec, n, seed)
+    return [
+        (subset, trace_test_graph(quotient_looped(chain.looped, subset_quotient_partition(chain, subset)), n=n, sigmas=sigmas))
+        for subset in subset_indices(spec.k)
+    ]
+
+
+@pytest.mark.parametrize("x_mode", ["identity", "cycle", "permutation"])
+@pytest.mark.parametrize("lambda_mode", ["identity", "signs"])
+def test_chased_subset_traces_equal_the_quotient_einsums(x_mode, lambda_mode):
+    nonzero = 0
+    for (g, a), chi, ell in chase_family():
+        spec = ChainSpec(g, a, chi, ell, x_mode=x_mode, lambda_mode=lambda_mode)
+        for n in (2, 3):
+            for seed in range(3):
+                r = signed_expansion_check(spec, n, seed)
+                assert build_squared_chain(spec, n, seed).draw.monomial
+                assert list(r.terms) == einsum_terms(spec, n, seed), (chi, ell, n, seed)
+                assert r.exact and r.match
+                nonzero += sum(tau != 0 for _, tau in r.terms)
+    assert nonzero > 0
+
+
+def count_graph_sums(monkeypatch):
+    calls = []
+    raw = traffic.raw_graph_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(traffic, "raw_graph_sum", counted)
+    return calls
+
+
+def test_monomial_draws_make_no_dense_graph_sum(monkeypatch):
+    calls = count_graph_sums(monkeypatch)
+    for x_mode in ("identity", "cycle", "permutation"):
+        r = signed_expansion_check(edgeless_spec(("a", "b", "a"), (1, 1, 1), x_mode=x_mode, lambda_mode="signs"), 3, 1)
+        assert r.exact and r.match and len(r.terms) == 64
+    assert calls == []
+
+
+def test_dense_draws_keep_the_quotient_einsums(monkeypatch):
+    calls = count_graph_sums(monkeypatch)
+    r = signed_expansion_check(edgeless_spec(("a", "b"), (1, 1), x_mode="unitary"), 2, 0)
+    assert not r.exact and r.match
+    assert len(calls) == 16
+    # dense integer fixtures of the swap matrix: exact, on the einsum path,
+    # and equal term by term to the same letters given as permutations
+    g, a = shared_string_model()
+    swap = np.array([[0, 1], [1, 0]])
+    dense = ((StructuredMatrix.dense(("s",), 2, swap),), (StructuredMatrix.dense(("s",), 2, swap),))
+    perm = tuple((StructuredMatrix.from_permutation(("s",), 2, Permutation((1, 0))),) for _ in range(2))
+    reports = [
+        signed_expansion_check(ChainSpec(g, a, ("a", "b"), (1, 1), x_mode="fixture", x_fixtures=fx), 2, 4)
+        for fx in (dense, perm)
+    ]
+    assert len(calls) == 32  # the dense fixtures only
+    assert reports[0].exact and reports[0].match
+    assert reports[0] == reports[1]
+
+
+def test_subset_tuples_are_built_once_per_k():
+    assert subset_indices(2) is subset_indices(2)
+    assert isinstance(subset_indices(2), tuple)
+    a = signed_expansion_check(edgeless_spec(), 2, 0)
+    b = signed_expansion_check(edgeless_spec(), 3, 1)
+    assert all(sa is sb for (sa, _), (sb, _) in zip(a.terms, b.terms))
 
 
 def test_inconsistency_search_empty_and_control():

@@ -339,6 +339,12 @@ LABEL_FIXTURE = permutation_label_fixture([1, 0])
         ("traffic-check", dict(LABEL_FIXTURE, labels=5)),
         ("traffic-check", dict(LABEL_FIXTURE, labels=[])),
         ("traffic-check", dict(LABEL_FIXTURE, claims=[1])),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": [1]})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": {"1": 5}})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"color_quotients": [1]})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [1]})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": {"s": [["a"]]}})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"color_quotients": [{"pi": {"s": [[0, 1]]}, "color": ["a"]}]})),
     ],
     ids=[
         "short-test-edge",
@@ -364,6 +370,12 @@ LABEL_FIXTURE = permutation_label_fixture([1, 0])
         "traffic-labels-a-number",
         "traffic-labels-too-few",
         "traffic-claims-a-list",
+        "traffic-rho-claims-a-list",
+        "traffic-rho-blocks-a-number",
+        "traffic-color-quotient-claim-a-number",
+        "traffic-gcc-tree-claim-a-number",
+        "traffic-rho-block-member-a-string",
+        "traffic-color-quotient-color-a-list",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -371,6 +383,13 @@ def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, con
     write(cfg, config)
     assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
     assert "input-error" in capsys.readouterr().err
+
+
+def test_group_table_guard_is_a_guard_exit(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    write(cfg, sofic_config({"a": "cyclic:600"}))  # 600**3 products exceed the table guard
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "exceeds table guard" in capsys.readouterr().err
 
 
 def test_memory_error_is_a_guard_exit(tmp_path, capsys, monkeypatch):

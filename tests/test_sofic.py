@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from permprod.strings import ColorGraph, StringAssignment, build_string_assignment
-from permprod.tensor import Permutation, rng_stream, sample_uniform_permutation
+from permprod import sofic
+from permprod.tensor import GuardExceeded, Permutation, rng_stream, sample_uniform_permutation
 from permprod.sofic import (
     INTEGERS,
     FiniteGroupTable,
@@ -47,6 +48,24 @@ def test_table_validation_rejects_bad_tables():
         FiniteGroupTable.of([[0, 1, 2], [1, 2, 0], [2, 1, 0]], [1])  # not associative
     good = FiniteGroupTable.cyclic(3)
     assert good.identity == 0 and good.inverse(1) == 2
+
+
+def test_table_validation_rejects_a_non_associative_loop():
+    # a Latin square with identity 0 (so every element has inverses) that is
+    # not a group: (1*1)*2 = 2 but 1*(1*2) = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert loop[loop[1][1]][2] == 2 and loop[1][loop[1][2]] == 4
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupTable.of(loop, [1])
+    with pytest.raises(ValueError, match="column"):
+        FiniteGroupTable.of([[0, 1, 2], [1, 2, 0], [1, 2, 0]], [1])
+
+
+def test_table_guard_bounds_the_associativity_check(monkeypatch):
+    monkeypatch.setattr(sofic, "TABLE_GUARD", 26)
+    assert FiniteGroupTable.cyclic(2).order == 2
+    with pytest.raises(GuardExceeded, match="3\\*\\*3 products exceeds table guard 26"):
+        FiniteGroupTable.cyclic(3)
 
 
 def test_left_regular_cyclic_traces():

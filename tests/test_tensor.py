@@ -137,6 +137,29 @@ def test_permutation_labels_build_no_dense_matrix_until_read(monkeypatch):
     assert built == [4, 4]  # built once, then cached
 
 
+def test_structured_matrices_compare_and_hash_by_value(monkeypatch):
+    swap = np.array([[0, 1], [1, 0]])
+    dense = StructuredMatrix.dense(["s"], 2, swap)
+    # dense against dense: equal entries compare equal whatever the dtype
+    assert dense == StructuredMatrix.dense(["s"], 2, swap.astype(float))
+    assert dense != StructuredMatrix.dense(["s"], 2, np.eye(2, dtype=int))
+    assert dense != StructuredMatrix.dense(["t"], 2, swap)
+    assert dense != StructuredMatrix.dense(["s"], 2, np.array([[0, 1], [1, 0.5]]))
+    perm = StructuredMatrix.from_permutation(["s"], 2, Permutation((1, 0)))
+    # dense against a permutation: the same matrix either way
+    assert dense == perm and perm == dense
+    assert StructuredMatrix.identity(["s"], 2) != dense
+    assert dense != "not a label"
+    labels = {dense, perm, StructuredMatrix.dense(["s"], 2, swap.copy())}
+    assert len(labels) == 1 and hash(dense) == hash(perm)
+    # permutation against permutation compares images, without a dense matrix
+    monkeypatch.setattr(Permutation, "matrix", lambda self: pytest.fail("built a dense matrix"))
+    p, q = (StructuredMatrix.from_permutation(["s"], 3, Permutation(im)) for im in [(1, 2, 0), (1, 2, 0)])
+    assert p == q and hash(p) == hash(q)
+    assert p != StructuredMatrix.identity(["s"], 3)
+    assert p != StructuredMatrix.from_permutation(["s", "t"], 3, Permutation.identity(9))
+
+
 def test_permutation_matrix_is_guarded():
     with pytest.raises(GuardExceeded):
         Permutation.identity(2049).matrix()  # 2049**2 entries pass the dense guard, 2**22
