@@ -33,6 +33,11 @@ from .tensor import (
 TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
 
 
+def _check_order(n: int) -> None:
+    if n**3 > TABLE_GUARD:
+        raise GuardExceeded(f"associativity check of {n}**3 products exceeds table guard {TABLE_GUARD}")
+
+
 @dataclass(frozen=True)
 class FiniteGroupTable:
     order: int
@@ -42,8 +47,7 @@ class FiniteGroupTable:
 
     def __post_init__(self):
         n = self.order
-        if n**3 > TABLE_GUARD:
-            raise GuardExceeded(f"associativity check of {n}**3 products exceeds table guard {TABLE_GUARD}")
+        _check_order(n)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table is not n by n")
         # Latin rows: every element has a right inverse
@@ -73,6 +77,7 @@ class FiniteGroupTable:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupTable":
+        _check_order(n)  # before the n**2 table is built
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         return FiniteGroupTable.of(table, (1 % n,))
 

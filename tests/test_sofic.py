@@ -65,6 +65,10 @@ def test_table_guard_bounds_the_associativity_check(monkeypatch):
     monkeypatch.setattr(sofic, "TABLE_GUARD", 26)
     assert FiniteGroupTable.cyclic(2).order == 2
     with pytest.raises(GuardExceeded, match="3\\*\\*3 products exceeds table guard 26"):
+        FiniteGroupTable.of([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [1])
+    # a cyclic group trips the guard before its table is built
+    monkeypatch.setattr(FiniteGroupTable, "of", staticmethod(lambda *args: pytest.fail("built a table")))
+    with pytest.raises(GuardExceeded):
         FiniteGroupTable.cyclic(3)
 
 
