@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraphs import DiGraph, is_two_edge_connected, quotient_digraph
-from .partitions import Partition, connect, meet_many
+from .digraphs import DiGraph, is_two_edge_connected
+from .partitions import meet_many
 from .strings import ColorGraph, StringAssignment, is_g_reduced, validate_assignment
 from .tensor import (
     POINT_GUARD,
@@ -46,10 +46,10 @@ from .traffic import (
     MultiPartition,
     PARTITION_GUARD,
     TestGraph,
-    _merge_vertex_vectors,
+    _is_exact,
+    _kernel_sum,
     chase_labelings,
     enumerate_tree_partitions,
-    trace_test_graph,
 )
 
 X_MODES = ("permutation", "cycle", "unitary", "identity", "fixture")
@@ -252,20 +252,6 @@ def border_pair(chain: SquaredChainGraph, i: int) -> tuple[int, int]:
     return u(abs(i), 1), u(abs(i), chain.spec.ell[abs(i) - 1] + 1)
 
 
-def subset_quotient_partition(chain: SquaredChainGraph, subset: Sequence[int]) -> Partition:
-    """The vertex partition identifying each selected block's first and last
-    vertices (mirrored blocks for negative indices)."""
-    return connect(chain.test_graph.digraph.vertex_count, [border_pair(chain, i) for i in subset])
-
-
-def quotient_looped(t: LoopedTestGraph, p: Partition) -> LoopedTestGraph:
-    """Quotient the looped graph, multiplying the loop labels of identified
-    vertices together."""
-    q, _ = quotient_digraph(t.base.digraph, p)
-    tg = TestGraph(t.base.assignment, q, t.base.edge_colors, t.base.labels)
-    return LoopedTestGraph(tg, tuple(_merge_vertex_vectors(t.vertex_labels, p)))
-
-
 def j_set(chain: SquaredChainGraph, pi: MultiPartition) -> frozenset[int]:
     """Block indices whose borders are merged by the meet of all the string
     kernels: positive for chain blocks, negative for mirrored ones."""
@@ -307,8 +293,8 @@ class SignedExpansionReport:
     terms: tuple
 
 
-def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> list[Fraction]:
-    """The looped trace of every subset quotient of a monomial draw, in
+def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutation]) -> list:
+    """The looped trace of every subset quotient of a draw, in
     `subset_indices` order, from one chase of the squared chain: a labeling
     of a quotient is a labeling of the chain that agrees on each identified
     border pair, so each trace sums the chased weights on the rows where
@@ -320,31 +306,23 @@ def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutatio
         for b in (i, -i):
             first, last = border_pair(chain, b)
             agree[b] = rows[:, first] == rows[:, last]
-    everywhere = np.ones(len(rows), dtype=bool)
+    everywhere, exact = np.ones(len(rows), dtype=bool), _is_exact(weights)
     return [
-        Fraction(int(weights[functools.reduce(np.logical_and, (agree[i] for i in s), everywhere)].sum()), count)
+        _kernel_sum(weights[functools.reduce(np.logical_and, (agree[i] for i in s), everywhere)].sum(), exact, count)
         for s in subset_indices(chain.spec.k)
     ]
 
 
 def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9) -> SignedExpansionReport:
     """For one conjugation draw, compare the centered diagonally-projected
-    squared norm of the chain against the signed sum of looped traces of the
-    subset quotients.  Exact equality with integer labels, else within tol.
-    A monomial draw takes every trace from one chase of the squared chain;
-    any other contracts each quotient graph densely."""
+    squared norm of the chain, from its dense factors, against the signed
+    sum of looped traces of the subset quotients, all read off one chase of
+    the squared chain.  Exact equality with integer labels, else within
+    tol."""
     chain = build_squared_chain(spec, n, seed)
     sigmas = draw_sigmas(spec, n, seed)
     lhs = centered_chain_norm_sq(chain_factors(chain.draw, sigmas))
-    subsets = subset_indices(spec.k)
-    if chain.draw.monomial:
-        taus = _chased_subset_traces(chain, sigmas)
-    else:
-        taus = [
-            trace_test_graph(quotient_looped(chain.looped, subset_quotient_partition(chain, s)), n=n, sigmas=sigmas)
-            for s in subsets
-        ]
-    terms = tuple(zip(subsets, taus))
+    terms = tuple(zip(subset_indices(spec.k), _chased_subset_traces(chain, sigmas)))
     rhs = sum(((-1 if len(subset) % 2 else 1) * tau for subset, tau in terms), Fraction(0))
     exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), terms)

@@ -13,6 +13,7 @@ identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -87,6 +88,8 @@ def _cmd_traffic_check(args) -> int:
     data = serialize.load_json(args.fixture)
     seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
     n = args.n
+    if args.draws < 1:
+        raise ValueError(f"--draws must be positive, not {args.draws}")
     t = serialize.load_test_graph(data, n, seed)
     if t.digraph.vertex_count and n ** t.digraph.vertex_count > args.guard_maps:
         print(
@@ -252,12 +255,12 @@ def _words_from_config(data: dict, g, groups):
                 alphabet.append((c, j))
                 alphabet.append((c, -j))
         words = []
-        import itertools
-
         for m in range(1, serialize.json_int(spec["max_length"], "words max_length") + 1):
             words.extend(itertools.product(alphabet, repeat=m))
     else:
         words = [tuple(map(_word_letter, serialize.json_list(w, "word"))) for w in serialize.json_list(spec, "words")]
+    if not words:
+        raise ValueError("words name no word to certify")
     out = []
     for w in words:
         letters = []

@@ -192,19 +192,3 @@ def bell_number(n: int) -> int:
         row = nxt
     return row[0]
 
-
-def mobius_from_bottom(p: Partition) -> int:
-    """Mobius function of the partition lattice between singletons and p."""
-    out = 1
-    for b in p.blocks:
-        k = len(b) - 1
-        sign = -1 if k % 2 else 1
-        out *= sign * _factorial(k)
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

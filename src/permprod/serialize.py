@@ -11,6 +11,7 @@ edges, a label mode, and optional claim blocks the checker verifies.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -41,9 +42,18 @@ def json_int(value, name: str) -> int:
 
 
 def json_number(value, name: str) -> int | float:
-    """A field read as a JSON number (not a bool), else an input error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a JSON number, not {value!r}")
+    """A field read as a finite JSON number (not a bool), else an input
+    error; Python's json reads NaN, Infinity and 1e400 as floats."""
+    finite = not isinstance(value, float) or math.isfinite(value)  # an int is exact, of any size
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not finite:
+        raise ValueError(f"{name} must be a finite JSON number, not {value!r}")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """A field read as a JSON bool, else an input error."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a JSON bool, not {value!r}")
     return value
 
 
@@ -100,6 +110,8 @@ def matrix_from_dict(d: dict) -> StructuredMatrix:
         return StructuredMatrix.from_permutation(support, n, perm)
     re = np.asarray(d["entries_re"], dtype=float)
     im = np.asarray(d.get("entries_im", np.zeros_like(re)), dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite numbers")
     # exact integer labels only when every entry is one: a float holds every
     # integer up to 2**53 exactly, and nothing is rounded into an integer
     if not im.any() and np.array_equal(re, np.trunc(re)) and np.all(np.abs(re) <= 2**53):

@@ -6,12 +6,12 @@ read-only image array is the one representation of a permutation from
 JSON to the full space.  There are two ways to act on the full space:
 
 - the dense path, `lift`, materializes a matrix as a dim x dim array
-  (`DENSE_GUARD` bounds its dim**2 entries); chain products and centered
-  norms then cost O(dim^3).  Unitary, float and general fixture labels
-  take it, and it is the oracle the exact path is tested against; integer
-  products that could pass int64 are taken in Python integers
-  (`exact_operands`).  A permutation's 0/1 `entries` are built only when
-  something reads them;
+  (`DENSE_GUARD` bounds its dim**2 entries) for the chain products, the
+  centered norms (O(dim^3)) and the einsum traces the exact paths are
+  tested against, while `lifted_columns` keeps only a dense block's nonzero
+  entries per full-space column; integer products that could pass int64
+  are taken in Python integers (`exact_operands`).  A permutation's 0/1
+  `entries` are built only when something reads them;
 - the exact permutation path works on image arrays of length dim: a
   permutation of a block of strings becomes, through `lift_permutation`,
   the permutation of every full-space point (guarded by `POINT_GUARD`).
@@ -306,28 +306,53 @@ def _check_dense(dim: int, dense_guard: int) -> None:
         raise GuardExceeded(f"dense lift of {dim}**2 entries exceeds dense guard {dense_guard}")
 
 
+def support_grid(support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD) -> np.ndarray:
+    """grid[s, r]: the full-space point with support code s (encoded as in
+    `MultiIndexSpace(support, n)`) and rest code r.  A block operator lifts
+    to the full space by acting on the rows of the grid and fixing its
+    columns."""
+    if not set(support) <= set(space.strings):
+        raise ValueError("support not contained in target space")
+    if tuple(sorted(support)) != tuple(support):
+        raise ValueError("support must be sorted")
+    if space.total_dim > point_guard:
+        raise GuardExceeded(f"full-space dimension {space.total_dim} exceeds point guard {point_guard}")
+    grid = np.arange(space.total_dim, dtype=np.int64).reshape((space.n,) * len(space.strings))
+    axes = [space.strings.index(s) for s in support]
+    return np.moveaxis(grid, axes, range(len(axes))).reshape(space.n ** len(support), -1)
+
+
 def permutation_images(
     images: Sequence[int], support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD
 ) -> np.ndarray:
     """Full-space image array of a permutation of the support block: entry a
     is the image of point a when the permutation acts on the support
-    coordinates (encoded as in `MultiIndexSpace(support, n)`) and fixes the
-    rest.  O(total_dim), vectorized."""
-    if not set(support) <= set(space.strings):
-        raise ValueError("support not contained in target space")
-    if tuple(sorted(support)) != tuple(support):
-        raise ValueError("support must be sorted")
+    coordinates and fixes the rest.  O(total_dim), vectorized."""
     if len(images) != space.n ** len(support):
         raise ValueError("permutation size does not match the support block")
-    if space.total_dim > point_guard:
-        raise GuardExceeded(f"full-space dimension {space.total_dim} exceeds point guard {point_guard}")
-    # grid[s, r]: the full-space point with support code s and rest code r
-    grid = np.arange(space.total_dim, dtype=np.int64).reshape((space.n,) * len(space.strings))
-    axes = [space.strings.index(s) for s in support]
-    grid = np.moveaxis(grid, axes, range(len(axes))).reshape(len(images), -1)
+    grid = support_grid(support, space, point_guard)
     out = np.empty(space.total_dim, dtype=np.int64)
     out[grid] = grid[np.asarray(images, dtype=np.int64)]
     return out
+
+
+def lifted_columns(m: np.ndarray, grid: np.ndarray, dense_guard: int = DENSE_GUARD) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of a block matrix lifted to the full space by a
+    `support_grid`, column by column: (points, values), each of shape
+    (total_dim, k), where row a lists the rows holding the nonzero entries
+    of column a and those entries, padded with zero entries to the k of
+    the fullest column.  `lift`'s guard bounds their entries."""
+    nonzero = m != 0
+    k = int(nonzero.sum(axis=0).max(initial=0))
+    if grid.size * k > dense_guard:
+        raise GuardExceeded(f"column table of {grid.size}*{k} entries exceeds dense guard {dense_guard}")
+    # per block column, its nonzero rows first; a padding row holds a zero
+    rows = np.argsort(~nonzero, axis=0, kind="stable")[:k].T
+    points = np.empty((grid.size, k), dtype=np.int64)
+    values = np.empty((grid.size, k), dtype=m.dtype)
+    points[grid] = grid[rows].transpose(0, 2, 1)
+    values[grid] = np.take_along_axis(m, rows.T, axis=0).T[:, None, :]
+    return points, values
 
 
 def lift_permutation(x: StructuredMatrix, target: MultiIndexSpace) -> Permutation:

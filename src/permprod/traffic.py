@@ -41,7 +41,6 @@ from .partitions import (
     bell_number,
     enumerate_partitions,
     meet_many,
-    mobius_from_bottom,
 )
 from .strings import StringAssignment
 from .tensor import (
@@ -53,6 +52,8 @@ from .tensor import (
     exact_operands,
     lift,
     lift_permutation,
+    lifted_columns,
+    support_grid,
 )
 
 MAP_GUARD = 2**24
@@ -138,8 +139,12 @@ class MultiPartition:
 # dense graph-sum evaluation
 
 
+def _is_exact(a: np.ndarray) -> bool:
+    return a.dtype == object or np.issubdtype(a.dtype, np.integer)
+
+
 def _as_exact_or_complex(arrays: Sequence[np.ndarray]) -> tuple[list[np.ndarray], bool]:
-    exact = all(a.dtype == object or np.issubdtype(a.dtype, np.integer) for a in arrays)
+    exact = all(map(_is_exact, arrays))
     if exact:
         return list(arrays), True
     return [np.asarray(a, dtype=np.complex128) for a in arrays], False
@@ -171,12 +176,7 @@ def raw_graph_sum(
     for (s, t), m in zip(g.edges, edge_matrices):
         operands.append(m)
         subs.append(letters[t] + letters[s])
-    if vertex_vectors is None:
-        vertex_vectors = [None] * nv  # type: ignore[list-item]
-    for v in range(nv):
-        vec = vertex_vectors[v]
-        if vec is None:
-            vec = np.ones(dim, dtype=np.int64)
+    for v, vec in enumerate(vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * nv):
         operands.append(np.asarray(vec))
         subs.append(letters[v])
     operands, exact = _as_exact_or_complex(operands)
@@ -196,29 +196,21 @@ def raw_injective_graph_sum(
     vertex_vectors: Sequence[np.ndarray] | None = None,
     map_guard_total: int | None = None,
 ):
-    """Same sum restricted to injective labelings, via partition-lattice
-    inversion over vertex identifications."""
-    if g.vertex_count > dim:
-        return 0
-    total = 0
-    for p in enumerate_partitions(g.vertex_count):
-        q, vmap = quotient_digraph(g, p)
-        vecs = None
-        if vertex_vectors is not None:
-            vecs = _merge_vertex_vectors(vertex_vectors, p)
-        term = raw_graph_sum(q, edge_matrices, dim, vecs, map_guard_total)
-        total = total + mobius_from_bottom(p) * term
-    return total
+    """Same sum restricted to injective labelings: the chased labelings
+    (`_chase`) whose points are all distinct."""
+    whole = np.arange(dim, dtype=np.int64)[:, None]  # each matrix acts on the whole space
+    edges = [(np.asarray(m), whole) for m in edge_matrices]
+    loops = vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * g.vertex_count
+    guard = MAP_GUARD if map_guard_total is None else map_guard_total
+    return _injective_sum(*_chase(g, edges, loops, dim, guard)[:2])
 
 
-def _merge_vertex_vectors(vectors: Sequence[np.ndarray], p: Partition) -> list[np.ndarray]:
-    out = []
-    for b in p.blocks:
-        acc = vectors[b[0]]
-        for v in b[1:]:
-            acc = acc * vectors[v]
-        out.append(acc)
-    return out
+def _injective_sum(rows: np.ndarray, weights: np.ndarray):
+    """The summed weight of the rows whose points are all distinct: an int
+    when the weights are exact, else complex."""
+    distinct = (np.diff(np.sort(rows, axis=1), axis=1) != 0).all(axis=1)
+    total = weights[distinct].sum()
+    return int(total) if _is_exact(weights) else complex(total)
 
 
 def _per_component(g: DiGraph, dim: int) -> int:
@@ -230,32 +222,39 @@ def _per_component(g: DiGraph, dim: int) -> int:
 # full-space traces of (looped) test graphs
 
 
+def _conjugated_labels(t: TestGraph, sigmas: dict[str, Permutation] | None) -> Iterator[StructuredMatrix]:
+    """Each label conjugated by its color's permutation (identity when absent)."""
+    for c, lab in zip(t.edge_colors, t.labels):
+        sigma = sigmas.get(c) if sigmas is not None else None
+        yield lab if sigma is None else conjugate_by_color(lab, sigma)
+
+
 def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int | None = None) -> list[np.ndarray]:
     """Dense full-space edge labels: each label conjugated by its color's
     permutation (identity when absent) and lifted against identity factors.
     A permutation label is built straight from its conjugated full-space
     permutation."""
     space = t.full_space(n)
-    out = []
-    for c, lab in zip(t.edge_colors, t.labels):
-        sigma = sigmas.get(c) if sigmas is not None else None
-        lab = lab if sigma is None else conjugate_by_color(lab, sigma)
-        out.append(lift_permutation(lab, space).matrix() if lab.perm is not None else lift(lab, space))
-    return out
+    return [
+        lift_permutation(lab, space).matrix() if lab.perm is not None else lift(lab, space)
+        for lab in _conjugated_labels(t, sigmas)
+    ]
 
 
 def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
     base = t.base if isinstance(t, LoopedTestGraph) else t
-    loops = t.vertex_labels if isinstance(t, LoopedTestGraph) else None
     nn = n if n is not None else base.n
     space = base.full_space(nn)
     nv = base.digraph.vertex_count
     if nv and nn**nv > map_guard:
         raise GuardExceeded(f"per-string labeling count {nn}**{nv} exceeds map guard {map_guard}")
-    guard_total = map_guard ** max(1, len(space.strings))
-    mats = underline_labels(base, sigmas, nn)
-    fn = raw_injective_graph_sum if injective else raw_graph_sum
-    raw = fn(base.digraph, mats, space.total_dim, loops, guard_total)
+    if injective:
+        looped = t if isinstance(t, LoopedTestGraph) else LoopedTestGraph.with_identity(t, nn)
+        raw = _injective_sum(*chase_labelings(looped, sigmas, nn, map_guard)[:2])
+    else:
+        loops = t.vertex_labels if isinstance(t, LoopedTestGraph) else None
+        mats = underline_labels(base, sigmas, nn)
+        raw = raw_graph_sum(base.digraph, mats, space.total_dim, loops, map_guard ** max(1, len(space.strings)))
     if not normalized:
         return raw
     return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, space.total_dim))
@@ -280,7 +279,8 @@ def injective_trace(
     normalized: bool = True,
     map_guard: int = MAP_GUARD,
 ):
-    """The trace restricted to injective vertex labelings."""
+    """The trace restricted to injective vertex labelings: the chased
+    labelings whose points are all distinct."""
     return _trace_impl(t, sigmas, n, True, normalized, map_guard)
 
 
@@ -596,49 +596,86 @@ def gamma_empirical(
     return _kernel_sum(total, exact, _per_component(base.digraph, dim))
 
 
-def chase_labelings(
-    t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD
+def _chase(
+    g: DiGraph, edges: Sequence, loops: Sequence[np.ndarray], dim: int, map_guard: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nonzero labelings of a looped graph with permutation labels and
-    integer vertex labels, as (rows, weights, count): a row of full-space
-    points per labeling (a column per vertex), its exact loop product, and
-    dim**components, the number of rows chased and the denominator of the
-    trace.  A nonzero labeling is fixed by its points at one root per weak
-    component, as each conjugated label has one 1 per column: one row per
-    tuple of root points (the count the guard bounds) is chased along a
-    spanning forest, and rows another edge disagrees with are dropped."""
-    base, g = t.base, t.base.digraph
-    space = base.full_space(n)
-    dim, roots = space.total_dim, [b[0] for b in weak_components(g).blocks]
-    count = _per_component(g, dim)
+    """The nonzero labelings of a looped graph on dim points as (rows,
+    weights, count): a row of points per labeling (a column per vertex),
+    its product of loop and edge entries, and dim**components, the root
+    rows the guard bounds and the trace's denominator.  An edge is a
+    full-space `Permutation` or a (block matrix, `support_grid`) pair.  The
+    root rows, one per tuple of points at one root per weak component, are
+    chased along a spanning forest: a permutation sends each row's known
+    point through its image array, and a dense edge repeats each row once
+    per nonzero entry in the column of its known end (of the transpose
+    when walked backwards), times that entry.  Another edge keeps the rows
+    it agrees with or multiplies in its entry; rows of weight 0 are
+    dropped.  Weights are exact, widened past int64 as `exact_operands`
+    does, unless a label or loop is float or complex."""
+    roots = [b[0] for b in weak_components(g).blocks]
+    count = dim ** len(roots)
     if count > map_guard:
         raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
-    lifts = [
-        lift_permutation(conjugate_by_color(lab, sigmas[c]), space) for c, lab in zip(base.edge_colors, base.labels)
-    ]
+    dense = [e for e, x in enumerate(edges) if not isinstance(x, Permutation)]
+    # every row is a distinct labeling, and no more than map_guard rows are built
+    ops = exact_operands([*loops, *(edges[e][0] for e in dense)], min(dim**g.vertex_count, map_guard))
+    loops, mats = ops[: len(loops)], dict(zip(dense, ops[len(loops) :]))
     rows = np.zeros((count, g.vertex_count), dtype=np.int64)
-    rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), len(rows)).T
-    known, keep, todo = set(roots), np.ones(len(rows), dtype=bool), list(range(g.edge_count))
+    rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), count).T
+    weights = np.ones(count, dtype=np.int64)
+    known, keep, todo = set(roots), np.ones(count, dtype=bool), list(range(g.edge_count))
     while todo:  # take an edge with a reached end
         e = next(e for e in todo if known.intersection(g.edges[e]))
         todo.remove(e)
         src, dst = g.edges[e]
-        if dst not in known:
-            rows[:, dst] = lifts[e].images[rows[:, src]]
-        elif src not in known:
-            rows[:, src] = lifts[e].inverse().images[rows[:, dst]]
+        if e not in mats:
+            if dst not in known:
+                rows[:, dst] = edges[e].images[rows[:, src]]
+            elif src not in known:
+                rows[:, src] = edges[e].inverse().images[rows[:, dst]]
+            else:
+                keep &= rows[:, dst] == edges[e].images[rows[:, src]]
+        elif src in known and dst in known:
+            points, values = lifted_columns(mats[e], edges[e][1])
+            at = rows[:, src]
+            weights = weights * (values[at] * (points[at] == rows[:, dst, None])).sum(axis=1)
         else:
-            keep &= rows[:, dst] == lifts[e].images[rows[:, src]]
+            old, new, m = (src, dst, mats[e]) if src in known else (dst, src, mats[e].T)
+            points, values = lifted_columns(m, edges[e][1])
+            rows, weights, k = rows[keep], weights[keep], points.shape[1]
+            if len(rows) * k > map_guard:
+                raise GuardExceeded(f"chased labeling count {len(rows)}*{k} exceeds map guard {map_guard}")
+            at = rows[:, old]
+            rows = np.repeat(rows, k, axis=0)
+            rows[:, new] = points[at].ravel()
+            weights = (weights[:, None] * values[at]).ravel()
+            keep = weights != 0
         known.update((src, dst))
-    weights = _loop_products(exact_operands(list(t.vertex_labels), len(rows)), rows)
+    for v, vec in enumerate(loops):
+        weights = weights * vec[rows[:, v]]
     keep &= weights != 0
     return rows[keep], weights[keep], count
 
 
+def chase_labelings(
+    t: LoopedTestGraph, sigmas: dict[str, Permutation] | None, n: int, map_guard: int = MAP_GUARD
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero labelings of a looped graph over its full side-n space,
+    as `_chase` gives them, with each label conjugated by its color's
+    permutation (identity when absent): a permutation label as its lifted
+    image array, any other as its block matrix."""
+    base = t.base
+    space = base.full_space(n)
+    edges = [
+        lift_permutation(lab, space) if lab.perm is not None else (lab.entries, support_grid(lab.support, space))
+        for lab in _conjugated_labels(base, sigmas)
+    ]
+    return _chase(base.digraph, edges, t.vertex_labels, space.total_dim, map_guard)
+
+
 def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD) -> dict:
-    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`},
-    for permutation labels and integer vertex labels: the chased labelings'
-    loop products summed per kernel tuple."""
+    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`}:
+    the chased labelings' weights summed per kernel tuple."""
     rows, weights, count = chase_labelings(t, sigmas, n, map_guard)
     # per row and string, each vertex's digit; its kernel block is named by
     # the last vertex holding the same digit
@@ -650,8 +687,9 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
     sums: dict = {}
     for key, weight in zip(map(tuple, names.reshape(len(rows), strings * nv).tolist()), weights.tolist()):
         sums[key] = sums.get(key, 0) + weight
+    exact = _is_exact(weights)
     return {
-        tuple(Partition.from_labels(key[k * nv : (k + 1) * nv]) for k in range(strings)): _kernel_sum(total, True, count)
+        tuple(Partition.from_labels(key[k * nv : (k + 1) * nv]) for k in range(strings)): _kernel_sum(total, exact, count)
         for key, total in sums.items()
     }
 
@@ -682,9 +720,7 @@ def gamma_expected_formula(
         v_c = q.partition.num_blocks
         if v_c > d_c:
             return Fraction(0) if isinstance(lam, Fraction) else 0.0
-        raw_inj = raw_injective_graph_sum(
-            q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard
-        )
+        raw_inj = raw_injective_graph_sum(q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard)
         factor = Fraction(1, math.perm(d_c, v_c)) if isinstance(raw_inj, (int, Fraction)) else 1.0 / math.perm(d_c, v_c)
         out = out * factor * raw_inj
     return out

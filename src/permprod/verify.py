@@ -5,11 +5,10 @@ sweeps every admissible kernel tuple and checks the sign of the growth
 exponent, the tree characterization of equality, the leaf-to-component
 count at equality, and injectivity of the block maps at trees.  The kernel
 suite checks, per draw, that the looped trace (the einsum graph sum) splits
-exactly into the kernel-class sums, and that off-admissible classes vanish.
-When every label is a permutation, one chase per draw gives every
-kernel-class sum at once and every kernel tuple a nonzero labeling lands in
-must be admissible; dense labels take one `gamma_empirical` per admissible
-tuple and one probe below the minimal kernels.
+exactly into the kernel-class sums, and that off-admissible classes vanish:
+one chase of the draw's labelings, permutation or dense, gives every
+kernel-class sum at once, and every kernel tuple a nonzero labeling lands in
+must be admissible.
 """
 
 from __future__ import annotations
@@ -17,24 +16,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
-from .partitions import Partition
 from .tensor import rng_stream, sample_uniform_permutation, sums_agree
 from .traffic import (  # noqa: F401  (growth_exponent stays importable from here)
     MAP_GUARD,
     LoopedTestGraph,
-    MultiPartition,
     TestGraph,
     _KernelRecord,
     _kernel_buckets,
-    all_rho,
     color_quotient,
-    gamma_empirical,
     gcc,
     growth_exponent,
     enumerate_admissible,
     trace_test_graph,
 )
-from .serialize import json_list, json_object, json_str, multipartition_from_dict, partition_from_blocks
+from .serialize import json_bool, json_list, json_object, json_str, multipartition_from_dict, partition_from_blocks
 from .traffic import rho as rho_of
 
 CheckResult = tuple[str, bool, str]
@@ -47,37 +42,20 @@ def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
     for s, blocks in json_object(claims.get("rho", {}), "rho claims").items():
         want = partition_from_blocks(nv, blocks)
         got = rho_of(t, s)
-        out.append(
-            (
-                f"minimal-kernel[{s}]",
-                got == want,
-                f"got {got.blocks}, claimed {want.blocks}",
-            )
-        )
+        out.append((f"minimal-kernel[{s}]", got == want, f"got {got.blocks}, claimed {want.blocks}"))
     for item in json_list(claims.get("color_quotients", []), "color_quotients"):
         json_object(item, "a color-quotient claim")
         pi = multipartition_from_dict(item["pi"], nv)
         q = color_quotient(t, pi, json_str(item["color"], "claimed color"))
         want_blocks = tuple(tuple(json_list(b, "a block")) for b in json_list(item["vertex_blocks"], "vertex_blocks"))
         ok = q.partition.blocks == want_blocks and list(q.edge_ids) == json_list(item["edge_ids"], "edge_ids")
-        out.append(
-            (
-                f"color-quotient[{item['color']}]",
-                ok,
-                f"blocks {q.partition.blocks}, edges {q.edge_ids}",
-            )
-        )
+        out.append((f"color-quotient[{item['color']}]", ok, f"blocks {q.partition.blocks}, edges {q.edge_ids}"))
     for item in json_list(claims.get("gcc_trees", []), "gcc_trees"):
         json_object(item, "a gcc-tree claim")
         pi = multipartition_from_dict(item["pi"], nv)
+        claimed = json_bool(item["is_tree"], "claimed is_tree")
         got = gcc(t, pi, json_str(item["string"], "claimed string")).is_tree()
-        out.append(
-            (
-                f"gcc-tree[{item['string']}]",
-                got == bool(item["is_tree"]),
-                f"is_tree={got}, claimed {item['is_tree']}",
-            )
-        )
+        out.append((f"gcc-tree[{item['string']}]", got == claimed, f"is_tree={got}, claimed {claimed}"))
     return out
 
 
@@ -123,12 +101,7 @@ def kernel_suite(
     plus vanishing off the admissible cone.  Exact sums must match exactly;
     float sums agree within `sums_agree`'s tolerance."""
     looped = LoopedTestGraph.with_identity(t, n)
-    admissible = list(enumerate_admissible(t, partition_guard))
-    # permutation labels: one chase per draw buckets every kernel-class sum;
-    # dense labels sum each admissible tuple and probe one tuple off the cone
-    chase = all(lab.perm is not None for lab in t.labels)
-    cone = {pi.parts for pi in admissible}
-    probes = [] if chase else _some_non_admissible(t)
+    cone = {pi.parts for pi in enumerate_admissible(t, partition_guard)}
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):
@@ -137,23 +110,11 @@ def kernel_suite(
             dim = n ** len(t.assignment.strings_of(c))
             sigmas[c] = sample_uniform_permutation(dim, rng_stream(seed, 7, d, ci))
         tau = trace_test_graph(looped, n=n, sigmas=sigmas, map_guard=map_guard)
-        if chase:
-            sums = _kernel_buckets(looped, sigmas, n, map_guard)
-            vanishing_ok &= cone.issuperset(sums)
-        else:
-            sums = {pi.parts: gamma_empirical(looped, pi, sigmas, n, map_guard) for pi in admissible}
-            vanishing_ok &= all(gamma_empirical(looped, pi, sigmas, n, map_guard) == 0 for pi in probes)
+        sums = _kernel_buckets(looped, sigmas, n, map_guard)
+        vanishing_ok &= cone.issuperset(sums)
         decomposition_ok &= sums_agree(sum(sums.values(), Fraction(0)), tau)
     return [
-        ("kernel-decomposition", decomposition_ok, f"{draws} draws, {len(admissible)} admissible tuples"),
+        ("kernel-decomposition", decomposition_ok, f"{draws} draws, {len(cone)} admissible tuples"),
         ("off-cone-vanishing", vanishing_ok, "kernel sums vanish off the admissible cone"),
     ]
 
-
-def _some_non_admissible(t: TestGraph):
-    """A kernel tuple strictly below some minimal kernel, when one exists."""
-    rhos, strings, nv = all_rho(t), t.assignment.sorted_strings(), t.digraph.vertex_count
-    if all(rhos.part(s).num_blocks == nv for s in strings):
-        return []
-    parts = {s: Partition.singletons(nv) for s in strings}
-    return [MultiPartition.of(parts)]

@@ -14,10 +14,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from permprod.digraphs import DiGraph, Multigraph, two_edge_decompose, weak_components
-from permprod.partitions import Partition
+from permprod.chains import border_pair
+from permprod.digraphs import DiGraph, Multigraph, quotient_digraph, two_edge_decompose, weak_components
+from permprod.partitions import Partition, connect
 from permprod.tensor import GuardExceeded, MultiIndexSpace
-from permprod.traffic import MAP_GUARD, GCCGraph, _as_exact_or_complex, _is_ones, color_quotient, h_sc
+from permprod.traffic import (
+    MAP_GUARD,
+    GCCGraph,
+    LoopedTestGraph,
+    TestGraph,
+    _as_exact_or_complex,
+    _is_ones,
+    color_quotient,
+    h_sc,
+)
 
 
 def brute_join(p: Partition, q: Partition) -> Partition:
@@ -134,6 +144,27 @@ def brute_injective_sum(g: DiGraph, mats, dim: int, loops=None):
             term = term * m[lab[dst], lab[src]]
         total = total + term
     return total
+
+
+def subset_quotient_partition(chain, subset) -> Partition:
+    """The vertex partition identifying each selected block's first and last
+    vertices (mirrored blocks for negative indices)."""
+    return connect(chain.test_graph.digraph.vertex_count, [border_pair(chain, i) for i in subset])
+
+
+def quotient_looped(t: LoopedTestGraph, p: Partition) -> LoopedTestGraph:
+    """Quotient the looped graph, multiplying the loop labels of identified
+    vertices together: with `trace_test_graph`, the einsum reference for a
+    subset quotient's looped trace."""
+    q, _ = quotient_digraph(t.base.digraph, p)
+    tg = TestGraph(t.base.assignment, q, t.base.edge_colors, t.base.labels)
+    loops = []
+    for b in p.blocks:
+        acc = t.vertex_labels[b[0]]
+        for v in b[1:]:
+            acc = acc * t.vertex_labels[v]
+        loops.append(acc)
+    return LoopedTestGraph(tg, tuple(loops))
 
 
 def kron_lift_oracle(entries: np.ndarray, positions: list[int], k: int, n: int) -> np.ndarray:

@@ -17,13 +17,13 @@ from permprod.chains import (
     inconsistency_search,
     j_set,
     means_nonincreasing,
-    quotient_looped,
     signed_expansion_check,
     subset_indices,
-    subset_quotient_partition,
 )
+from permprod.tensor import sums_agree
 from permprod.traffic import enumerate_admissible, trace_test_graph
 from helpers import shared_string_model, disjoint_string_model, three_color_model
+from oracles import quotient_looped, subset_quotient_partition
 
 
 def edgeless_spec(chi=("a", "b"), ell=None, **kw):
@@ -237,21 +237,25 @@ def test_monomial_draws_make_no_dense_graph_sum(monkeypatch):
 
 
 def test_dense_draws_keep_the_quotient_einsums(monkeypatch):
+    # dense draws take the same chase as monomial ones: no dense graph sum,
+    # and every term equal to its quotient einsum
     calls = count_graph_sums(monkeypatch)
-    r = signed_expansion_check(edgeless_spec(("a", "b"), (1, 1), x_mode="unitary"), 2, 0)
+    unitary = edgeless_spec(("a", "b"), (1, 1), x_mode="unitary")
+    r = signed_expansion_check(unitary, 2, 0)
     assert not r.exact and r.match
-    assert len(calls) == 16
-    # dense integer fixtures of the swap matrix: exact, on the einsum path,
-    # and equal term by term to the same letters given as permutations
+    # dense integer fixtures of the swap matrix: exact, and equal term by
+    # term to the einsums and to the same letters given as permutations
     g, a = shared_string_model()
     swap = np.array([[0, 1], [1, 0]])
     dense = ((StructuredMatrix.dense(("s",), 2, swap),), (StructuredMatrix.dense(("s",), 2, swap),))
     perm = tuple((StructuredMatrix.from_permutation(("s",), 2, Permutation((1, 0))),) for _ in range(2))
-    reports = [
-        signed_expansion_check(ChainSpec(g, a, ("a", "b"), (1, 1), x_mode="fixture", x_fixtures=fx), 2, 4)
-        for fx in (dense, perm)
-    ]
-    assert len(calls) == 32  # the dense fixtures only
+    specs = [ChainSpec(g, a, ("a", "b"), (1, 1), x_mode="fixture", x_fixtures=fx) for fx in (dense, perm)]
+    reports = [signed_expansion_check(spec, 2, 4) for spec in specs]
+    assert calls == []
+    want = einsum_terms(unitary, 2, 0)
+    assert [s for s, _ in r.terms] == [s for s, _ in want]
+    assert all(sums_agree(got, tau) for (_, got), (_, tau) in zip(r.terms, want))
+    assert list(reports[0].terms) == einsum_terms(specs[0], 2, 4)
     assert reports[0].exact and reports[0].match
     assert reports[0] == reports[1]
 

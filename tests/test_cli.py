@@ -104,19 +104,19 @@ def test_traffic_check_passes_on_an_edgeless_graph(tmp_path):
 
 @pytest.mark.parametrize("edges", [[[0, 1, "a"], [1, 0, "a"]], [[0, 1, "a"], [1, 0, "a"], [2, 2, "a"]]])
 def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, monkeypatch, edges):
-    from permprod import verify
+    from permprod import traffic, verify
 
-    calls, verify_gamma = [], verify.gamma_empirical
+    calls, buckets = [], verify._kernel_buckets
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return verify_gamma(*args, **kwargs)
+        return buckets(*args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("the chase needs permutation labels")
+        raise AssertionError("dense labels take the chase, not the per-tuple sums")
 
-    monkeypatch.setattr(verify, "gamma_empirical", counted)
-    monkeypatch.setattr(verify, "_kernel_buckets", refused)
+    monkeypatch.setattr(verify, "_kernel_buckets", counted)
+    monkeypatch.setattr(traffic, "gamma_empirical", refused)
     entries = [[[2, -1], [0, 3]], [[1, 1], [-2, 0]], [[0, 4], [1, -1]]]
     fixture = tmp_path / "dense.json"
     write(
@@ -134,7 +134,7 @@ def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, mo
     assert main(["traffic-check", str(fixture), "--n", "2", "--out", str(tmp_path)]) == 0
     report = json.load(open(tmp_path / "report.json"))
     assert report["passed"]
-    assert calls  # three draws over every admissible tuple, plus the off-cone probe
+    assert len(calls) == 3  # one chase per draw
 
 
 def float_label_fixture(seed=0):
@@ -311,6 +311,7 @@ def permutation_label_fixture(images):
 
 CONVERGE = {"colors": ["a", "b"], "edges": [], "chi": ["a", "b"], "ell": [1, 1], "n_grid": [2, 4], "samples": 2}
 LABEL_FIXTURE = permutation_label_fixture([1, 0])
+GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
 
 
 @pytest.mark.parametrize(
@@ -345,6 +346,16 @@ LABEL_FIXTURE = permutation_label_fixture([1, 0])
         ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [1]})),
         ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": {"s": [["a"]]}})),
         ("traffic-check", dict(LABEL_FIXTURE, claims={"color_quotients": [{"pi": {"s": [[0, 1]]}, "color": ["a"]}]})),
+        ("traffic-check --draws 0", LABEL_FIXTURE),
+        ("traffic-check --draws -1", LABEL_FIXTURE),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words={"max_length": 0})),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words={"max_length": -1})),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[])),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [dict(GCC_CLAIM, is_tree="no")]})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [dict(GCC_CLAIM, is_tree=1)]})),
+        ("converge", dict(CONVERGE, norm_bound=float("nan"))),
+        ("converge", dict(CONVERGE, norm_bound=float("inf"))),
+        ("converge", dict(CONVERGE, slope_band=[float("-inf"), -0.6])),
     ],
     ids=[
         "short-test-edge",
@@ -376,12 +387,34 @@ LABEL_FIXTURE = permutation_label_fixture([1, 0])
         "traffic-gcc-tree-claim-a-number",
         "traffic-rho-block-member-a-string",
         "traffic-color-quotient-color-a-list",
+        "traffic-draws-zero",
+        "traffic-draws-negative",
+        "sofic-max-length-zero",
+        "sofic-max-length-negative",
+        "sofic-words-empty",
+        "traffic-gcc-tree-claim-a-string",
+        "traffic-gcc-tree-claim-an-integer",
+        "converge-norm-bound-nan",
+        "converge-norm-bound-infinite",
+        "converge-slope-band-infinite",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     write(cfg, config)
-    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    assert main([*command.split(), str(cfg), "--out", str(tmp_path)]) == 2
+    assert "input-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["1e400", "NaN"])
+def test_non_finite_label_entries_are_input_errors(tmp_path, capsys, entry):
+    # Python's json reads 1e400 as inf: an input error, not a kernel-decomposition failure
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(
+        '{"colors": ["a"], "edges": [], "strings": ["s"], "incidence": [["s", "a"]], "vertices": 1,'
+        f' "test_edges": [[0, 0, "a"]], "labels": [{{"support": ["s"], "n": 2, "entries_re": [[{entry}, 0], [0, 1]]}}]}}'
+    )
+    assert main(["traffic-check", str(cfg), "--out", str(tmp_path)]) == 2
     assert "input-error" in capsys.readouterr().err
 
 

@@ -10,7 +10,6 @@ from permprod.partitions import (
     join,
     meet,
     meet_many,
-    mobius_from_bottom,
 )
 from oracles import all_partitions_brute, brute_join, brute_meet, brute_refines
 
@@ -130,9 +129,3 @@ def test_lattice_laws_exhaustive_small():
             assert meet(p, q) == brute_meet(p, q)
             assert p.refines(q) == brute_refines(p, q)
 
-
-def test_mobius_telescopes_to_zero():
-    # the signed coarsening sums vanish except at a single point
-    for n in range(1, 5):
-        total = sum(mobius_from_bottom(p) for p in enumerate_partitions(n))
-        assert total == (1 if n == 1 else 0)

@@ -164,6 +164,20 @@ def test_full_space_trace_matches_oracle_pipeline():
     assert got == want
 
 
+@pytest.mark.parametrize("labels", ["permutation", "integer"])
+def test_injective_trace_matches_oracle_pipeline(labels):
+    # the chased rows with distinct points against every injective labeling
+    # of the oracle-lifted labels, on the three-string wiring
+    _, a = three_color_model()
+    edges = [((0, 1), "B"), ((1, 2), "G"), ((2, 0), "B")]
+    t = make_test_graph(a, 3, edges, 2, labels, seed=1)
+    sigmas = draw_color_permutations(t, 2, seed=9)
+    mats = conjugated_dense_labels_oracle(t, sigmas, 2)
+    want = Fraction(int(brute_injective_sum(t.digraph, mats, 8)), 8)
+    assert want != 0
+    assert injective_trace(t, n=2, sigmas=sigmas) == want
+
+
 def test_trace_guard():
     _, a = one_color_model()
     t = make_test_graph(a, 6, [((i, (i + 1) % 6), "a") for i in range(6)], 2)
