@@ -13,6 +13,7 @@ identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -29,7 +30,9 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default=".", help="output directory")
@@ -54,7 +57,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("sofic-certify", parents=[common], help="certify word traces of a product representation")
     p.add_argument("config")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.command == "string-assign":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .partitions import Partition, connect
+from .partitions import Partition, _classes, connect
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,17 @@ class Multigraph:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range")
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
     def components(self) -> Partition:
         return connect(self.vertex_count, self.edges)
 
-    def is_connected(self) -> bool:
-        return self.components().num_blocks <= 1
-
     def is_tree(self) -> bool:
         """Connected and |E| = |V| - 1; parallel edges and loops therefore fail."""
-        if self.vertex_count == 0:
-            return False
-        return len(self.edges) == self.vertex_count - 1 and self.is_connected()
+        return _is_tree(self.vertex_count, self.edges)
+
+
+def _is_tree(vertex_count: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """`Multigraph.is_tree` on plain ints."""
+    return vertex_count > 0 and len(edges) == vertex_count - 1 and _classes(vertex_count, edges)[1] == 1
 
 
 def weak_components(g: DiGraph) -> Partition:
@@ -106,37 +97,39 @@ def two_edge_decompose(g: DiGraph) -> TwoEdgeDecomposition:
     vertex per piece and one edge per bridge.  leaf_count totals the leaves
     of the forest, an isolated forest vertex counting as two.
     """
-    bridges = _find_bridges(g)
-    comp = connect(g.vertex_count, [e for i, e in enumerate(g.edges) if i not in bridges])
-    comp_of_vertex = tuple(comp.block_index(v) for v in range(g.vertex_count))
-    forest_edges = tuple(
-        (comp_of_vertex[g.edges[i][0]], comp_of_vertex[g.edges[i][1]]) for i in sorted(bridges)
-    )
-    forest = Multigraph(comp.num_blocks, forest_edges)
-    leaves = 0
-    for fc in forest.components().blocks:
-        if len(fc) == 1 and forest.degree(fc[0]) == 0:
-            leaves += 2
-        else:
-            leaves += sum(1 for v in fc if forest.degree(v) == 1)
-    return TwoEdgeDecomposition(comp_of_vertex, frozenset(bridges), forest, leaves)
+    bridges, comp_of_vertex, count, leaves = _bridge_forest(g.vertex_count, g.edges)
+    forest_edges = tuple((comp_of_vertex[g.edges[i][0]], comp_of_vertex[g.edges[i][1]]) for i in sorted(bridges))
+    return TwoEdgeDecomposition(comp_of_vertex, frozenset(bridges), Multigraph(count, forest_edges), leaves)
+
+
+def _bridge_forest(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[set[int], tuple[int, ...], int, int]:
+    """`two_edge_decompose` on plain ints: the bridges, each vertex's component,
+    the component count and the leaf count.  The bridges form a forest, so a
+    component of bridge degree 0 counts two leaves and one of degree 1 one."""
+    bridges = _find_bridges(vertex_count, edges)
+    comp, count = _classes(vertex_count, [e for i, e in enumerate(edges) if i not in bridges])
+    degree = [0] * count
+    for i in bridges:
+        degree[comp[edges[i][0]]] += 1
+        degree[comp[edges[i][1]]] += 1
+    return bridges, comp, count, sum(2 if d == 0 else d == 1 for d in degree)
 
 
 def is_two_edge_connected(g: DiGraph) -> bool:
     """One weak component and no bridge (an empty graph has no component)."""
-    return weak_components(g).num_blocks == 1 and not _find_bridges(g)
+    return weak_components(g).num_blocks == 1 and not _find_bridges(g.vertex_count, g.edges)
 
 
-def _find_bridges(g: DiGraph) -> set[int]:
+def _find_bridges(vertex_count: int, edges: Sequence[tuple[int, int]]) -> set[int]:
     """Iterative DFS low-link bridge finding on the undirection.
 
     Each undirected edge keeps its id; the DFS refuses to reuse only the edge
     it entered on, so a parallel partner acts as a back edge and kills the
     bridge.  Self-loops can never be bridges.
     """
-    n = g.vertex_count
+    n = vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(edges):
         if u == v:
             continue
         adj[u].append((v, eid))
@@ -149,25 +142,25 @@ def _find_bridges(g: DiGraph) -> set[int]:
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, entering edge id, next child slot
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, -1, iter(adj[root]))]  # vertex, entering edge id, its unread neighbors
         while stack:
-            v, in_edge, slot = stack.pop()
-            if slot < len(adj[v]):
-                stack.append((v, in_edge, slot + 1))
-                w, eid = adj[v][slot]
+            v, in_edge, rest = stack[-1]
+            for w, eid in rest:
                 if eid == in_edge:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            elif in_edge != -1:
-                u = g.edges[in_edge][0] if g.edges[in_edge][1] == v else g.edges[in_edge][1]
-                low[u] = min(low[u], low[v])
-                if low[v] > disc[u]:
-                    bridges.add(in_edge)
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > disc[u]:
+                        bridges.add(in_edge)
     return bridges

@@ -3,16 +3,27 @@
 Partitions are stored canonically: blocks sorted by their minimum element,
 elements sorted inside each block.  Equality and hashing are structural, so
 partitions can key dicts and sets and enumeration order is reproducible.
+Each partition also carries its label tuple, the block index of every
+element (its restricted-growth string), which the lattice operations read.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 
 def _canonical(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    # an empty block sorts first, for the constructor to reject
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
+
+
+def _codes(labels: Iterable) -> tuple[int, ...]:
+    """Each label's number in first-occurrence order: a restricted-growth string."""
+    seen: dict = {}
+    return tuple([seen.setdefault(x, len(seen)) for x in labels])
 
 
 @dataclass(frozen=True)
@@ -21,7 +32,7 @@ class Partition:
 
     ground_size: int
     blocks: tuple[tuple[int, ...], ...]
-    _block_of: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         seen = set()
@@ -38,11 +49,8 @@ class Partition:
             raise ValueError("blocks do not cover the ground set")
         if self.blocks != _canonical(self.blocks):
             raise ValueError("blocks not in canonical form; use Partition.of")
-        self._index()
-
-    def _index(self) -> "Partition":
-        object.__setattr__(self, "_block_of", {x: i for i, b in enumerate(self.blocks) for x in b})
-        return self
+        labels = sorted((x, i) for i, b in enumerate(self.blocks) for x in b)
+        object.__setattr__(self, "labels", tuple(i for _, i in labels))
 
     @staticmethod
     def of(ground_size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -55,41 +63,42 @@ class Partition:
     @staticmethod
     def trivial(ground_size: int) -> "Partition":
         """The one-block (coarsest) partition; empty for an empty ground set."""
-        if ground_size == 0:
-            return Partition(0, ())
-        return Partition(ground_size, (tuple(range(ground_size)),))
+        return Partition(ground_size, (tuple(range(ground_size)),) if ground_size else ())
 
     @staticmethod
     def from_labels(labels: Sequence) -> "Partition":
         """Partition of {0..len-1} whose blocks are the fibers of `labels`.
         Fibers in first-occurrence order, members ascending, are already
         canonical, so they are not validated again."""
-        fibers: dict = {}
-        for i, lab in enumerate(labels):
-            fibers.setdefault(lab, []).append(i)
+        codes = _codes(labels)
+        fibers: list[list[int]] = [[] for _ in range(max(codes, default=-1) + 1)]
+        for i, k in enumerate(codes):
+            fibers[k].append(i)
         out = object.__new__(Partition)
-        object.__setattr__(out, "ground_size", len(labels))
-        object.__setattr__(out, "blocks", tuple(map(tuple, fibers.values())))
-        return out._index()
+        object.__setattr__(out, "ground_size", len(codes))
+        object.__setattr__(out, "blocks", tuple(map(tuple, fibers)))
+        object.__setattr__(out, "labels", codes)
+        return out
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     def block_index(self, x: int) -> int:
-        return self._block_of[x]
+        return self.labels[x]
 
     def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self._block_of[x]]
+        return self.blocks[self.labels[x]]
 
     def same_block(self, x: int, y: int) -> bool:
-        return self._block_of[x] == self._block_of[y]
+        return self.labels[x] == self.labels[y]
 
     def refines(self, other: "Partition") -> bool:
         """True iff self <= other, i.e. every block of self sits in a block of other."""
         if self.ground_size != other.ground_size:
             raise ValueError("ground size mismatch")
-        return all(len({other._block_of[x] for x in b}) == 1 for b in self.blocks)
+        image: dict = {}  # each block of self -> the block of other holding its first element
+        return all(image.setdefault(a, b) == b for a, b in zip(self.labels, other.labels))
 
     def __le__(self, other: "Partition") -> bool:
         return self.refines(other)
@@ -102,12 +111,18 @@ def meet(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: blockwise intersections."""
     if p.ground_size != q.ground_size:
         raise ValueError("ground size mismatch")
-    return Partition.from_labels([(p.block_index(i), q.block_index(i)) for i in range(p.ground_size)])
+    return Partition.from_labels(list(zip(p.labels, q.labels)))
 
 
 def connect(ground_size: int, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Classes of the equivalence on {0, .., ground_size-1} generated by
-    identifying each pair: union-find with path halving."""
+    identifying each pair."""
+    return Partition.from_labels(_classes(ground_size, pairs)[0])
+
+
+def _classes(ground_size: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """`connect` on plain ints: the classes' restricted-growth string and
+    their count, by union-find with path halving."""
     parent = list(range(ground_size))
 
     def find(x):
@@ -120,7 +135,8 @@ def connect(ground_size: int, pairs: Iterable[tuple[int, int]]) -> Partition:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
-    return Partition.from_labels([find(i) for i in range(ground_size)])
+    roots: dict = {}
+    return tuple([roots.setdefault(find(i), len(roots)) for i in range(ground_size)]), len(roots)
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -133,10 +149,7 @@ def join(p: Partition, q: Partition) -> Partition:
 def meet_many(parts: Sequence[Partition]) -> Partition:
     if not parts:
         raise ValueError("meet of an empty family")
-    out = parts[0]
-    for p in parts[1:]:
-        out = meet(out, p)
-    return out
+    return functools.reduce(meet, parts)
 
 
 def enumerate_partitions(ground_size: int, at_least: Partition | None = None) -> Iterator[Partition]:
@@ -152,10 +165,7 @@ def enumerate_partitions(ground_size: int, at_least: Partition | None = None) ->
         if at_least.ground_size != ground_size:
             raise ValueError("ground size mismatch")
         for grouping in _restricted_growth(at_least.num_blocks):
-            merged: dict[int, list[int]] = {}
-            for bi, gi in enumerate(grouping):
-                merged.setdefault(gi, []).extend(at_least.blocks[bi])
-            yield Partition.of(ground_size, merged.values())
+            yield Partition.from_labels([grouping[k] for k in at_least.labels])
         return
     for rgs in _restricted_growth(ground_size):
         yield Partition.from_labels(rgs)
@@ -163,32 +173,20 @@ def enumerate_partitions(ground_size: int, at_least: Partition | None = None) ->
 
 def _restricted_growth(n: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings of length n in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        yield tuple(rgs)
-        # advance to the next string
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
+
+    def extend(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == n:
+            yield prefix
             return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
+        for k in range(top + 2):  # a new block, or any block opened so far
+            yield from extend(prefix + (k,), max(top, k))
+
+    return extend((), -1)
 
 
 def bell_number(n: int) -> int:
-    row = [1]
+    row = [1]  # the Bell triangle: each row starts with the last entry of the row above
     for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
+        row = list(itertools.accumulate(row, initial=row[-1]))
     return row[0]
 

@@ -82,7 +82,11 @@ def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
     for key in ("colors", "edges", "strings", "incidence"):
         if key in d:
             json_list(d[key], key)
-    g = ColorGraph.of(d["colors"], d.get("edges", []))
+    colors = [json_str(c, "a color") for c in d["colors"]]
+    edges = [json_list(e, "an edge") for e in d.get("edges", [])]
+    if not all(len(e) == 2 for e in edges):
+        raise ValueError("an edge must be a JSON list of two colors")
+    g = ColorGraph.of(colors, [[json_str(c, "an edge color") for c in e] for e in edges])
     a = None
     if "strings" in d:
         a = StringAssignment.of(d["strings"], d.get("incidence", []))

@@ -31,17 +31,14 @@ from .digraphs import (
     DiGraph,
     Multigraph,
     TwoEdgeDecomposition,
+    _bridge_forest,
+    _is_tree,
     is_two_edge_connected,
     quotient_digraph,
     two_edge_decompose,
     weak_components,
 )
-from .partitions import (
-    Partition,
-    bell_number,
-    enumerate_partitions,
-    meet_many,
-)
+from .partitions import Partition, _classes, _codes, bell_number, enumerate_partitions, meet_many
 from .strings import StringAssignment
 from .tensor import (
     GuardExceeded,
@@ -171,22 +168,23 @@ def raw_graph_sum(
     if nv > len(_stringmod.ascii_letters):
         raise GuardExceeded("too many vertices for subscript labels")
     letters = _stringmod.ascii_letters
-    operands: list[np.ndarray] = []
-    subs: list[str] = []
-    for (s, t), m in zip(g.edges, edge_matrices):
-        operands.append(m)
-        subs.append(letters[t] + letters[s])
-    for v, vec in enumerate(vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * nv):
-        operands.append(np.asarray(vec))
-        subs.append(letters[v])
-    operands, exact = _as_exact_or_complex(operands)
-    expr = ",".join(subs) + "->"
+    loops = vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * nv
+    operands, exact = _as_exact_or_complex([*edge_matrices, *map(np.asarray, loops)])
+    expr = ",".join([letters[t] + letters[s] for s, t in g.edges] + list(letters[:nv])) + "->"
     if exact:
         operands = exact_operands(operands, dim**nv)
-        if all(a.dtype != object for a in operands):
-            return int(np.einsum(expr, *operands, optimize=True))
-        return np.einsum(expr, *[a.astype(object) for a in operands], optimize=False)
-    return complex(np.einsum(expr, *operands, optimize=True))
+        if any(a.dtype == object for a in operands):
+            return np.einsum(expr, *[a.astype(object) for a in operands], optimize=False)
+    path = _einsum_plan(expr, tuple(a.shape for a in operands))
+    total = np.einsum(expr, *operands, optimize=path)
+    return int(total) if exact else complex(total)
+
+
+@functools.lru_cache(maxsize=1024)
+def _einsum_plan(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """The contraction path `optimize=True` would choose, planned once per
+    expression and operand shapes (zero-stride stand-ins carry the shapes)."""
+    return np.einsum_path(expr, *(np.broadcast_to(0, s) for s in shapes), optimize="greedy")[0]
 
 
 def raw_injective_graph_sum(
@@ -197,9 +195,10 @@ def raw_injective_graph_sum(
     map_guard_total: int | None = None,
 ):
     """Same sum restricted to injective labelings: the chased labelings
-    (`_chase`) whose points are all distinct."""
+    (`_chase`) whose points are all distinct.  An edge may also be a
+    `Permutation` of the dim points, chased through its image array."""
     whole = np.arange(dim, dtype=np.int64)[:, None]  # each matrix acts on the whole space
-    edges = [(np.asarray(m), whole) for m in edge_matrices]
+    edges = [m if isinstance(m, Permutation) else (np.asarray(m), whole) for m in edge_matrices]
     loops = vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * g.vertex_count
     guard = MAP_GUARD if map_guard_total is None else map_guard_total
     return _injective_sum(*_chase(g, edges, loops, dim, guard)[:2])
@@ -302,7 +301,7 @@ def all_rho(t: TestGraph) -> MultiPartition:
 
 
 def _check_admissible(t: TestGraph, pi: MultiPartition) -> None:
-    rhos = all_rho(t)
+    rhos = _graph_record(t)[0]
     for s, part in pi.items():
         if not rhos.part(s).refines(part):
             raise ValueError(f"pi_{s} is not above rho_{s}")
@@ -354,9 +353,8 @@ def string_quotient(t: TestGraph, pi: MultiPartition, s: str) -> ColoredQuotient
 def h_sc(t: TestGraph, pi: MultiPartition, s: str, c: str) -> tuple[int, ...]:
     """Block map from the c-quotient's vertices to the s-quotient's vertices;
     well defined because the meet refines every string's kernel."""
-    om = omega(pi, t.assignment, c)
-    ps = pi.part(s)
-    return tuple(ps.block_index(b[0]) for b in om.blocks)
+    labels = pi.part(s).labels
+    return tuple(labels[b[0]] for b in omega(pi, t.assignment, c).blocks)
 
 
 @dataclass(frozen=True)
@@ -385,22 +383,17 @@ class GCCGraph:
 def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
     ps = pi.part(s)
     left = ps.blocks
-    right: list[tuple[str, tuple[int, ...]]] = []
-    edges: list[tuple[int, int]] = []
-    keys: list[tuple[str, tuple[int, ...]]] = []
+    right, edges, keys = [], [], []
     for c in sorted(t.assignment.colors_of(s)):
         q = color_quotient(t, pi, c)
         comps = q.components
         offset = len(left) + len(right)
-        for comp in comps.blocks:
-            members = tuple(sorted(v for b in comp for v in q.partition.blocks[b]))
-            right.append((c, members))
+        right.extend((c, tuple(sorted(v for b in comp for v in q.partition.blocks[b]))) for comp in comps.blocks)
         for v, block in enumerate(q.partition.blocks):
             # the block map h_sc: the meet refines pi_s, so any member names the block
             edges.append((ps.block_index(block[0]), offset + comps.block_index(v)))
             keys.append((c, block))
-    graph = Multigraph(len(left) + len(right), tuple(edges))
-    return GCCGraph(graph, left, tuple(right), tuple(keys))
+    return GCCGraph(Multigraph(len(left) + len(right), tuple(edges)), left, tuple(right), tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -411,9 +404,7 @@ class GCCWalk:
     edge_keys: tuple
 
 
-def induced_gcc_walk(
-    t: TestGraph, pi: MultiPartition, s: str, edge_sequence: Sequence[int]
-) -> GCCWalk:
+def induced_gcc_walk(t: TestGraph, pi: MultiPartition, s: str, edge_sequence: Sequence[int]) -> GCCWalk:
     """The walk a quotient-graph walk induces in the graph of colored
     components: alternates string-quotient blocks with colored components,
     one GCC edge per endpoint of each relevant edge."""
@@ -426,9 +417,7 @@ def induced_gcc_walk(
     g = gcc(t, pi, s)
     ps = pi.part(s)
     relevant = [j for j in edge_sequence if t.edge_colors[j] in cs]
-    first_src = t.digraph.edges[edge_sequence[0]][0]
-    verts = [ps.block_index(first_src)]
-    edge_ids: list[int] = []
+    verts, edge_ids = [ps.block_index(t.digraph.edges[edge_sequence[0]][0])], []
     key_index = {k_eid: i for i, k_eid in enumerate(g.edge_keys)}
     for j in relevant:
         c = t.edge_colors[j]
@@ -441,24 +430,16 @@ def induced_gcc_walk(
         verts.append(g.graph.edges[e_in][1])  # the colored component holding src
         verts.append(ps.block_index(dst))
         edge_ids.extend([e_in, e_out])
-    last_dst = t.digraph.edges[edge_sequence[-1]][1]
-    if verts[-1] != ps.block_index(last_dst):
+    if verts[-1] != ps.block_index(t.digraph.edges[edge_sequence[-1]][1]):
         raise ValueError("walk does not end where the edge sequence does")
     _assert_walk_valid(g, verts, edge_ids)
-    return GCCWalk(
-        tuple(verts),
-        tuple(edge_ids),
-        tuple(g.vertex_desc(v) for v in verts),
-        tuple(g.edge_keys[e] for e in edge_ids),
-    )
+    descs, keys = tuple(map(g.vertex_desc, verts)), tuple(g.edge_keys[e] for e in edge_ids)
+    return GCCWalk(tuple(verts), tuple(edge_ids), descs, keys)
 
 
 def _is_quotient_walk(t: TestGraph, pi: MultiPartition, c: str, seq: Sequence[int]) -> bool:
     om = omega(pi, t.assignment, c)
-    for a, b in zip(seq, seq[1:]):
-        if not om.same_block(t.digraph.edges[a][1], t.digraph.edges[b][0]):
-            return False
-    return True
+    return all(om.same_block(t.digraph.edges[a][1], t.digraph.edges[b][0]) for a, b in zip(seq, seq[1:]))
 
 
 def _assert_walk_valid(g: GCCGraph, verts: Sequence[int], edges: Sequence[int]):
@@ -720,7 +701,8 @@ def gamma_expected_formula(
         v_c = q.partition.num_blocks
         if v_c > d_c:
             return Fraction(0) if isinstance(lam, Fraction) else 0.0
-        raw_inj = raw_injective_graph_sum(q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard)
+        labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
+        raw_inj = raw_injective_graph_sum(q.digraph, labels, d_c, None, map_guard)
         factor = Fraction(1, math.perm(d_c, v_c)) if isinstance(raw_inj, (int, Fraction)) else 1.0 / math.perm(d_c, v_c)
         out = out * factor * raw_inj
     return out
@@ -731,7 +713,8 @@ def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int, map_
     own string block."""
     q = color_quotient(t, pi, c)
     d_c = n ** len(t.assignment.strings_of(c))
-    raw = raw_injective_graph_sum(q.digraph, [lab.entries for lab in q.labels], d_c, None, map_guard)
+    labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
+    raw = raw_injective_graph_sum(q.digraph, labels, d_c, None, map_guard)
     return _kernel_sum(raw, isinstance(raw, int), d_c**q.components.num_blocks)
 
 
@@ -746,9 +729,22 @@ def growth_exponent(t: TestGraph, pi: MultiPartition) -> tuple[Fraction, dict[st
     two-edge-connected graphs, zero exactly when every colored-component
     graph is a tree."""
     _check_admissible(t, pi)
-    record = _KernelRecord(t, exponent=True)
+    record = _graph_record(t)[1]
     doubled = record.doubled_exponents([pi.part(s) for s in record.strings])
     return Fraction(sum(doubled), 2), {s: Fraction(d, 2) for s, d in zip(record.strings, doubled)}
+
+
+_LAST_GRAPH: tuple | None = None  # (t, all_rho(t), an exponent-mode _KernelRecord of t)
+
+
+def _graph_record(t: TestGraph) -> tuple[MultiPartition, "_KernelRecord"]:
+    """rho and an exponent-mode record of t, kept for the next call on the
+    same object (a TestGraph holds arrays and is not hashable)."""
+    global _LAST_GRAPH
+    last = _LAST_GRAPH
+    if last is None or last[0] is not t:
+        last = _LAST_GRAPH = (t, all_rho(t), _KernelRecord(t, exponent=True))
+    return last[1], last[2]
 
 
 class _ColorSummary(NamedTuple):
@@ -762,25 +758,42 @@ class _ColorSummary(NamedTuple):
     injective: bool | None  # each kernel's block map h_sc is injective per component
 
 
+def _color_summary(edges: list[tuple[int, int]], labs: tuple[tuple[int, ...], ...], exponent: bool) -> _ColorSummary:
+    """A color's summary from its edges and its strings' kernel labels; the
+    meet numbers each distinct tuple of labels in first-occurrence order."""
+    om = labs[0] if len(labs) == 1 else _codes(zip(*labs))
+    reps = [v for v, k in enumerate(om) if k not in om[:v]]  # each block's first vertex
+    quotient = [(om[s], om[t]) for s, t in edges]
+    comp_of, components = _classes(len(reps), quotient)
+    leaves = injective = None
+    if exponent:
+        # without edges each quotient vertex is an isolated forest vertex
+        leaves = _bridge_forest(len(reps), quotient)[3] if edges else 2 * len(reps)
+        pairs = list(zip(comp_of, reps))
+        injective = all(len({(k, p[r]) for k, r in pairs}) == len(reps) for p in labs)
+    return _ColorSummary(tuple(reps), comp_of, components, leaves, injective)
+
+
 class _KernelRecord:
     """The kernel analysis of one test graph, shared by the kernel tuples of
-    one sweep.  A color's quotient depends only on the kernels of its own
-    strings and a string's GCC only on the kernels of the strings sharing a
-    color with it.  Built for the exponent sweep, the record adds leaf
-    counts and injectivity to each summary and memoises summaries and tree
-    verdicts on just those kernels; the tree search reaches each prefix
-    once, so few of its keys recur, and it keeps only each color's latest
-    summary, which the choices of later strings reuse.  Kernel tuples
-    come as sequences aligned with the sorted strings; a prefix will do
-    when it holds every kernel a lookup reads."""
+    one sweep, on plain ints: each color's edges as int pairs and each
+    kernel as its label tuple.  A color's quotient depends only on the
+    kernels of its own strings and a string's GCC only on the kernels of
+    the strings sharing a color with it.  Built for the exponent sweep, the
+    record adds leaf counts and injectivity to each summary and memoises
+    summaries and tree verdicts on just those kernels; the tree search
+    reaches each prefix once, so few of its keys recur, and it keeps only
+    each color's latest summary, which the choices of later strings reuse.
+    Kernel tuples come as sequences aligned with the sorted strings; a
+    prefix will do when it holds every kernel a lookup reads."""
 
     def __init__(self, t: TestGraph, exponent: bool):
         a = t.assignment
         self.exponent = exponent
         self.strings = a.sorted_strings()
-        self.colors = {  # color -> (its edges' digraph, its strings' positions)
+        self.colors = {  # color -> (its edges, its strings' positions)
             c: (
-                t.digraph.restrict_edges([i for i, x in enumerate(t.edge_colors) if x == c]),
+                [e for e, x in zip(t.digraph.edges, t.edge_colors) if x == c],
                 tuple(map(self.strings.index, a.sorted_strings_of(c))),
             )
             for c in sorted({c for s in self.strings for c in a.colors_of(s)})
@@ -790,26 +803,15 @@ class _KernelRecord:
         self.neighbors = [
             sorted({i}.union(*(self.colors[c][1] for c in cs))) for i, cs in enumerate(self.string_colors)
         ]
-        self._summaries: dict = {}  # (color, its strings' kernels) -> _ColorSummary
-        self._trees: dict = {}  # (string position, its neighbors' kernels) -> bool
+        self._summaries: dict = {}  # (color, its strings' label tuples) -> _ColorSummary
+        self._trees: dict = {}  # (string position, its neighbors' label tuples) -> bool
 
     def summary(self, c: str, parts: Sequence[Partition]) -> _ColorSummary:
-        g, idx = self.colors[c]
-        key = (c, tuple(parts[i] for i in idx))
+        edges, idx = self.colors[c]
+        key = (c, tuple([parts[i].labels for i in idx]))
         out = self._summaries.get(key)
         if out is None:
-            om = meet_many(key[1])
-            q, _ = quotient_digraph(g, om)
-            comps = weak_components(q)
-            reps = tuple(b[0] for b in om.blocks)
-            comp_of = tuple(comps.block_index(v) for v in range(om.num_blocks))
-            leaves = injective = None
-            if self.exponent:
-                # without edges each quotient vertex is an isolated forest vertex
-                leaves = two_edge_decompose(q).leaf_count if g.edges else 2 * om.num_blocks
-                pairs = list(zip(comp_of, reps))
-                injective = all(len({(k, p.block_index(r)) for k, r in pairs}) == len(reps) for p in key[1])
-            out = _ColorSummary(reps, comp_of, comps.num_blocks, leaves, injective)
+            out = _color_summary(edges, key[1], self.exponent)
             if not self.exponent:  # the tree search keeps only each color's latest summary
                 self._summaries = {k: v for k, v in self._summaries.items() if k[0] != c}
             self._summaries[key] = out
@@ -826,15 +828,16 @@ class _KernelRecord:
 
     def tree(self, i: int, parts: Sequence[Partition]) -> bool:
         """Whether string i's GCC, as `gcc` builds it, is a tree."""
-        key = (i, tuple(parts[j] for j in self.neighbors[i]))
+        # the tree search memoises no verdicts: its key is None and its memo stays empty
+        key = (i, tuple([parts[j].labels for j in self.neighbors[i]])) if self.exponent else None
         out = self._trees.get(key)
         if out is None:
-            ps, edges, offset = parts[i], [], parts[i].num_blocks
+            ps, edges, offset = parts[i].labels, [], parts[i].num_blocks
             for c in self.string_colors[i]:
                 q = self.summary(c, parts)
-                edges.extend((ps.block_index(r), offset + k) for r, k in zip(q.reps, q.comp_of))
+                edges.extend([(ps[r], offset + k) for r, k in zip(q.reps, q.comp_of)])
                 offset += q.components
-            out = Multigraph(offset, tuple(edges)).is_tree()
+            out = _is_tree(offset, edges)
             if self.exponent:
                 self._trees[key] = out
         return out
@@ -864,7 +867,7 @@ def enumerate_admissible(
 
 
 def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
-    record = _KernelRecord(t, exponent=False)
+    record = _graph_record(t)[1]
     return record.all_trees([pi.part(s) for s in record.strings])
 
 
@@ -908,8 +911,7 @@ def expected_trace_leading_terms(
     base = t.base
     if not is_two_edge_connected(base.digraph):
         raise ValueError("graph must be two-edge connected")
-    terms = []
-    total = Fraction(0)
+    terms, total = [], Fraction(0)
     for pi in enumerate_tree_partitions(base, partition_guard):
         term = lambda_value(t, pi, n, map_guard)
         for c in sorted(set(base.edge_colors)):

@@ -65,10 +65,7 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
     if not is_two_edge_connected(t.digraph):
         # the growth bound assumes two-edge connectivity; nothing to check
         return [("exponent-suite", True, "skipped: graph is not two-edge connected")]
-    bound_ok = True
-    equality_iff_trees = True
-    leaf_rule = True
-    injective_rule = True
+    bound_ok = equality_iff_trees = leaf_rule = injective_rule = True
     seen = 0
     # the tuples come from enumerate_admissible, so they are admissible and
     # their parts are aligned with the record's sorted strings
@@ -77,10 +74,8 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
         seen += 1
         doubled = sum(record.doubled_exponents(pi.parts))
         trees = record.all_trees(pi.parts)
-        if doubled > 0:
-            bound_ok = False
-        if (doubled == 0) != trees:
-            equality_iff_trees = False
+        bound_ok &= doubled <= 0
+        equality_iff_trees &= (doubled == 0) == trees
         if trees:
             for c in record.colors:
                 q = record.summary(c, pi.parts)

@@ -119,6 +119,19 @@ def brute_cut_edges(g: DiGraph) -> set[int]:
     return out
 
 
+def brute_leaf_count(g: DiGraph) -> int:
+    """The bridge forest's leaves from `brute_cut_edges` and BFS: per forest
+    component, two for a lone vertex, else its vertices of degree one."""
+    cut = brute_cut_edges(g)
+    pieces = components_by_bfs(g.vertex_count, [e for i, e in enumerate(g.edges) if i not in cut])
+    piece_of = {v: k for k, piece in enumerate(pieces) for v in piece}
+    forest = [(piece_of[g.edges[i][0]], piece_of[g.edges[i][1]]) for i in cut]
+    degree = [sum((u == k) + (v == k) for u, v in forest) for k in range(len(pieces))]
+    return sum(
+        2 if len(comp) == 1 else sum(degree[k] == 1 for k in comp) for comp in components_by_bfs(len(pieces), forest)
+    )
+
+
 def brute_raw_sum(g: DiGraph, mats, dim: int, loops=None):
     """Direct enumeration over all vertex labelings."""
     total = 0

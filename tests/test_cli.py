@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,24 @@ def test_string_assign_invalid_graph(tmp_path):
     graph = tmp_path / "graph.json"
     write(graph, {"colors": ["a"], "edges": [["a", "a"]]})
     assert main(["string-assign", str(graph), "--out", str(tmp_path)]) == 2
+
+
+def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # the parser is built once per process: no option of one call may leak
+    # into the next, whatever the subcommand
+    graph = tmp_path / "graph.json"
+    write(graph, {"colors": ["a", "b", "c"], "edges": [["a", "b"]]})
+    calls = [
+        (["traffic-check", FIXTURE, "--n", "2", "--draws", "1", "--seed", "4"], "report.json"),
+        (["string-assign", str(graph)], "assignment.json"),
+        (["traffic-check", FIXTURE], "report.json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for k, (argv, name) in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        assert main([*argv, "--out", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "permprod.cli", *argv, "--out", str(fresh)], check=True, env=env)
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_traffic_check_bundled_fixture(tmp_path):
@@ -356,6 +376,12 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         ("converge", dict(CONVERGE, norm_bound=float("nan"))),
         ("converge", dict(CONVERGE, norm_bound=float("inf"))),
         ("converge", dict(CONVERGE, slope_band=[float("-inf"), -0.6])),
+        ("string-assign", {"colors": ["B", None], "edges": []}),
+        ("string-assign", {"colors": ["B", 3], "edges": []}),
+        ("string-assign", {"colors": ["B", "G"], "edges": [None]}),
+        ("string-assign", {"colors": ["B", "G"], "edges": [["B", 3]]}),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [dict(GCC_CLAIM, pi={"s": [[0, 1], []]})]})),
+        ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": {"s": [[0, 1], []]}})),
     ],
     ids=[
         "short-test-edge",
@@ -397,13 +423,20 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         "converge-norm-bound-nan",
         "converge-norm-bound-infinite",
         "converge-slope-band-infinite",
+        "colors-entry-null",
+        "colors-entry-a-number",
+        "edges-entry-null",
+        "edges-entry-color-a-number",
+        "traffic-gcc-tree-claim-empty-block",
+        "traffic-rho-claim-empty-block",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     write(cfg, config)
     assert main([*command.split(), str(cfg), "--out", str(tmp_path)]) == 2
-    assert "input-error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input-error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entry", ["1e400", "NaN"])

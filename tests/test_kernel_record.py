@@ -14,18 +14,27 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from permprod import chains, serialize, traffic, verify
-from permprod.digraphs import is_two_edge_connected
+from permprod.digraphs import DiGraph, _bridge_forest, is_two_edge_connected, two_edge_decompose
 from permprod.partitions import Partition
 from permprod.traffic import (
     PARTITION_GUARD,
+    TestGraph,
     _KernelRecord,
+    all_gcc_trees,
     color_quotient,
     enumerate_admissible,
     enumerate_tree_partitions,
+    growth_exponent,
     h_sc,
 )
-from helpers import three_color_model
-from oracles import all_gcc_trees_by_oracles, exponent_suite_by_oracles, h_sc_gcc, string_major_growth_exponent
+from helpers import example_test_graph, make_test_graph, three_color_model
+from oracles import (
+    all_gcc_trees_by_oracles,
+    brute_leaf_count,
+    exponent_suite_by_oracles,
+    h_sc_gcc,
+    string_major_growth_exponent,
+)
 from test_kernel_pass import graphs_under_test
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "appendix_a.json")
@@ -89,9 +98,37 @@ def test_trusted_from_labels_equals_validated_partition(labels):
     for i, lab in enumerate(labels):
         fibers.setdefault(lab, []).append(i)
     got, want = Partition.from_labels(labels), Partition.of(len(labels), fibers.values())
-    assert (got.ground_size, got.blocks, got._block_of) == (want.ground_size, want.blocks, want._block_of)
+    assert (got.ground_size, got.blocks, got.labels) == (want.ground_size, want.blocks, want.labels)
     assert got == want and hash(got) == hash(want)
     assert Partition(got.ground_size, got.blocks) == got  # passes full validation
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    )
+)
+def test_int_leaf_count_equals_the_decomposition(case):
+    # random multigraphs: self-loops and parallel edges included
+    n, edges = case
+    g = DiGraph.of(n, edges)
+    assert _bridge_forest(n, edges)[3] == two_edge_decompose(g).leaf_count == brute_leaf_count(g)
+
+
+def test_cached_record_follows_the_graph_it_is_called_with():
+    # the public functions share one record per graph object; interleaved
+    # calls over A, B, A and a new object equal to A must each answer as a
+    # cache-free, tuple-by-tuple recomputation does
+    a = example_test_graph()
+    b = make_test_graph(a.assignment, 6, list(zip(a.digraph.edges, ("G", "G", "B", "R", "G", "B", "G", "B"))))
+    a_copy = TestGraph(a.assignment, a.digraph, a.edge_colors, a.labels)
+    assert a_copy is not a
+    tuples = {id(t): list(enumerate_admissible(t)) for t in (a, b, a_copy)}
+    for k in range(120):
+        for t in (a, b, a, a_copy):
+            pi = tuples[id(t)][k * 7 % len(tuples[id(t)])]
+            got = (growth_exponent(t, pi), all_gcc_trees(t, pi))
+            assert got == (string_major_growth_exponent(t, pi), all_gcc_trees_by_oracles(t, pi))
 
 
 def counting(monkeypatch, name):
@@ -108,8 +145,8 @@ def counting(monkeypatch, name):
 
 def test_each_memo_key_builds_one_quotient(monkeypatch):
     graphs = [t for t in graphs_under_test() if len(t.assignment.strings) == 3 and is_two_edge_connected(t.digraph)]
-    quotients = counting(monkeypatch, "quotient_digraph")
-    decompositions = counting(monkeypatch, "two_edge_decompose")
+    quotients = counting(monkeypatch, "_color_summary")
+    decompositions = counting(monkeypatch, "_bridge_forest")
     for t in graphs:
         keys, edged = set(), set()
         colors = {c for s in t.assignment.strings for c in t.assignment.colors_of(s)}
@@ -133,16 +170,14 @@ def test_each_memo_key_builds_one_quotient(monkeypatch):
 def test_tree_search_reuses_each_colors_latest_summary(monkeypatch):
     # the tree search keeps each color's latest summary, so no color's
     # summary is built twice in a row on the same kernels of its strings
-    meets = counting(monkeypatch, "meet_many")
-    quotients = counting(monkeypatch, "quotient_digraph")
+    quotients = counting(monkeypatch, "_color_summary")
     built = 0
     for t in graphs_under_test():
-        meets.clear()
         quotients.clear()
         list(enumerate_tree_partitions(t))
         latest = {}
-        for (kernels,), (g, _) in zip(meets, quotients, strict=True):
-            assert latest.get(id(g)) != kernels
-            latest[id(g)] = kernels
+        for edges, kernels, _ in quotients:
+            assert latest.get(id(edges)) != kernels
+            latest[id(edges)] = kernels
         built += len(quotients)
     assert built > 1000

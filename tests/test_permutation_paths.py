@@ -44,7 +44,15 @@ from permprod.tensor import (
     permutation_images,
     sample_uniform_permutation,
 )
-from helpers import disjoint_string_model, shared_string_model, three_color_model
+from permprod.traffic import (
+    LoopedTestGraph,
+    TestGraph,
+    color_injective_trace,
+    enumerate_admissible,
+    gamma_expected_formula,
+)
+from helpers import disjoint_string_model, example_test_graph, make_test_graph, shared_string_model, three_color_model
+from test_kernel_pass import seeded_two_edge_connected
 
 EXACT_MODES = list(itertools.product(("permutation", "cycle", "identity"), ("identity", "signs")))
 
@@ -278,3 +286,32 @@ def test_hamming_check_survives_optimized_mode():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "raised"
+
+
+def densified(t):
+    """The same test graph with every permutation label as its dense block matrix."""
+    return TestGraph(
+        t.assignment, t.digraph, t.edge_colors, tuple(StructuredMatrix.dense(lab.support, lab.n, lab.entries) for lab in t.labels)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expectation_formula_chases_permutation_labels_exactly(n):
+    # gamma_expected_formula and color_injective_trace chase a permutation
+    # label through its image array; the dense chase of its 0/1 matrix is the oracle
+    _, three = three_color_model()
+    graphs = [example_test_graph(n, "permutation", 5)] + [
+        make_test_graph(three, g.digraph.vertex_count, list(zip(g.digraph.edges, g.edge_colors)), n, "permutation", i)
+        for i, g in enumerate(seeded_two_edge_connected(three, "BGR", 1, 6))
+    ]
+    nonzero = 0
+    for t in graphs:
+        dense = densified(t)
+        looped, looped_dense = LoopedTestGraph.with_identity(t), LoopedTestGraph.with_identity(dense)
+        for pi in enumerate_admissible(t):
+            got = gamma_expected_formula(looped, pi, n)
+            assert got == gamma_expected_formula(looped_dense, pi, n)
+            nonzero += got != 0
+            for c in sorted(set(t.edge_colors)):
+                assert color_injective_trace(t, pi, c, n) == color_injective_trace(dense, pi, c, n)
+    assert nonzero >= 5
