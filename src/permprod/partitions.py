@@ -26,7 +26,7 @@ def _codes(labels: Iterable) -> tuple[int, ...]:
     return tuple([seen.setdefault(x, len(seen)) for x in labels])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A partition of {0, .., ground_size-1} into disjoint nonempty blocks."""
 

@@ -104,7 +104,7 @@ class LoopedTestGraph:
         return LoopedTestGraph(base, tuple(ones for _ in range(base.digraph.vertex_count)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiPartition:
     """One vertex partition per string, aligned with the sorted string list."""
 
