@@ -178,7 +178,7 @@ def _restricted_growth(n: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield prefix
             return
-        for k in range(top + 2):  # a new block, or any block opened so far
+        for k in range(top + 2):  # any block opened so far, or a new one
             yield from extend(prefix + (k,), max(top, k))
 
     return extend((), -1)
