@@ -68,6 +68,7 @@ from .sofic import (
     pad_rep,
     reduce_word,
     word_triviality,
+    word_trivialities,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

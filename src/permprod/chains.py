@@ -54,6 +54,7 @@ from .traffic import (
 
 X_MODES = ("permutation", "cycle", "unitary", "identity", "fixture")
 LAMBDA_MODES = ("identity", "signs", "fixture")
+SAMPLE_GUARD = 2**26  # samples * sum of dim over the N grid: full-space points one converge run chases
 
 
 @dataclass(frozen=True)
@@ -376,10 +377,12 @@ def monte_carlo_values(
     (N, sample), aggregated in sample order so worker count cannot change
     the output.  The letters and diagonals are drawn once per N; each sample
     draws only its conjugating permutations."""
-    for n in n_grid:
-        dim = MultiIndexSpace.of(spec.assignment.strings, n).total_dim
+    dims = [MultiIndexSpace.of(spec.assignment.strings, n).total_dim for n in n_grid]
+    for n, dim in zip(n_grid, dims):
         if dim > POINT_GUARD:
             raise GuardExceeded(f"full-space dimension {dim} at N={n} exceeds point guard {POINT_GUARD}")
+    if samples * sum(dims) > SAMPLE_GUARD:
+        raise GuardExceeded(f"{samples} samples of {sum(dims)} points over the N grid exceed sample guard {SAMPLE_GUARD}")
     out: dict[int, list[float]] = {}
     for n in n_grid:
         draw = ChainDraw.of(spec, n, seed)

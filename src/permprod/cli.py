@@ -226,15 +226,16 @@ def _cmd_sofic_certify(args) -> int:
     rep = sofic.graph_product_rep(g, a, reps, n, seed)
     words = _words_from_config(data, g, groups)
     cert = sofic.certify(rep, words)
+    max_deviation = cert.max_deviation
     threshold = Fraction(str(data.get("threshold", "0.5")))
     payload = {
         "n": n,
         "seed": seed,
-        "max_deviation": float(cert.max_deviation),
+        "max_deviation": float(max_deviation),
         "threshold": float(threshold),
         "words": [
             {
-                "word": [list(l) for l in e.word],
+                "word": e.word,
                 "trivial": e.trivial,
                 "trace": {"num": e.trace.numerator, "den": e.trace.denominator},
                 "deviation": float(e.deviation),
@@ -245,46 +246,51 @@ def _cmd_sofic_certify(args) -> int:
     serialize.dump_json(os.path.join(args.out, "certificate.json"), payload)
     with open(os.path.join(args.out, "certificate.csv"), "w") as fh:
         fh.write("\n".join(cert.csv_lines()) + "\n")
-    if cert.max_deviation > threshold:
+    if max_deviation > threshold:
         print("check-failed: max deviation above threshold", file=sys.stderr)
         return EXIT_FAILED
     return EXIT_OK
 
 
 def _words_from_config(data: dict, g, groups):
+    """The words to certify, each with its triviality.  The alphabet runs
+    (c, 1), (c, -1), (c, 2), ... per color; words up to `max_length` are
+    tuples of the alphabet's own letter objects, and an explicit word's
+    letters are checked against the alphabet here, once."""
+    alphabet = {}  # (color, signed index) -> (color, group element)
+    for c in g.colors:
+        group = groups[c]
+        for j in range(1, 2 if group == sofic.INTEGERS else len(group.generators) + 1):
+            for sj in (j, -j):
+                alphabet[(c, sj)] = (c, sj if group == sofic.INTEGERS else group.generator(sj))
     spec = data.get("words", {"max_length": 3})
     if isinstance(spec, dict):
-        alphabet = []
-        for c in g.colors:
-            group = groups[c]
-            count = 1 if group == sofic.INTEGERS else len(group.generators)
-            for j in range(1, count + 1):
-                alphabet.append((c, j))
-                alphabet.append((c, -j))
-        words = []
-        for m in range(1, serialize.json_int(spec["max_length"], "words max_length") + 1):
-            words.extend(itertools.product(alphabet, repeat=m))
+        # no letter, or two or more: the words past this length are none, or
+        # past the guard already, so none is ever counted or enumerated
+        max_length = min(serialize.json_int(spec["max_length"], "words max_length"), sofic.WORD_GUARD.bit_length())
+        if sum(len(alphabet) ** m for m in range(1, max_length + 1)) > sofic.WORD_GUARD:
+            raise GuardExceeded(f"words up to length {spec['max_length']} exceed the word guard {sofic.WORD_GUARD}")
+        words = [w for m in range(1, max_length + 1) for w in itertools.product(alphabet, repeat=m)]
     else:
-        words = [tuple(map(_word_letter, serialize.json_list(w, "word"))) for w in serialize.json_list(spec, "words")]
+        words = [
+            tuple(_word_letter(x, alphabet) for x in serialize.json_list(w, "word"))
+            for w in serialize.json_list(spec, "words")
+        ]
+        if len(words) > sofic.WORD_GUARD:
+            raise GuardExceeded(f"{len(words)} words exceed the word guard {sofic.WORD_GUARD}")
     if not words:
         raise ValueError("words name no word to certify")
-    out = []
-    for w in words:
-        letters = []
-        for c, j in w:
-            group = groups[c]
-            if group == sofic.INTEGERS:
-                letters.append((c, 1 if j > 0 else -1))
-            else:
-                letters.append((c, group.generator(j)))
-        out.append((w, sofic.word_triviality(g, groups, letters)))
-    return out
+    return list(zip(words, sofic.word_trivialities(g, groups, words, alphabet)))
 
 
-def _word_letter(x) -> tuple[str, int]:
+def _word_letter(x, alphabet: dict) -> tuple[str, int]:
     if not (isinstance(x, list) and len(x) == 2):
         raise ValueError(f"a word letter must be a JSON [color, index] pair, not {x!r}")
-    return str(x[0]), serialize.json_int(x[1], "word letter index")
+    letter = str(x[0]), serialize.json_int(x[1], "word letter index")
+    if letter not in alphabet:
+        indices = [j for c, j in alphabet if c == letter[0]]
+        raise ValueError(f"word letter {x!r} names no generator: color {letter[0]!r} has the indices {indices}")
+    return letter
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from .tensor import (
 )
 
 TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
+WORD_GUARD = 2**17  # words one sofic-certify call certifies (a reduction, an entry and a JSON record each)
+COMPARE_POINTS = 2**20  # image points that `certify` compares against one head at once
 
 
 def _check_order(n: int) -> None:
@@ -319,6 +321,25 @@ def word_triviality(g: ColorGraph, vertex_groups: dict, word: Sequence[tuple[str
     return not reduce_word(g, vertex_groups, word)
 
 
+def word_trivialities(g: ColorGraph, vertex_groups: dict, words: Iterable[Sequence], element: dict) -> list[bool]:
+    """`word_triviality` of each word, with `element` mapping each letter to
+    its (color, group element) letter.  Each distinct word is reduced once,
+    and a word whose head (the word without its last letter) came before is
+    reduced from the head's reduced form and the last letter: reduction keeps
+    the group element, and a reduced word is trivial exactly when it is
+    empty.  The reduced forms live for this call, so every word in product
+    order reduces one letter onto a known head."""
+    reduced: dict[tuple, list] = {(): []}
+    out = []
+    for word in map(tuple, words):
+        if word not in reduced:
+            head = reduced.get(word[:-1])
+            letters = [element[x] for x in (word if head is None else word[-1:])]
+            reduced[word] = reduce_word(g, vertex_groups, (head or []) + letters)
+        out.append(not reduced[word])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -341,11 +362,14 @@ class SoficCertificate:
 
     def csv_lines(self) -> list[str]:
         lines = ["word,truth,trace_num,trace_den,deviation"]
+        names: dict = {}  # letter -> its text
+        tails: dict = {}  # the ids of an entry's truth, trace and deviation -> the rest of its line
         for e in self.entries:
-            word = " ".join(_letter_str(l) for l in e.word)
-            lines.append(
-                f"{word},{int(e.trivial)},{e.trace.numerator},{e.trace.denominator},{float(e.deviation):.12e}"
-            )
+            word = " ".join([names.get(l) or names.setdefault(l, _letter_str(l)) for l in e.word])
+            key = (e.trivial, id(e.trace), id(e.deviation))  # the entries keep both objects alive
+            if key not in tails:
+                tails[key] = f"{int(e.trivial)},{e.trace.numerator},{e.trace.denominator},{float(e.deviation):.12e}"
+            lines.append(f"{word},{tails[key]}")
         return lines
 
 
@@ -355,25 +379,35 @@ def _letter_str(letter) -> str:
     return str(letter)
 
 
-def certify(rep, words_with_truth: Sequence[tuple[Sequence, bool]]) -> SoficCertificate:
+def certify(rep, words_with_truth: Iterable[tuple[Sequence, bool]]) -> SoficCertificate:
     """Exact trace and deviation from the trivial-word indicator, per word.
 
     `rep` supplies `dim` and `images(letter)`, the cached image array of a
-    signed letter.  A stack holds the image arrays of the current word's
-    prefixes, so a word shares the work of its common prefix with the word
-    before it (words in any order give the same traces; sorted lists share
-    the most).  The last letter Z is never composed: the word Q Z fixes b
-    exactly when Q(b) = Z^-1(b), so its trace is one comparison against
-    Z^-1's image array.  Memory O(max word length * dim).
+    signed letter (a hashable letter: a signed index, or a (color, signed
+    index) tuple).  The last letter Z of a word is never composed: the word
+    Q Z fixes b exactly when Q(b) = Z^-1(b).  So each run of consecutive words
+    with one head Q (the word without its last letter) takes Q's image array
+    once and counts every word of the run in one comparison against the
+    stacked Z^-1 image arrays of the run's distinct last letters.  The latest
+    stack is kept, so words in product order stack the alphabet once.  A stack
+    holds the image arrays of the current head's prefixes, so a head shares
+    the work of its common prefix with the head before it.  Words in any
+    order give the same traces (sorted lists share the most), and a word may
+    repeat or be empty (trace 1).  Memory O(max word length * dim +
+    COMPARE_POINTS).
     """
     dim = rep.dim
     prefix: list = []  # letters whose product is stacked
     stack = [np.arange(dim, dtype=np.int64)]  # stack[t]: images of prefix[:t]
+    rows = max(1, COMPARE_POINTS // dim)  # last letters compared at once
+    stacked_key, stacked = None, None  # the latest last letters and their inverses' image arrays
+    pairs: dict = {}  # (fixed points, trivial) -> (trace, deviation)
     entries = []
-    for word, trivial in words_with_truth:
-        word = tuple(word)
-        if word:
-            head = word[:-1]
+    items = ((tuple(w), bool(t)) for w, t in words_with_truth)
+    for head, run in itertools.groupby(items, key=lambda item: item[0][:-1] if item[0] else None):
+        run = list(run)
+        fixed = {}
+        if head is not None:
             keep = 0
             while keep < min(len(prefix), len(head)) and prefix[keep] == head[keep]:
                 keep += 1
@@ -381,14 +415,20 @@ def certify(rep, words_with_truth: Sequence[tuple[Sequence, bool]]) -> SoficCert
             for letter in head[keep:]:
                 stack.append(stack[-1][rep.images(letter)])
                 prefix.append(letter)
-            fixed = int(np.count_nonzero(stack[-1] == rep.images(_inverse_letter(word[-1]))))
-        else:
-            fixed = dim
-        trace = Fraction(fixed, dim)
-        if not 0 <= trace <= 1:
-            raise AssertionError("trace outside [0, 1]")
-        deviation = abs(trace - (1 if trivial else 0))
-        entries.append(CertificateEntry(word, bool(trivial), trace, deviation))
+            last = list(dict.fromkeys(word[-1] for word, _ in run))
+            for i in range(0, len(last), rows):
+                key = tuple(last[i : i + rows])
+                if key != stacked_key:
+                    stacked_key, stacked = key, np.stack([rep.images(_inverse_letter(z)) for z in key])
+                fixed.update(zip(key, np.count_nonzero(stacked == stack[-1], axis=1).tolist()))
+        for word, trivial in run:
+            count = fixed[word[-1]] if word else dim
+            if (count, trivial) not in pairs:
+                trace = Fraction(count, dim)
+                if not 0 <= trace <= 1:
+                    raise AssertionError("trace outside [0, 1]")
+                pairs[(count, trivial)] = (trace, abs(trace - trivial))
+            entries.append(CertificateEntry(word, trivial, *pairs[(count, trivial)]))
     return SoficCertificate(tuple(entries))
 
 

@@ -382,6 +382,9 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         ("string-assign", {"colors": ["B", "G"], "edges": [["B", 3]]}),
         ("traffic-check", dict(LABEL_FIXTURE, claims={"gcc_trees": [dict(GCC_CLAIM, pi={"s": [[0, 1], []]})]})),
         ("traffic-check", dict(LABEL_FIXTURE, claims={"rho": {"s": [[0, 1], []]}})),
+        ("sofic-certify", dict(sofic_config({"a": "Z"}), words=[[["a", 1], ["a", 5]]])),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["b", 1]]])),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["a", 0]]])),
     ],
     ids=[
         "short-test-edge",
@@ -429,6 +432,9 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         "edges-entry-color-a-number",
         "traffic-gcc-tree-claim-empty-block",
         "traffic-rho-claim-empty-block",
+        "sofic-letter-past-the-generators",
+        "sofic-letter-of-no-color",
+        "sofic-letter-index-zero",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -467,3 +473,54 @@ def test_memory_error_is_a_guard_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(verify, "exponent_suite", exhausted)
     assert main(["traffic-check", FIXTURE, "--n", "2", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("guard: ")
+
+
+def test_word_letter_errors_name_the_letter_as_written(tmp_path, capsys):
+    # the inverse of a word's last letter was named before, and a Z letter's
+    # index past 1 was read as 1 by the word problem
+    cfg = tmp_path / "letters.json"
+    write(cfg, dict(sofic_config({"a": "Z"}), words=[[["a", 1]], [["a", 1], ["a", 5]]]))
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "word letter ['a', 5]" in err and "-5" not in err
+
+
+THREE_COLORS = {
+    "colors": ["B", "G", "R"],
+    "edges": [["B", "R"]],
+    "vertex_groups": {"B": "cyclic:3", "G": "Z", "R": "cyclic:2"},
+    "n": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, guard",
+    [
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 14}), None),  # 6**14 words, counted, not enumerated
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 10**9}), None),
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 3}), ("sofic", "WORD_GUARD", 257)),  # 258 words
+        ("sofic-certify", dict(THREE_COLORS, words=[[["B", 1]]] * 3), ("sofic", "WORD_GUARD", 2)),
+        ("converge", dict(CONVERGE, samples=100000000), None),
+        ("converge", dict(CONVERGE, samples=3), ("chains", "SAMPLE_GUARD", 3 * (2 + 4) - 1)),
+    ],
+    ids=["sofic-max-length-14", "sofic-max-length-huge", "sofic-words-past-guard", "sofic-word-list-past-guard",
+         "converge-samples-huge", "converge-samples-past-guard"],
+)
+def test_guards_refuse_before_the_work(tmp_path, capsys, monkeypatch, command, config, guard):
+    if guard is not None:
+        module, name, value = guard
+        monkeypatch.setattr(f"permprod.{module}.{name}", value)
+    cfg = tmp_path / "big.json"
+    write(cfg, config)
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and "guard" in err[len("guard: "):]
+    assert os.listdir(tmp_path) == ["big.json"]  # nothing written
+
+
+def test_word_guard_counts_words_exactly(tmp_path, monkeypatch):
+    monkeypatch.setattr("permprod.sofic.WORD_GUARD", 258)  # 6 + 36 + 216 words up to length 3
+    cfg = tmp_path / "words.json"
+    write(cfg, dict(THREE_COLORS, words={"max_length": 3}))
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(json.load(open(tmp_path / "certificate.json"))["words"]) == 258

@@ -1,9 +1,16 @@
+import json
+import math
 import os
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from permprod import serialize
 from permprod.serialize import (
+    dump_json,
     load_json,
     matrix_from_dict,
     matrix_to_dict,
@@ -99,3 +106,75 @@ def test_multipartition_from_dict():
     mp = multipartition_from_dict({"1": [[0, 1], [2]], "2": [[0], [1], [2]]}, 3)
     assert mp.part("1").blocks == ((0, 1), (2,))
     assert mp.part("2").num_blocks == 3
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)  # past 2**64
+    | st.floats()  # nan and both infinities included
+    | st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf])
+    | st.text(st.characters(), max_size=6)  # non-ASCII, quotes, backslashes and control characters
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+# (JSON_SMALL, JSON_KEPT) of the writer: its defaults; every container
+# streamed and the kept texts dropped every third; only one-item containers
+# written whole
+STREAM_SETTINGS = [(serialize.JSON_SMALL, serialize.JSON_KEPT), (0, 3), (1, 5)]
+
+
+def json_bytes(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def dumped(path, value, small, kept) -> str:
+    with mock.patch.object(serialize, "JSON_SMALL", small), mock.patch.object(serialize, "JSON_KEPT", kept):
+        dump_json(path, value)
+    with open(path, "rb") as fh:
+        return fh.read().decode("ascii")
+
+
+@given(value=JSON_VALUES)
+def test_dump_json_writes_the_bytes_json_writes(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "dump.json"
+    for small, kept in STREAM_SETTINGS:
+        assert dumped(path, value, small, kept) == json_bytes(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1: "a", -(2**70): "b"},
+        [{1.5: 0, 0.0: 1, math.inf: 2}, {-0.0: 3, math.nan: 4}],  # 0.0 and -0.0 write differently
+        {True: 1, False: 2},
+        [{None: []}, {"": {}}],
+        [np.float64(0.1), (), {}, [[]]],
+    ],
+    ids=["int-keys", "float-keys", "bool-keys", "null-and-empty", "float-subclass-and-empties"],
+)
+def test_dump_json_keys_and_scalars_like_json(tmp_path, value):
+    for small, kept in STREAM_SETTINGS:
+        assert dumped(tmp_path / "d.json", value, small, kept) == json_bytes(value)
+
+
+def test_dump_json_shared_subobjects_at_two_depths(tmp_path):
+    # kept texts are keyed by indentation too, and dropped at every write
+    letter, trace = ("B", -1), {"num": 1, "den": 2}
+    shared = [letter, {"x": letter, "t": trace}]
+    value = {"a": shared, "b": [shared, [shared, letter]], "words": [{"word": (letter,) * k, "trace": trace} for k in range(200)]}
+    for small, kept in STREAM_SETTINGS:
+        assert dumped(tmp_path / "d.json", value, small, kept) == json_bytes(value)
+
+
+@pytest.mark.parametrize("value", [[np.int64(1)], {"a": Fraction(1, 2)}, Fraction(1, 2), {np.int64(1): 0}, {(1, 2): 0}])
+def test_dump_json_refuses_what_json_refuses(tmp_path, value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dump_json(tmp_path / "d.json", value)

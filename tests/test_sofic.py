@@ -326,3 +326,52 @@ def test_certificate_csv_shape():
     lines = cert.csv_lines()
     assert lines[0] == "word,truth,trace_num,trace_den,deviation"
     assert len(lines) == 3
+
+
+WORD_PATH_MODELS = [  # vertex groups over Z, cyclic:1 (whose generator is the identity), cyclic:2 and S3
+    ({"a": INTEGERS, "b": FiniteGroupTable.cyclic(2)}, [("a", "b")]),
+    ({"a": FiniteGroupTable.cyclic(1), "b": symmetric_group_table(3), "c": FiniteGroupTable.cyclic(2)}, [("a", "b")]),
+    ({"a": INTEGERS, "b": FiniteGroupTable.cyclic(1), "c": symmetric_group_table(3)}, []),
+]
+
+
+@pytest.mark.parametrize("groups, edges", WORD_PATH_MODELS, ids=["Z-C2-edge", "C1-S3-C2-edge", "Z-C1-S3-free"])
+def test_prefix_shared_word_path_equals_the_per_word_oracle(groups, edges):
+    from permprod.cli import _words_from_config
+
+    g = ColorGraph.of(list(groups), edges)
+    a = build_string_assignment(g)
+    n = 2
+    while any(n ** len(a.strings_of(c)) < (2 if grp == INTEGERS else grp.order) for c, grp in groups.items()):
+        n += 1
+    reps = {}
+    for c, grp in groups.items():
+        dim = n ** len(a.strings_of(c))
+        reps[c] = cyclic_shift_rep(dim) if grp == INTEGERS else pad_rep(left_regular_rep(grp), dim)
+    rep = graph_product_rep(g, a, reps, n, seed=3)
+    # every word up to length 4 in product order, its triviality shared by prefix
+    shared = _words_from_config({"words": {"max_length": 4}}, g, groups)
+    element = {(c, j): (c, j if groups[c] == INTEGERS else groups[c].generator(j)) for w, _ in shared for c, j in w}
+    oracle = {(): (True, Fraction(1))}
+    for w, trivial in shared:
+        oracle[w] = (word_triviality(g, groups, [element[l] for l in w]), Fraction(rep.word_permutation(w).fixed_points(), rep.dim))
+        assert trivial == oracle[w][0], w
+    words = [w for w, _ in shared]
+    shuffled = words[::3] + words[:50] + [()] + words[1::3] + [(), ()] + words[2::3]
+    np.random.default_rng(0).shuffle(shuffled)
+    for order in (words, words[::-1], [()] + shuffled):
+        assert sofic.word_trivialities(g, groups, order, element) == [oracle[w][0] for w in order]
+        cert = certify(rep, [(w, oracle[w][0]) for w in order])
+        assert [(e.word, e.trivial, e.trace) for e in cert.entries] == [(w, *oracle[w]) for w in order]
+        assert all(e.deviation == abs(e.trace - e.trivial) for e in cert.entries)
+
+
+def test_certify_compares_in_batches_of_the_point_budget(monkeypatch):
+    # a batch smaller than the run's last letters gives the same traces
+    g = symmetric_group_table(3)
+    rep = pad_rep(left_regular_rep(g), 8)
+    words = [(w, g.word_is_trivial(w)) for w in all_signed_words(2, 3)]
+    want = [e.trace for e in certify(rep, words).entries]
+    monkeypatch.setattr(sofic, "COMPARE_POINTS", 2 * rep.dim)
+    assert [e.trace for e in certify(rep, words).entries] == want
+    assert want == [rep.word_trace(w) for w, _ in words]
