@@ -394,7 +394,8 @@ def certify(rep, words_with_truth: Iterable[tuple[Sequence, bool]]) -> SoficCert
     the work of its common prefix with the head before it.  Words in any
     order give the same traces (sorted lists share the most), and a word may
     repeat or be empty (trace 1).  Memory O(max word length * dim +
-    COMPARE_POINTS).
+    COMPARE_POINTS); `sofic-certify` counts its words against WORD_GUARD
+    before it enumerates any.
     """
     dim = rep.dim
     prefix: list = []  # letters whose product is stacked

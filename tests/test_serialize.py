@@ -129,6 +129,9 @@ JSON_VALUES = st.recursive(
 STREAM_SETTINGS = [(serialize.JSON_SMALL, serialize.JSON_KEPT), (0, 3), (1, 5)]
 
 
+ESCAPED = "\u00e9\"\\\n\x00\x1f\u2028\U0001f600"  # non-ASCII, a quote, a backslash, control characters
+
+
 def json_bytes(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
@@ -155,8 +158,9 @@ def test_dump_json_writes_the_bytes_json_writes(tmp_path_factory, value):
         {True: 1, False: 2},
         [{None: []}, {"": {}}],
         [np.float64(0.1), (), {}, [[]]],
+        {ESCAPED: [ESCAPED, 2**70, -(2**65), -0.0, 5e-324]},
     ],
-    ids=["int-keys", "float-keys", "bool-keys", "null-and-empty", "float-subclass-and-empties"],
+    ids=["int-keys", "float-keys", "bool-keys", "null-and-empty", "float-subclass-and-empties", "escapes-and-big-ints"],
 )
 def test_dump_json_keys_and_scalars_like_json(tmp_path, value):
     for small, kept in STREAM_SETTINGS:
@@ -164,10 +168,11 @@ def test_dump_json_keys_and_scalars_like_json(tmp_path, value):
 
 
 def test_dump_json_shared_subobjects_at_two_depths(tmp_path):
-    # kept texts are keyed by indentation too, and dropped at every write
+    # kept texts are keyed by indentation too, and dropped every JSON_KEPT
     letter, trace = ("B", -1), {"num": 1, "den": 2}
     shared = [letter, {"x": letter, "t": trace}]
-    value = {"a": shared, "b": [shared, [shared, letter]], "words": [{"word": (letter,) * k, "trace": trace} for k in range(200)]}
+    words = [{"word": (letter,) * k, "trace": trace} for k in range(200)]
+    value = {"a": shared, "b": [shared, [shared, letter]], "words": words}
     for small, kept in STREAM_SETTINGS:
         assert dumped(tmp_path / "d.json", value, small, kept) == json_bytes(value)
 

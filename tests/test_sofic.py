@@ -354,12 +354,14 @@ def test_prefix_shared_word_path_equals_the_per_word_oracle(groups, edges):
     element = {(c, j): (c, j if groups[c] == INTEGERS else groups[c].generator(j)) for w, _ in shared for c, j in w}
     oracle = {(): (True, Fraction(1))}
     for w, trivial in shared:
-        oracle[w] = (word_triviality(g, groups, [element[l] for l in w]), Fraction(rep.word_permutation(w).fixed_points(), rep.dim))
+        trace = Fraction(rep.word_permutation(w).fixed_points(), rep.dim)
+        oracle[w] = (word_triviality(g, groups, [element[l] for l in w]), trace)
         assert trivial == oracle[w][0], w
     words = [w for w, _ in shared]
     shuffled = words[::3] + words[:50] + [()] + words[1::3] + [(), ()] + words[2::3]
     np.random.default_rng(0).shuffle(shuffled)
-    for order in (words, words[::-1], [()] + shuffled):
+    repeated = [()] + shuffled + [words[7]] * 3 + [words[-1], words[-2], words[-1]]  # one head, a last letter twice
+    for order in (words, words[::-1], repeated):
         assert sofic.word_trivialities(g, groups, order, element) == [oracle[w][0] for w in order]
         cert = certify(rep, [(w, oracle[w][0]) for w in order])
         assert [(e.word, e.trivial, e.trace) for e in cert.entries] == [(w, *oracle[w]) for w in order]
