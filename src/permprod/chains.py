@@ -376,7 +376,9 @@ def monte_carlo_values(
     """Per-N sample values of the squared norm; independent streams per
     (N, sample), aggregated in sample order so worker count cannot change
     the output.  The letters and diagonals are drawn once per N; each sample
-    draws only its conjugating permutations."""
+    draws only its conjugating permutations.  Only dense draws run on
+    `workers` threads: a monomial point chase runs slower on two threads
+    than on one."""
     dims = [MultiIndexSpace.of(spec.assignment.strings, n).total_dim for n in n_grid]
     for n, dim in zip(n_grid, dims):
         if dim > POINT_GUARD:
@@ -386,7 +388,7 @@ def monte_carlo_values(
     out: dict[int, list[float]] = {}
     for n in n_grid:
         draw = ChainDraw.of(spec, n, seed)
-        if workers and workers > 1:
+        if workers and workers > 1 and not draw.monomial:
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
                 vals = list(pool.map(lambda s: _one_sample(draw, seed, s), range(samples)))
         else:

@@ -214,7 +214,7 @@ def _cmd_sofic_certify(args) -> int:
     for c in g.colors:
         dim = n ** len(a.strings_of(c))
         group = groups[c]
-        if group == sofic.INTEGERS:
+        if group is sofic.INTEGERS:
             reps[c] = sofic.cyclic_shift_rep(dim)
         else:
             base = sofic.left_regular_rep(group)
@@ -260,9 +260,9 @@ def _words_from_config(data: dict, g, groups):
     alphabet = {}  # (color, signed index) -> (color, group element)
     for c in g.colors:
         group = groups[c]
-        for j in range(1, 2 if group == sofic.INTEGERS else len(group.generators) + 1):
+        for j in range(1, 2 if group is sofic.INTEGERS else len(group.generators) + 1):
             for sj in (j, -j):
-                alphabet[(c, sj)] = (c, sj if group == sofic.INTEGERS else group.generator(sj))
+                alphabet[(c, sj)] = (c, sj if group is sofic.INTEGERS else group.generator(sj))
     spec = data.get("words", {"max_length": 3})
     if isinstance(spec, dict):
         # no letter, or two or more: the words past this length are none, or

@@ -25,6 +25,7 @@ from .tensor import (
     MultiIndexSpace,
     Permutation,
     StructuredMatrix,
+    compose_images,
     lift_permutation,
     rng_stream,
     sample_uniform_permutation,
@@ -137,10 +138,7 @@ class GeneratorRep:
         return p if j > 0 else p.inverse()
 
     def word_permutation(self, word: Sequence[int]) -> Permutation:
-        out = Permutation.identity(self.n)
-        for j in word:
-            out = out.compose(self.letter(j))
-        return out
+        return compose_images(map(self.images, word), self.n)
 
     def word_trace(self, word: Sequence[int]) -> Fraction:
         return Fraction(self.word_permutation(word).fixed_points(), self.n)
@@ -223,11 +221,9 @@ class GraphProductRep:
         return certify(self, [(word, True)]).entries[0].trace
 
     def word_permutation(self, word: Sequence[tuple[str, int]]) -> Permutation:
-        """Materialized full-space permutation of a word (small spaces only)."""
-        out = Permutation.identity(self.space.total_dim)
-        for c, j in word:
-            out = out.compose(lift_permutation(self.letter(c, j), self.space))
-        return out
+        """Materialized full-space permutation of a word, from the cached
+        letter image arrays."""
+        return compose_images(map(self.images, word), self.dim)
 
 
 def graph_product_rep(
@@ -265,13 +261,13 @@ INTEGERS = "Z"  # marker for an infinite cyclic vertex group
 
 
 def _is_identity(group, payload) -> bool:
-    if group == INTEGERS:
+    if group is INTEGERS:
         return payload == 0
     return payload == group.identity
 
 
 def _mul(group, a, b):
-    if group == INTEGERS:
+    if group is INTEGERS:
         return a + b
     return group.mul(a, b)
 
@@ -288,7 +284,7 @@ def reduce_word(
         if c not in g.colors:
             raise ValueError(f"unknown color {c!r}")
         group = vertex_groups[c]
-        if group != INTEGERS and not 0 <= payload < group.order:
+        if group is not INTEGERS and not 0 <= payload < group.order:
             raise ValueError(f"letter {payload!r} not in the group for color {c!r}")
     changed = True
     while changed:

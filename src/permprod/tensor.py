@@ -5,20 +5,22 @@ the rest.  It holds dense values or a `Permutation` of its block, whose
 read-only image array is the one representation of a permutation from
 JSON to the full space.  There are two ways to act on the full space:
 
-- the dense path, `lift`, materializes a matrix as a dim x dim array
-  (`DENSE_GUARD` bounds its dim**2 entries) for the chain products, the
-  centered norms (O(dim^3)) and the einsum traces the exact paths are
-  tested against, while `lifted_columns` keeps only a dense block's nonzero
-  entries per full-space column; integer products that could pass int64
-  are taken in Python integers (`exact_operands`).  A permutation's 0/1
-  `entries` are built only when something reads them;
+- the dense path, `lift`, materializes a matrix as a dim x dim array by
+  scattering its block through `support_grid` (`DENSE_GUARD` bounds its
+  dim**2 entries) for the chain products, the centered norms (O(dim^3))
+  and the einsum traces the exact paths are tested against, while
+  `lifted_columns` keeps only a dense block's nonzero entries per
+  full-space column; integer products that could pass int64 are taken in
+  Python integers (`exact_operands`).  A permutation's 0/1 `entries` are
+  built only when something reads them;
 - the exact permutation path works on image arrays of length dim: a
   permutation of a block of strings becomes, through `lift_permutation`,
   the permutation of every full-space point (guarded by `POINT_GUARD`).
-  Words of permutations are traced by composing image arrays
-  (`perm_word_trace`), and alternating chains of permutations and
-  integer diagonals are monomial, so their centered norm is a point chase
-  in exact integers (`monomial_chain_norm_sq`), O(letters * dim).
+  Words of permutations are composed from their image arrays
+  (`compose_images`, traced by `perm_word_trace`), and alternating chains
+  of permutations and integer diagonals are monomial, so their centered
+  norm is a point chase in exact integers (`monomial_chain_norm_sq`),
+  O(letters * dim).
 
 Index convention: strings are sorted ascending; the first (lowest) string is
 the most significant digit of the mixed-radix encoding.
@@ -271,34 +273,17 @@ def conjugate_by_color(x: StructuredMatrix, sigma: Permutation) -> StructuredMat
 
 
 def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_GUARD) -> np.ndarray:
-    """Dense matrix of x acting on the full space, identity off the support."""
+    """Dense matrix of x acting on the full space, identity off the support:
+    one scatter of the block entries through `support_grid`."""
     if x.n != target.n:
         raise ValueError("side mismatch")
     if not set(x.support) <= set(target.strings):
         raise ValueError("support not contained in target space")
     _check_dense(target.total_dim, dense_guard)
-    n = x.n
-    k = len(target.strings)
-    m = len(x.support)
-    rest = [s for s in target.strings if s not in set(x.support)]
-    xt = x.entries.reshape((n,) * m + (n,) * m) if m else x.entries.reshape(())
-    eye = np.eye(n ** len(rest), dtype=x.entries.dtype)
-    it = eye.reshape((n,) * len(rest) + (n,) * len(rest)) if rest else eye.reshape(())
-    # outer product, then interleave axes back into sorted-string order
-    full = np.multiply.outer(xt, it)
-    sup_pos = {s: i for i, s in enumerate(x.support)}
-    rest_pos = {s: i for i, s in enumerate(rest)}
-    row_axes = []
-    col_axes = []
-    for s in target.strings:
-        if s in sup_pos:
-            row_axes.append(sup_pos[s])
-            col_axes.append(m + sup_pos[s])
-        else:
-            row_axes.append(2 * m + rest_pos[s])
-            col_axes.append(2 * m + len(rest) + rest_pos[s])
-    full = full.transpose(row_axes + col_axes)
-    return np.ascontiguousarray(full.reshape(target.total_dim, target.total_dim))
+    grid = support_grid(x.support, target)
+    out = np.zeros((target.total_dim, target.total_dim), dtype=x.entries.dtype)
+    out[grid[:, None, :], grid[None, :, :]] = x.entries[:, :, None]
+    return out
 
 
 def _check_dense(dim: int, dense_guard: int) -> None:
@@ -458,20 +443,25 @@ def centered_chain_norm_sq(ys: Sequence[np.ndarray]):
     return Fraction(total, dim)
 
 
-def perm_word_trace(factors: Sequence[StructuredMatrix], space: MultiIndexSpace) -> Fraction:
-    """Exact normalized trace of a product of permutations of string blocks.
+def compose_images(arrays: Iterable[np.ndarray], dim: int) -> Permutation:
+    """The product of a word of permutations of 0..dim-1, given as image
+    arrays in word (matrix product) order: the first letter is applied last.
+    The empty word is the identity.  O(len(arrays) * dim)."""
+    out = np.arange(dim, dtype=np.int64)
+    for images in arrays:
+        if images.shape != (dim,):
+            raise ValueError("size mismatch")
+        out = out[images]
+    return Permutation._trusted(out)
 
-    The product is composed on the full index set from each factor's image
-    array; the trace is the exact fixed-point fraction.  Cost
-    O(len(factors) * total_dim); no dense matrices.
-    """
-    pts = np.arange(space.total_dim, dtype=np.int64)
-    cur = pts
-    # matrix product Z_1 ... Z_m acts on points by applying Z_m first
-    for f in reversed(factors):
-        cur = lift_permutation(f, space).images[cur]
-    fixed = int(np.count_nonzero(cur == pts))
-    return Fraction(fixed, space.total_dim)
+
+def perm_word_trace(factors: Sequence[StructuredMatrix], space: MultiIndexSpace) -> Fraction:
+    """Exact normalized trace of a product of permutations of string blocks:
+    the fixed-point fraction of the lifted image arrays' composition.  Cost
+    O(len(factors) * total_dim); no dense matrices."""
+    dim = space.total_dim
+    word = compose_images((lift_permutation(f, space).images for f in factors), dim)
+    return Fraction(word.fixed_points(), dim)
 
 
 def monomial_chain_norm_sq(factors: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]) -> Fraction:

@@ -230,14 +230,9 @@ def _conjugated_labels(t: TestGraph, sigmas: dict[str, Permutation] | None) -> I
 
 def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int | None = None) -> list[np.ndarray]:
     """Dense full-space edge labels: each label conjugated by its color's
-    permutation (identity when absent) and lifted against identity factors.
-    A permutation label is built straight from its conjugated full-space
-    permutation."""
+    permutation (identity when absent) and lifted by `lift`."""
     space = t.full_space(n)
-    return [
-        lift_permutation(lab, space).matrix() if lab.perm is not None else lift(lab, space)
-        for lab in _conjugated_labels(t, sigmas)
-    ]
+    return [lift(lab, space) for lab in _conjugated_labels(t, sigmas)]
 
 
 def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
@@ -846,15 +841,21 @@ class _KernelRecord:
         return all(self.tree(i, parts) for i in range(len(self.strings)))
 
 
+def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartition, int]:
+    """Every rho_s and the count of kernel tuples above them, the product of
+    Bell(|rho_s|), checked against the guard."""
+    rhos = all_rho(t)
+    total = math.prod(bell_number(p.num_blocks) for p in rhos.parts)
+    if total > partition_guard:
+        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
+    return rhos, total
+
+
 def _kernel_pools(t: TestGraph, partition_guard: int) -> tuple[tuple[str, ...], list[list[Partition]]]:
     """The sorted strings and, per string, every partition above its rho_s,
     once the count of kernel tuples is checked against the guard."""
-    rhos = all_rho(t)
-    strings = t.assignment.sorted_strings()
-    total = math.prod(bell_number(rhos.part(s).num_blocks) for s in strings)
-    if total > partition_guard:
-        raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
-    return strings, [list(enumerate_partitions(t.digraph.vertex_count, rhos.part(s))) for s in strings]
+    rhos = _admissible_count(t, partition_guard)[0]
+    return rhos.strings, [list(enumerate_partitions(t.digraph.vertex_count, p)) for p in rhos.parts]
 
 
 def enumerate_admissible(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 
 import numpy as np
@@ -293,12 +294,23 @@ def test_convergence_run_slope_and_monotonicity():
     assert all(r["mean"] >= 0 for r in table.rows)
 
 
-def test_convergence_deterministic_and_worker_independent():
-    spec = edgeless_spec(("a", "b"), (1, 1), x_mode="cycle")
-    t1 = convergence_run(spec, [4, 8], 40, seed=9)
-    t2 = convergence_run(spec, [4, 8], 40, seed=9)
-    t3 = convergence_run(spec, [4, 8], 40, seed=9, workers=3)
-    assert t1.csv_lines() == t2.csv_lines() == t3.csv_lines()
+def test_convergence_deterministic_and_worker_independent(monkeypatch):
+    # only the unitary (dense) draws reach the worker pool
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def counted_pool(**kwargs):
+        pools.append(kwargs)
+        return real_pool(**kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+    for x_mode, opened in (("cycle", 0), ("unitary", 2)):
+        spec = edgeless_spec(("a", "b"), (1, 1), x_mode=x_mode)
+        t1 = convergence_run(spec, [4, 8], 40, seed=9)
+        t2 = convergence_run(spec, [4, 8], 40, seed=9)
+        t3 = convergence_run(spec, [4, 8], 40, seed=9, workers=3)
+        assert t1.csv_lines() == t2.csv_lines() == t3.csv_lines()
+        assert len(pools) == opened
 
 
 def test_convergence_requires_two_grid_points():

@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+from permprod import traffic, verify
 from permprod.digraphs import DiGraph, is_two_edge_connected
-from permprod.partitions import connect
+from permprod.partitions import Partition, connect
 from permprod.tensor import GuardExceeded
 from permprod.traffic import all_gcc_trees, enumerate_admissible, enumerate_tree_partitions, gcc, growth_exponent
 from permprod.verify import kernel_suite
@@ -108,3 +109,43 @@ def test_kernel_suite_guard_is_the_enumeration_guard():
         kernel_suite(t, 2, 0, 1, partition_guard=10)
     assert str(suite.value) == str(direct.value)
     assert str(suite.value).startswith("partition tuple count ")
+
+
+def g_cycle_with_chord(nv):
+    """A G-colored cycle through nv vertices plus a G chord from 0 to 3 on the
+    three-color wiring: rho_1 is one block, rho_2 and rho_3 are singletons."""
+    _, three = three_color_model()
+    edges = [((v, (v + 1) % nv), "G") for v in range(nv)] + [((0, 3), "G")]
+    return make_test_graph(three, nv, edges, 2)
+
+
+def test_kernel_suite_counts_the_cone_without_enumerating_it(monkeypatch):
+    t = g_cycle_with_chord(6)
+    cone = sum(1 for _ in enumerate_admissible(t))
+    assert cone == 41209
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the admissible cone was enumerated")
+
+    monkeypatch.setattr(traffic, "enumerate_admissible", refuse)
+    monkeypatch.setattr(verify, "enumerate_admissible", refuse)
+    assert kernel_suite(t, 2, 0, 1, partition_guard=10**7) == [
+        ("kernel-decomposition", True, f"1 draws, {cone} admissible tuples"),
+        ("off-cone-vanishing", True, "kernel sums vanish off the admissible cone"),
+    ]
+
+
+def test_kernel_suite_fails_a_kernel_tuple_below_rho(monkeypatch):
+    t = g_cycle_with_chord(6)
+    below = (Partition.singletons(6),) * 3  # string 1's part lies strictly below rho_1
+    assert not traffic.all_rho(t).parts[0].refines(below[0])
+    real_buckets = verify._kernel_buckets
+
+    def with_off_cone_key(*args, **kwargs):
+        sums = real_buckets(*args, **kwargs)
+        assert below not in sums
+        return {**sums, below: 0}
+
+    monkeypatch.setattr(verify, "_kernel_buckets", with_off_cone_key)
+    checks = {name: ok for name, ok, _ in kernel_suite(t, 2, 0, 1, partition_guard=10**7)}
+    assert checks == {"kernel-decomposition": True, "off-cone-vanishing": False}

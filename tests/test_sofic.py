@@ -237,6 +237,35 @@ def test_word_triviality_integers_vertex_groups():
     assert reduced == [("a", 2)]
 
 
+def test_word_problem_tests_the_integers_marker_by_identity(monkeypatch, tmp_path):
+    # a table group is never compared by value with the integers marker: not
+    # in the word problem, nor in sofic-certify's rep and alphabet building
+    import json
+
+    from permprod.cli import main
+
+    groups = {"a": INTEGERS, "b": FiniteGroupTable.cyclic(2), "c": symmetric_group_table(3)}
+    g = ColorGraph.of(list(groups), [("a", "b")])
+    element = {(c, j): (c, j if c == "a" else groups[c].generator(j)) for c in groups for j in (1, -1)}
+    element.update({("c", 2): ("c", groups["c"].generator(2)), ("c", -2): ("c", groups["c"].generator(-2))})
+    words = [w for m in range(4) for w in itertools.product(element, repeat=m)]
+    want = [word_triviality(g, groups, [element[l] for l in w]) for w in words]
+    assert any(want) and not all(want)
+    cfg = tmp_path / "sofic.json"
+    table = {"table": [list(r) for r in groups["c"].table], "generators": list(groups["c"].generators)}
+    cfg.write_text(json.dumps({
+        "colors": ["a", "b", "c"], "edges": [["a", "b"]], "n": 6, "seed": 1, "threshold": "1",
+        "vertex_groups": {"a": "Z", "b": "cyclic:2", "c": table}, "words": {"max_length": 2},
+    }))
+
+    def refuse(self, other):
+        raise AssertionError("a group table was compared by value")
+
+    monkeypatch.setattr(FiniteGroupTable, "__eq__", refuse)
+    assert sofic.word_trivialities(g, groups, words, element) == want
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 def test_word_triviality_matches_direct_product_on_complete_graphs():
     # complete color graph: the product group is the direct product
     tables = {

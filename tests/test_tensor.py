@@ -14,6 +14,7 @@ from permprod.tensor import (
     centered_chain_norm,
     centered_chain_norm_sq,
     chain_product,
+    compose_images,
     conjugate_by_color,
     delta,
     delta_vector,
@@ -246,15 +247,21 @@ def test_lift_identity_and_swap():
 
 def test_lift_against_kron_oracle_various_supports():
     rng = np.random.default_rng(11)
-    n = 2
     strings = ["a", "b", "c"]
-    full = MultiIndexSpace.of(strings, n)
-    for support in (["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", "c"]):
-        dim = n ** len(support)
-        x = StructuredMatrix.dense(support, n, rng.integers(-2, 3, (dim, dim)))
-        positions = [strings.index(s) for s in sorted(support)]
-        want = kron_lift_oracle(x.entries, positions, 3, n)
-        assert np.array_equal(lift(x, full), want)
+    for n in (2, 3):
+        full = MultiIndexSpace.of(strings, n)
+        for k in range(4):
+            for support in itertools.combinations(strings, k):
+                dim = n ** len(support)
+                ints = rng.integers(-2, 3, (dim, dim))
+                entries = (ints, ints + 1j * rng.integers(-2, 3, (dim, dim)), ints.astype(object))
+                for e in entries:
+                    x = StructuredMatrix.dense(support, n, e)
+                    positions = [strings.index(s) for s in sorted(support)]
+                    want = kron_lift_oracle(x.entries, positions, 3, n)
+                    got = lift(x, full)
+                    assert got.dtype == e.dtype
+                    assert np.array_equal(got, want)
 
 
 def test_lift_trace_factorization():
@@ -283,6 +290,7 @@ def test_lift_guard_bounds_entries_before_allocating(monkeypatch):
         raise AssertionError("allocated before the guard")
 
     monkeypatch.setattr(np, "eye", allocate)
+    monkeypatch.setattr(np, "zeros", allocate)
     with pytest.raises(GuardExceeded, match=r"4\*\*2 entries"):
         lift(x, full, dense_guard=15)  # the dimension is below the guard, its square is not
 
@@ -399,6 +407,20 @@ def test_centered_chain_norm_swap_example():
     s = np.array([[0, 1], [1, 0]], dtype=np.int64)
     assert centered_chain_norm_sq([s, s]) == 1
     assert centered_chain_norm([s, s]) == pytest.approx(1.0)
+
+
+def test_compose_images_equals_chained_compose():
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 5, 9):
+        alphabet = [sample_uniform_permutation(dim, rng) for _ in range(3)]
+        for length in range(6):
+            word = [alphabet[i] for i in rng.integers(0, 3, length)]
+            want = Permutation.identity(dim)
+            for p in word:
+                want = want.compose(p)
+            assert compose_images([p.images for p in word], dim) == want
+    with pytest.raises(ValueError):
+        compose_images([Permutation.identity(3).images], 4)
 
 
 def test_perm_word_trace_empty_and_inverse():
