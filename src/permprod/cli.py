@@ -210,6 +210,7 @@ def _cmd_sofic_certify(args) -> int:
     if not isinstance(data["vertex_groups"], dict):
         raise ValueError("vertex_groups must be a JSON object from color to group")
     groups = {c: _vertex_group_from_config(v) for c, v in data["vertex_groups"].items()}
+    sofic.check_product_space(a, n)
     reps = {}
     for c in g.colors:
         dim = n ** len(a.strings_of(c))
@@ -228,22 +229,14 @@ def _cmd_sofic_certify(args) -> int:
     cert = sofic.certify(rep, words)
     max_deviation = cert.max_deviation
     threshold = Fraction(str(data.get("threshold", "0.5")))
-    payload = {
+    header = {
         "n": n,
         "seed": seed,
         "max_deviation": float(max_deviation),
         "threshold": float(threshold),
-        "words": [
-            {
-                "word": e.word,
-                "trivial": e.trivial,
-                "trace": {"num": e.trace.numerator, "den": e.trace.denominator},
-                "deviation": float(e.deviation),
-            }
-            for e in cert.entries
-        ],
+        "words": [serialize.ROWS],
     }
-    serialize.dump_json(os.path.join(args.out, "certificate.json"), payload)
+    serialize.dump_json(os.path.join(args.out, "certificate.json"), header, cert.json_rows())
     with open(os.path.join(args.out, "certificate.csv"), "w") as fh:
         fh.write("\n".join(cert.csv_lines()) + "\n")
     if max_deviation > threshold:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -91,7 +90,13 @@ def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
     g = ColorGraph.of(colors, [[json_str(c, "an edge color") for c in e] for e in edges])
     a = None
     if "strings" in d:
-        a = StringAssignment.of(d["strings"], d.get("incidence", []))
+        incidence = [json_list(p, "an incidence entry") for p in d.get("incidence", [])]
+        if not all(len(p) == 2 for p in incidence):
+            raise ValueError("an incidence entry must be a JSON list of a string and a color")
+        a = StringAssignment.of(
+            [json_str(s, "a string") for s in d["strings"]],
+            [[json_str(x, "an incidence string or color") for x in p] for p in incidence],
+        )
     return g, a
 
 
@@ -186,83 +191,29 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
     return TestGraph(a, digraph, tuple(colors), tuple(labels))
 
 
-def dump_json(path, obj) -> None:
-    """Write `obj` byte for byte as `json.dump(obj, fh, indent=2,
-    sort_keys=True)` and a final newline would, and raise TypeError on a
-    value json cannot encode, without json's generator per value."""
+ROWS = "\u0000rows"  # the one item of the list whose items `dump_json` streams from `rows`
+
+
+def dump_json(path, obj, rows=None) -> None:
+    """Write `obj` as `json.dump(obj, fh, indent=2, sort_keys=True)` and a
+    final newline would.  With `rows`, `obj` holds the list `[ROWS]` once,
+    and the file is the one json would write with that list's items in
+    its place: each row is an item's text as json writes it there, at the
+    list's indentation.  The rows are streamed, never joined."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    chunks = [text] if rows is None else _spliced(text, iter(rows))
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(obj, 0, {}))
-        fh.write("\n")
+        fh.writelines(chunks)
 
 
-JSON_SMALL, JSON_KEPT = 64, 4096  # items of a container written whole; texts kept at once
-
-
-def _json_chunks(o, level: int, kept: dict):
-    """o's text in pieces: the top-level container, and any container in it
-    with more than JSON_SMALL items, item by item; anything else whole."""
-    if not isinstance(o, (list, tuple, dict)) or not o or (level and len(o) <= JSON_SMALL):
-        yield _json_text(o, level, kept)
-        return
-    inner = "\n" + "  " * (level + 1)
-    keyed = isinstance(o, dict)
-    items = [(_json_key(k), v) for k, v in sorted(o.items())] if keyed else zip(itertools.repeat(""), o)
-    sep = ("{" if keyed else "[") + inner
-    for key, v in items:
-        yield sep + key
-        sep = "," + inner
-        yield from _json_chunks(v, level + 1, kept)
-    yield inner[:-2] + ("}" if keyed else "]")
-
-
-def _json_text(o, level: int, kept: dict) -> str:
-    """o's whole text at indentation `level`.  A container's text is kept by
-    (id, indent), so a letter tuple that many words share is rendered once;
-    the kept texts are dropped every JSON_KEPT, which bounds their memory
-    (o is alive throughout the dump, so its id names it)."""
-    if (text := _SCALAR_TEXT.get(type(o))) is not None:
-        return text(o)
-    if (text := kept.get((id(o), level))) is not None:
-        return text
-    if isinstance(o, (list, tuple, dict)):
-        inner, d, scalar = "\n" + "  " * (level + 1), level + 1, _SCALAR_TEXT.get
-        # the two lookups above, inlined for each item
-        if isinstance(o, dict):
-            body = [
-                _json_key(k) + (f(v) if (f := scalar(type(v))) else kept.get((id(v), d)) or _json_text(v, d, kept))
-                for k, v in sorted(o.items())
-            ]
-        else:
-            body = [f(v) if (f := scalar(type(v))) else kept.get((id(v), d)) or _json_text(v, d, kept) for v in o]
-        brackets = "{}" if isinstance(o, dict) else "[]"
-        text = brackets[0] + inner + ("," + inner).join(body) + inner[:-2] + brackets[1] if body else brackets
-    elif (text := _json_scalar(o)) is None:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if len(kept) >= JSON_KEPT:
-        kept.clear()
-    kept[(id(o), level)] = text
-    return text
-
-
-_SCALAR_TEXT = {  # json's text for a value of each type; bool before its base class int
-    bool: lambda o: "true" if o else "false",
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: lambda o: float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "-Infinity" if o < 0 else "Infinity",
-    type(None): lambda o: "null",
-}
-
-
-def _json_scalar(o) -> str | None:
-    """json's text for a string, number, bool or None, subclasses included."""
-    return next((text(o) for kind, text in _SCALAR_TEXT.items() if isinstance(o, kind)), None)
-
-
-def _json_key(k) -> str:
-    """json's text for a dict key, which it writes as a string, and ": "."""
-    if (text := k if isinstance(k, str) else _json_scalar(k)) is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return encode_basestring_ascii(text) + ": "
+def _spliced(text: str, rows) -> Iterable[str]:
+    """`text` with its one `ROWS` item replaced by the rows."""
+    head, tail = text.split(json.dumps(ROWS))
+    first = next(rows, None)
+    if first is None:  # json writes an empty list as []
+        return [head.rstrip(), tail.lstrip()]
+    sep = "," + head[head.rindex("\n") :]  # json's item separator at the list's indentation
+    return itertools.chain([head, first], (sep + row for row in rows), [tail])
 
 
 def load_json(path) -> dict:

@@ -13,14 +13,16 @@ are exact fixed-point counts throughout.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .strings import ColorGraph, StringAssignment, validate_assignment
 from .tensor import (
+    POINT_GUARD,
     GuardExceeded,
     MultiIndexSpace,
     Permutation,
@@ -226,6 +228,14 @@ class GraphProductRep:
         return compose_images(map(self.images, word), self.dim)
 
 
+def check_product_space(assignment: StringAssignment, n: int) -> None:
+    """Refuse a product whose full space has more than POINT_GUARD points,
+    the bound its letters' image arrays meet, before any block is drawn."""
+    dim = MultiIndexSpace.of(assignment.strings, n).total_dim
+    if dim > POINT_GUARD:
+        raise GuardExceeded(f"full-space dimension {dim} exceeds point guard {POINT_GUARD}")
+
+
 def graph_product_rep(
     g: ColorGraph,
     assignment: StringAssignment,
@@ -239,6 +249,7 @@ def graph_product_rep(
     ok, violations = validate_assignment(g, assignment)
     if not ok:
         raise ValueError(f"invalid assignment: {violations}")
+    check_product_space(assignment, n)
     factors = {}
     for ci, c in enumerate(sorted(g.colors)):
         rep = vertex_reps[c]
@@ -272,6 +283,42 @@ def _mul(group, a, b):
     return group.mul(a, b)
 
 
+def _check_letter(g: ColorGraph, vertex_groups: dict, letter) -> None:
+    c, payload = letter
+    if c not in g.colors:
+        raise ValueError(f"unknown color {c!r}")
+    group = vertex_groups[c]
+    if group is not INTEGERS and not 0 <= payload < group.order:
+        raise ValueError(f"letter {payload!r} not in the group for color {c!r}")
+
+
+def _append_letter(g: ColorGraph, vertex_groups: dict, reduced: list, letter) -> list:
+    """Append a checked (color, element) letter to a reduced word, in place.
+
+    The letter moves back past the letters whose colors are adjacent to its
+    own and merges into the first letter of its color it meets; a product
+    that is the identity drops that letter.  Every letter after the dropped
+    one is adjacent to its color, so it blocked no merge and the word stays
+    reduced."""
+    c, x = letter
+    group = vertex_groups[c]
+    if _is_identity(group, x):
+        return reduced
+    for i in range(len(reduced) - 1, -1, -1):
+        ci, xi = reduced[i]
+        if ci == c:
+            merged = _mul(group, xi, x)
+            if _is_identity(group, merged):
+                del reduced[i]
+            else:
+                reduced[i] = (c, merged)
+            return reduced
+        if not g.adjacent(ci, c):
+            break
+    reduced.append(letter)
+    return reduced
+
+
 def reduce_word(
     g: ColorGraph, vertex_groups: dict, word: Sequence[tuple[str, object]]
 ) -> list[tuple[str, object]]:
@@ -279,36 +326,11 @@ def reduce_word(
     merge same-color letters whenever everything between them commutes past.
     The result is reduced for the color graph; reduction preserves the group
     element."""
-    letters = list(word)
-    for c, payload in letters:
-        if c not in g.colors:
-            raise ValueError(f"unknown color {c!r}")
-        group = vertex_groups[c]
-        if group is not INTEGERS and not 0 <= payload < group.order:
-            raise ValueError(f"letter {payload!r} not in the group for color {c!r}")
-    changed = True
-    while changed:
-        changed = False
-        pruned = [(c, p) for c, p in letters if not _is_identity(vertex_groups[c], p)]
-        if len(pruned) != len(letters):
-            letters = pruned
-            changed = True
-            continue
-        for i in range(len(letters)):
-            ci = letters[i][0]
-            for j in range(i + 1, len(letters)):
-                cj = letters[j][0]
-                if cj == ci:
-                    if all(g.adjacent(ci, letters[l][0]) for l in range(i + 1, j)):
-                        merged = _mul(vertex_groups[ci], letters[i][1], letters[j][1])
-                        letters = letters[:i] + [(ci, merged)] + letters[i + 1 : j] + letters[j + 1 :]
-                        changed = True
-                    break
-                if not g.adjacent(ci, cj):
-                    break
-            if changed:
-                break
-    return letters
+    reduced: list = []
+    for letter in word:
+        _check_letter(g, vertex_groups, letter)
+        _append_letter(g, vertex_groups, reduced, letter)
+    return reduced
 
 
 def word_triviality(g: ColorGraph, vertex_groups: dict, word: Sequence[tuple[str, object]]) -> bool:
@@ -319,19 +341,23 @@ def word_triviality(g: ColorGraph, vertex_groups: dict, word: Sequence[tuple[str
 
 def word_trivialities(g: ColorGraph, vertex_groups: dict, words: Iterable[Sequence], element: dict) -> list[bool]:
     """`word_triviality` of each word, with `element` mapping each letter to
-    its (color, group element) letter.  Each distinct word is reduced once,
-    and a word whose head (the word without its last letter) came before is
-    reduced from the head's reduced form and the last letter: reduction keeps
-    the group element, and a reduced word is trivial exactly when it is
-    empty.  The reduced forms live for this call, so every word in product
-    order reduces one letter onto a known head."""
+    its (color, group element) letter.  The alphabet's letters are checked
+    once.  Each distinct word is reduced once, and a word whose head (the
+    word without its last letter) came before appends its last letter to the
+    head's reduced form: reduction keeps the group element, and a reduced
+    word is trivial exactly when it is empty.  The reduced forms live for
+    this call, so every word in product order appends one letter to a known
+    head."""
+    for letter in element.values():
+        _check_letter(g, vertex_groups, letter)
     reduced: dict[tuple, list] = {(): []}
     out = []
     for word in map(tuple, words):
         if word not in reduced:
             head = reduced.get(word[:-1])
-            letters = [element[x] for x in (word if head is None else word[-1:])]
-            reduced[word] = reduce_word(g, vertex_groups, (head or []) + letters)
+            if head is None:
+                head = reduce_word(g, vertex_groups, [element[x] for x in word[:-1]])
+            reduced[word] = _append_letter(g, vertex_groups, head.copy(), element[word[-1]])
         out.append(not reduced[word])
     return out
 
@@ -354,7 +380,26 @@ class SoficCertificate:
 
     @property
     def max_deviation(self) -> Fraction:
-        return max((e.deviation for e in self.entries), default=Fraction(0))
+        # entries sharing a deviation object (`certify` gives one per count and truth) are compared once
+        return max({id(e.deviation): e.deviation for e in self.entries}.values(), default=Fraction(0))
+
+    def json_rows(self) -> Iterator[str]:
+        """Each entry's text as an item of the "words" list of the document
+        `sofic-certify` writes with json's `indent=2, sort_keys=True` (items
+        at depth 2), in entry order: what json writes for {"deviation",
+        "trace": {"num", "den"}, "trivial", "word"}, with the word a list of
+        letters.  Each letter's text and each distinct head before the word
+        are rendered once per call."""
+        letters: dict = {}  # letter -> its text as a word's item
+        heads: dict = {}  # the ids of an entry's truth, trace and deviation -> its text up to the word
+        for e in self.entries:
+            key = (e.trivial, id(e.trace), id(e.deviation))  # the entries keep both objects alive
+            if key not in heads:
+                trace = {"num": e.trace.numerator, "den": e.trace.denominator}
+                fields = {"deviation": float(e.deviation), "trace": trace, "trivial": e.trivial, "word": []}
+                heads[key] = _json_at(fields, 2).removesuffix("[]\n    }")
+            word = "".join([letters.get(l) or letters.setdefault(l, ",\n        " + _json_at(l, 4)) for l in e.word])
+            yield heads[key] + (f"[{word[1:]}\n      ]" if word else "[]") + "\n    }"
 
     def csv_lines(self) -> list[str]:
         lines = ["word,truth,trace_num,trace_den,deviation"]
@@ -367,6 +412,12 @@ class SoficCertificate:
                 tails[key] = f"{int(e.trivial)},{e.trace.numerator},{e.trace.denominator},{float(e.deviation):.12e}"
             lines.append(f"{word},{tails[key]}")
         return lines
+
+
+def _json_at(value, depth: int) -> str:
+    """json's indent=2 text of `value` as an item at `depth`: json writes a
+    newline only between items, never inside a string."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def _letter_str(letter) -> str:

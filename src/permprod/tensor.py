@@ -170,10 +170,11 @@ def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
     if n < 1:
         raise ValueError("n must be >= 1")
     images = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # one call draws the swap index of every i, from the stream that one
+    # call per i would read
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         images[i], images[j] = images[j], images[i]
-    return Permutation(images)
+    return Permutation._trusted(np.array(images, dtype=np.int64))  # swaps of 0..n-1 are a bijection
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 from permprod.chains import border_pair
 from permprod.digraphs import DiGraph, Multigraph, quotient_digraph, two_edge_decompose, weak_components
 from permprod.partitions import Partition, connect
+from permprod.sofic import INTEGERS
 from permprod.tensor import GuardExceeded, MultiIndexSpace
 from permprod.traffic import (
     MAP_GUARD,
@@ -226,6 +227,52 @@ def loop_matrix(p) -> np.ndarray:
     for i, j in enumerate(p):
         m[j, i] = 1
     return m
+
+
+def loop_sample_uniform_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Fisher-Yates with one call of the generator per swap index."""
+    images = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        images[i], images[j] = images[j], images[i]
+    return tuple(images)
+
+
+def loop_reduce_word(g, vertex_groups: dict, word) -> list:
+    """Reduce a word of (color, element) letters by rewriting to a fixpoint:
+    drop the identity letters, or else merge the leftmost letter that meets
+    a letter of its color across letters of adjacent colors, and start over."""
+
+    def identity(c, x):
+        return x == 0 if vertex_groups[c] is INTEGERS else x == vertex_groups[c].identity
+
+    def mul(c, x, y):
+        return x + y if vertex_groups[c] is INTEGERS else vertex_groups[c].mul(x, y)
+
+    letters = list(word)
+    changed = True
+    while changed:
+        changed = False
+        pruned = [(c, x) for c, x in letters if not identity(c, x)]
+        if len(pruned) != len(letters):
+            letters = pruned
+            changed = True
+            continue
+        for i in range(len(letters)):
+            ci = letters[i][0]
+            for j in range(i + 1, len(letters)):
+                cj = letters[j][0]
+                if cj == ci:
+                    if all(g.adjacent(ci, letters[l][0]) for l in range(i + 1, j)):
+                        merged = mul(ci, letters[i][1], letters[j][1])
+                        letters = letters[:i] + [(ci, merged)] + letters[i + 1 : j] + letters[j + 1 :]
+                        changed = True
+                    break
+                if not g.adjacent(ci, cj):
+                    break
+            if changed:
+                break
+    return letters
 
 
 def connected_multidigraphs(num_vertices: int, max_edges: int):

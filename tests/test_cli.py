@@ -1,10 +1,13 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permprod.cli import main
 
@@ -287,6 +290,77 @@ def test_sofic_certify_cli(tmp_path):
     assert csv[0] == "word,truth,trace_num,trace_den,deviation"
 
 
+S3 = {"table": [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4],
+               [3, 5, 4, 0, 2, 1], [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0]], "generators": [1, 3]}
+GROUP_ORDERS = {"Z": 1, "cyclic:1": 1, "cyclic:2": 2, "cyclic:3": 3, "S3": 6}  # points a block must hold
+
+
+@st.composite
+def sofic_configs(draw):
+    """A sofic-certify config on 1-3 colors (non-ASCII, quotes, backslashes),
+    with every word up to a length or an explicit list in any order, the
+    empty word and repeats included."""
+    colors = draw(st.lists(st.sampled_from(["B", "\u00e9", 'q"', "x\\y", "\u2028G"]), min_size=1, max_size=3,
+                           unique=True))
+    pairs = [list(e) for e in itertools.combinations(colors, 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=str)) if pairs else []
+    groups = {c: draw(st.sampled_from(list(GROUP_ORDERS))) for c in colors}
+    low = max(2, *(GROUP_ORDERS[grp] for grp in groups.values()))
+    n = draw(st.sampled_from([low, low + 1]))
+    alphabet = [[c, j] for c, grp in groups.items() for k in range(1, 3 if grp == "S3" else 2) for j in (k, -k)]
+    words = draw(st.one_of(
+        st.builds(lambda m: {"max_length": m}, st.integers(1, 2)),
+        st.lists(st.lists(st.sampled_from(alphabet), max_size=4), min_size=1, max_size=12),
+    ))
+    return {
+        "colors": colors, "edges": edges, "n": n, "seed": draw(st.integers(0, 9)), "words": words,
+        "vertex_groups": {c: S3 if grp == "S3" else grp for c, grp in groups.items()},
+        "threshold": draw(st.sampled_from(["0.5", "1", 0.25])),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=sofic_configs())
+def test_sofic_certify_writes_what_json_writes_for_its_entries(tmp_path_factory, config):
+    # certificate.json against json.dumps of the entries as a list of
+    # objects, certificate.csv against one line written per entry
+    from permprod import sofic
+
+    out = tmp_path_factory.mktemp("cert")
+    cfg = out / "sofic.json"
+    write(cfg, config)
+    certs = []
+    certify = sofic.certify
+    with mock.patch.object(sofic, "certify", lambda *a: certs.append(certify(*a)) or certs[-1]):
+        assert main(["sofic-certify", str(cfg), "--out", str(out)]) in (0, 1)
+    (cert,) = certs
+    payload = {
+        "n": config["n"],
+        "seed": config["seed"],
+        "max_deviation": float(max(e.deviation for e in cert.entries)),
+        "threshold": float(Fraction(str(config["threshold"]))),
+        "words": [
+            {
+                "word": e.word,
+                "trivial": e.trivial,
+                "trace": {"num": e.trace.numerator, "den": e.trace.denominator},
+                "deviation": float(e.deviation),
+            }
+            for e in cert.entries
+        ],
+    }
+    assert (out / "certificate.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = ["word,truth,trace_num,trace_den,deviation"] + [
+        f"{' '.join(f'{c}^{j}' for c, j in e.word)},{int(e.trivial)},{e.trace.numerator},{e.trace.denominator},"
+        f"{float(e.deviation):.12e}"
+        for e in cert.entries
+    ]
+    assert (out / "certificate.csv").read_text() == "\n".join(lines) + "\n"
+    words = config["words"]
+    if isinstance(words, list):
+        assert [list(map(list, e.word)) for e in cert.entries] == words
+
+
 def test_sofic_certify_malformed_table(tmp_path):
     cfg = tmp_path / "bad.json"
     write(
@@ -445,6 +519,34 @@ def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, con
     assert "input-error" in err and "Traceback" not in err
 
 
+STRING_MODELS = {  # a valid config with strings and incidence per subcommand
+    "string-assign": {"colors": ["a"], "edges": [], "strings": ["s"], "incidence": [["s", "a"]]},
+    "traffic-check": LABEL_FIXTURE,
+    "converge": dict(CONVERGE, strings=["s"], incidence=[["s", "a"], ["s", "b"]]),
+    "sofic-certify": dict(sofic_config({"a": "cyclic:2"}), strings=["s"], incidence=[["s", "a"]]),
+}
+MALFORMED_STRINGS = {  # each string a JSON string and each incidence entry a JSON list of two; the error names it
+    "strings-entry-a-list": (lambda m: {"strings": [[x] for x in m["strings"]]}, "a string must be"),
+    "incidence-string-a-list": (lambda m: {"incidence": [[[x], c] for x, c in m["incidence"]]}, "an incidence string"),
+    "incidence-entry-a-string": (lambda m: {"incidence": [x + c for x, c in m["incidence"]]}, "an incidence entry"),
+    "incidence-entry-one-string": (lambda m: {"incidence": [[x] for x, _ in m["incidence"]]}, "an incidence entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_STRINGS))
+@pytest.mark.parametrize("command", list(STRING_MODELS))
+def test_malformed_strings_and_incidence_are_input_errors(tmp_path, capsys, command, case):
+    cfg = tmp_path / "model.json"
+    model, (malformed, named) = STRING_MODELS[command], MALFORMED_STRINGS[case]
+    write(cfg, model)
+    assert main([command, str(cfg), "--out", str(tmp_path)]) in (0, 1)
+    write(cfg, dict(model, **malformed(model)))
+    capsys.readouterr()
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input-error: {named}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry", ["1e400", "NaN"])
 def test_non_finite_label_entries_are_input_errors(tmp_path, capsys, entry):
     # Python's json reads 1e400 as inf: an input error, not a kernel-decomposition failure
@@ -485,6 +587,10 @@ def test_word_letter_errors_name_the_letter_as_written(tmp_path, capsys):
     assert "word letter ['a', 5]" in err and "-5" not in err
 
 
+def refuse(*args):
+    raise AssertionError("called past a guard")
+
+
 THREE_COLORS = {
     "colors": ["B", "G", "R"],
     "edges": [["B", "R"]],
@@ -494,22 +600,27 @@ THREE_COLORS = {
 
 
 @pytest.mark.parametrize(
-    "command, config, guard",
+    "command, config, patches",
     [
-        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 14}), None),  # 6**14 words, counted, not enumerated
-        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 10**9}), None),
-        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 3}), ("sofic", "WORD_GUARD", 257)),  # 258 words
-        ("sofic-certify", dict(THREE_COLORS, words=[[["B", 1]]] * 3), ("sofic", "WORD_GUARD", 2)),
-        ("converge", dict(CONVERGE, samples=100000000), None),
-        ("converge", dict(CONVERGE, samples=3), ("chains", "SAMPLE_GUARD", 3 * (2 + 4) - 1)),
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 14}), {}),  # 6**14 words, counted, not enumerated
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 10**9}), {}),
+        ("sofic-certify", dict(THREE_COLORS, words={"max_length": 3}), {"sofic.WORD_GUARD": 257}),  # 258 words
+        ("sofic-certify", dict(THREE_COLORS, words=[[["B", 1]]] * 3), {"sofic.WORD_GUARD": 2}),
+        ("converge", dict(CONVERGE, samples=100000000), {}),
+        ("converge", dict(CONVERGE, samples=3), {"chains.SAMPLE_GUARD": 3 * (2 + 4) - 1}),
+        # 1500**3 and 100000**3 full-space points: no block is drawn, and
+        # neither is G's block of n**2 points built
+        ("sofic-certify", dict(THREE_COLORS, n=1500), {"sofic.sample_uniform_permutation": refuse,
+                                                       "sofic.cyclic_shift_rep": refuse}),
+        ("sofic-certify", dict(THREE_COLORS, n=100000), {"sofic.sample_uniform_permutation": refuse,
+                                                         "sofic.cyclic_shift_rep": refuse}),
     ],
     ids=["sofic-max-length-14", "sofic-max-length-huge", "sofic-words-past-guard", "sofic-word-list-past-guard",
-         "converge-samples-huge", "converge-samples-past-guard"],
+         "converge-samples-huge", "converge-samples-past-guard", "sofic-points-1500", "sofic-points-100000"],
 )
-def test_guards_refuse_before_the_work(tmp_path, capsys, monkeypatch, command, config, guard):
-    if guard is not None:
-        module, name, value = guard
-        monkeypatch.setattr(f"permprod.{module}.{name}", value)
+def test_guards_refuse_before_the_work(tmp_path, capsys, monkeypatch, command, config, patches):
+    for name, value in patches.items():
+        monkeypatch.setattr(f"permprod.{name}", value)
     cfg = tmp_path / "big.json"
     write(cfg, config)
     assert main([command, str(cfg), "--out", str(tmp_path)]) == 3

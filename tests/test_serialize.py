@@ -2,7 +2,6 @@ import json
 import math
 import os
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,12 +122,6 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=24,
 )
-# (JSON_SMALL, JSON_KEPT) of the writer: its defaults; every container
-# streamed and the kept texts dropped every third; only one-item containers
-# written whole
-STREAM_SETTINGS = [(serialize.JSON_SMALL, serialize.JSON_KEPT), (0, 3), (1, 5)]
-
-
 ESCAPED = "\u00e9\"\\\n\x00\x1f\u2028\U0001f600"  # non-ASCII, a quote, a backslash, control characters
 
 
@@ -136,9 +129,8 @@ def json_bytes(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def dumped(path, value, small, kept) -> str:
-    with mock.patch.object(serialize, "JSON_SMALL", small), mock.patch.object(serialize, "JSON_KEPT", kept):
-        dump_json(path, value)
+def dumped(path, value, rows=None) -> str:
+    dump_json(path, value, rows)
     with open(path, "rb") as fh:
         return fh.read().decode("ascii")
 
@@ -146,8 +138,7 @@ def dumped(path, value, small, kept) -> str:
 @given(value=JSON_VALUES)
 def test_dump_json_writes_the_bytes_json_writes(tmp_path_factory, value):
     path = tmp_path_factory.getbasetemp() / "dump.json"
-    for small, kept in STREAM_SETTINGS:
-        assert dumped(path, value, small, kept) == json_bytes(value)
+    assert dumped(path, value) == json_bytes(value)
 
 
 @pytest.mark.parametrize(
@@ -163,18 +154,36 @@ def test_dump_json_writes_the_bytes_json_writes(tmp_path_factory, value):
     ids=["int-keys", "float-keys", "bool-keys", "null-and-empty", "float-subclass-and-empties", "escapes-and-big-ints"],
 )
 def test_dump_json_keys_and_scalars_like_json(tmp_path, value):
-    for small, kept in STREAM_SETTINGS:
-        assert dumped(tmp_path / "d.json", value, small, kept) == json_bytes(value)
+    assert dumped(tmp_path / "d.json", value) == json_bytes(value)
 
 
 def test_dump_json_shared_subobjects_at_two_depths(tmp_path):
-    # kept texts are keyed by indentation too, and dropped every JSON_KEPT
     letter, trace = ("B", -1), {"num": 1, "den": 2}
     shared = [letter, {"x": letter, "t": trace}]
     words = [{"word": (letter,) * k, "trace": trace} for k in range(200)]
     value = {"a": shared, "b": [shared, [shared, letter]], "words": words}
-    for small, kept in STREAM_SETTINGS:
-        assert dumped(tmp_path / "d.json", value, small, kept) == json_bytes(value)
+    assert dumped(tmp_path / "d.json", value) == json_bytes(value)
+
+
+def nested(value, depth: int):
+    for _ in range(depth):
+        value = {"a": 1, "rows": value, "z": [2]}
+    return value
+
+
+@given(items=st.lists(JSON_VALUES, max_size=4), depth=st.integers(0, 3))
+def test_dump_json_streams_rows_in_place_of_the_placeholder(tmp_path_factory, items, depth):
+    # each row is an item's text at the list's indentation; no rows write []
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    rows = (json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + "  " * (depth + 1)) for x in items)
+    assert dumped(path, nested([serialize.ROWS], depth), rows) == json_bytes(nested(items, depth))
+
+
+def test_dump_json_refuses_a_document_without_one_placeholder(tmp_path):
+    for value in ({"a": 1}, {"a": [serialize.ROWS], "b": [serialize.ROWS]}):
+        with pytest.raises(ValueError):
+            dump_json(tmp_path / "d.json", value, iter(["1"]))
+    assert not os.listdir(tmp_path)  # nothing written
 
 
 @pytest.mark.parametrize("value", [[np.int64(1)], {"a": Fraction(1, 2)}, Fraction(1, 2), {np.int64(1): 0}, {(1, 2): 0}])

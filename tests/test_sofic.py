@@ -21,6 +21,7 @@ from permprod.sofic import (
     reduce_word,
     word_triviality,
 )
+from oracles import loop_reduce_word
 
 
 def symmetric_group_table(m):
@@ -287,6 +288,27 @@ def test_word_triviality_matches_direct_product_on_complete_graphs():
             direct[c] = tables[c].mul(direct[c], x)
         want = all(direct[c] == tables[c].identity for c in colors)
         assert word_triviality(g, tables, word) == want
+
+
+def test_reduce_word_equals_the_rewriting_oracle_on_random_graphs():
+    # reduced forms equal as lists, on 1-4 colors with random edges
+    pool = [INTEGERS, FiniteGroupTable.cyclic(1), FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(3),
+            symmetric_group_table(3)]
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        colors = [f"c{i}" for i in range(int(rng.integers(1, 5)))]
+        g = ColorGraph.of(colors, [e for e in itertools.combinations(colors, 2) if rng.random() < 0.5])
+        groups = {c: pool[int(rng.integers(len(pool)))] for c in colors}
+        word = []
+        for _ in range(int(rng.integers(0, 10))):
+            c = colors[int(rng.integers(len(colors)))]
+            word.append((c, int(rng.integers(-2, 3)) if groups[c] is INTEGERS else int(rng.integers(groups[c].order))))
+        want = loop_reduce_word(g, groups, word)
+        assert reduce_word(g, groups, word) == want, (word, g.edges)
+        prefixes = [tuple(range(m)) for m in range(len(word) + 1)]
+        element = dict(enumerate(word))
+        truth = [not loop_reduce_word(g, groups, word[: len(p)]) for p in prefixes]
+        assert sofic.word_trivialities(g, groups, prefixes[::-1] + prefixes, element) == truth[::-1] + truth
 
 
 def test_certify_left_regular_zero_deviation():

@@ -33,6 +33,7 @@ from oracles import (
     loop_fixed_points,
     loop_inverse,
     loop_matrix,
+    loop_sample_uniform_permutation,
 )
 
 
@@ -182,6 +183,15 @@ def test_sample_uniform_identity_for_n1():
         assert sample_uniform_permutation(1, rng_stream(seed)).images == (0,)
     with pytest.raises(ValueError):
         sample_uniform_permutation(0, rng_stream(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 2**16, 3**9])
+def test_sample_uniform_draws_what_one_call_per_index_draws(n):
+    # the images, and the generator's state after the draw
+    for seed in range(5):
+        rng, loop_rng = rng_stream(seed, n), rng_stream(seed, n)
+        assert tuple(sample_uniform_permutation(n, rng).images.tolist()) == loop_sample_uniform_permutation(n, loop_rng)
+        assert rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
 
 
 def test_sample_uniform_determinism():
