@@ -608,8 +608,8 @@ THREE_COLORS = {
         ("sofic-certify", dict(THREE_COLORS, words=[[["B", 1]]] * 3), {"sofic.WORD_GUARD": 2}),
         ("converge", dict(CONVERGE, samples=100000000), {}),
         ("converge", dict(CONVERGE, samples=3), {"chains.SAMPLE_GUARD": 3 * (2 + 4) - 1}),
-        # 1500**3 and 100000**3 full-space points: no block is drawn, and
-        # neither is G's block of n**2 points built
+        # 1500**2 and 100000**2 full-space points (two strings): no block is
+        # drawn, and G's block, the whole space, is not built
         ("sofic-certify", dict(THREE_COLORS, n=1500), {"sofic.sample_uniform_permutation": refuse,
                                                        "sofic.cyclic_shift_rep": refuse}),
         ("sofic-certify", dict(THREE_COLORS, n=100000), {"sofic.sample_uniform_permutation": refuse,
