@@ -1,17 +1,17 @@
 """Set partitions of {0, .., n-1} with lattice operations.
 
-Partitions are stored canonically: blocks sorted by their minimum element,
-elements sorted inside each block.  Equality and hashing are structural, so
+A partition is stored as its label tuple alone: the block index of every
+element, blocks numbered by their smallest element (a restricted-growth
+string).  Its canonical blocks, sorted by their minimum element with members
+ascending, are derived from it.  Equality and hashing are structural, so
 partitions can key dicts and sets and enumeration order is reproducible.
-Each partition also carries its label tuple, the block index of every
-element (its restricted-growth string), which the lattice operations read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Sequence
 
 
@@ -26,31 +26,47 @@ def _codes(labels: Iterable) -> tuple[int, ...]:
     return tuple([seen.setdefault(x, len(seen)) for x in labels])
 
 
-@dataclass(frozen=True, slots=True)
 class Partition:
-    """A partition of {0, .., ground_size-1} into disjoint nonempty blocks."""
+    """A partition of {0, .., ground_size-1} into disjoint nonempty blocks,
+    stored as its label tuple alone; the blocks are derived from it.
+    Immutable, equal and hashed by its labels."""
 
-    ground_size: int
-    blocks: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...] = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("labels", "num_blocks")
 
-    def __post_init__(self):
+    def __init__(self, ground_size: int, blocks: tuple[tuple[int, ...], ...]):
         seen = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise ValueError("empty block")
             for x in b:
-                if not 0 <= x < self.ground_size:
-                    raise ValueError(f"element {x} out of range for ground size {self.ground_size}")
+                if not 0 <= x < ground_size:
+                    raise ValueError(f"element {x} out of range for ground size {ground_size}")
                 if x in seen:
                     raise ValueError(f"element {x} appears twice")
                 seen.add(x)
-        if len(seen) != self.ground_size:
+        if len(seen) != ground_size:
             raise ValueError("blocks do not cover the ground set")
-        if self.blocks != _canonical(self.blocks):
+        if blocks != _canonical(blocks):
             raise ValueError("blocks not in canonical form; use Partition.of")
-        labels = sorted((x, i) for i, b in enumerate(self.blocks) for x in b)
-        object.__setattr__(self, "labels", tuple(i for _, i in labels))
+        labels = sorted((x, i) for i, b in enumerate(blocks) for x in b)
+        _fill(self, tuple(i for _, i in labels), len(blocks))
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.labels == other.labels if other.__class__ is Partition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __reduce__(self):
+        return Partition.from_labels, (self.labels,)
+
+    def __repr__(self) -> str:
+        return f"Partition(ground_size={self.ground_size!r}, blocks={self.blocks!r})"
 
     @staticmethod
     def of(ground_size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -67,22 +83,23 @@ class Partition:
 
     @staticmethod
     def from_labels(labels: Sequence) -> "Partition":
-        """Partition of {0..len-1} whose blocks are the fibers of `labels`.
-        Fibers in first-occurrence order, members ascending, are already
-        canonical, so they are not validated again."""
+        """Partition of {0..len-1} whose blocks are the fibers of `labels`;
+        their first-occurrence numbering is already canonical, so it is not
+        validated again."""
         codes = _codes(labels)
-        fibers: list[list[int]] = [[] for _ in range(max(codes, default=-1) + 1)]
-        for i, k in enumerate(codes):
-            fibers[k].append(i)
-        out = object.__new__(Partition)
-        object.__setattr__(out, "ground_size", len(codes))
-        object.__setattr__(out, "blocks", tuple(map(tuple, fibers)))
-        object.__setattr__(out, "labels", codes)
-        return out
+        return _fill(object.__new__(Partition), codes, max(codes, default=-1) + 1)
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    def ground_size(self) -> int:
+        return len(self.labels)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks sorted by their minimum element, members ascending."""
+        fibers: list[list[int]] = [[] for _ in range(self.num_blocks)]
+        for x, k in enumerate(self.labels):
+            fibers[k].append(x)
+        return tuple(map(tuple, fibers))
 
     def block_index(self, x: int) -> int:
         return self.labels[x]
@@ -105,6 +122,12 @@ class Partition:
 
     def __ge__(self, other: "Partition") -> bool:
         return other.refines(self)
+
+
+def _fill(p: Partition, labels: tuple[int, ...], num_blocks: int) -> Partition:
+    object.__setattr__(p, "labels", labels)
+    object.__setattr__(p, "num_blocks", num_blocks)
+    return p
 
 
 def meet(p: Partition, q: Partition) -> Partition:

@@ -18,6 +18,11 @@ from typing import Iterable, Sequence
 class ColorGraph:
     colors: tuple[str, ...]
     edges: frozenset[frozenset]
+    _pairs: frozenset = field(init=False, repr=False, compare=False, hash=False)  # (a, b) with {a, b} an edge
+
+    def __post_init__(self):
+        pairs = frozenset((a, b) for e in self.edges for a in e for b in e if frozenset((a, b)) == e)
+        object.__setattr__(self, "_pairs", pairs)
 
     @staticmethod
     def of(colors: Iterable[str], edges: Iterable[Sequence[str]]) -> "ColorGraph":
@@ -36,7 +41,7 @@ class ColorGraph:
         return ColorGraph(colors, frozenset(out))
 
     def adjacent(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges
+        return (a, b) in self._pairs
 
     def non_edges(self) -> list[tuple[str, str]]:
         out = []

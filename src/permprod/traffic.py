@@ -38,7 +38,7 @@ from .digraphs import (
     two_edge_decompose,
     weak_components,
 )
-from .partitions import Partition, _classes, _codes, bell_number, enumerate_partitions, meet_many
+from .partitions import Partition, _classes, _codes, _restricted_growth, bell_number, enumerate_partitions, meet_many
 from .strings import StringAssignment
 from .tensor import (
     GuardExceeded,
@@ -56,6 +56,7 @@ from .tensor import (
 MAP_GUARD = 2**24
 LABELING_CHUNK = 2**14  # array entries per chunk of kernel labelings
 PARTITION_GUARD = 10**7
+SWEEP_BYTES = 2**24  # work-array bytes per chunk of a `_KernelTable` sweep
 
 
 @dataclass(frozen=True)
@@ -729,16 +730,16 @@ def growth_exponent(t: TestGraph, pi: MultiPartition) -> tuple[Fraction, dict[st
     return Fraction(sum(doubled), 2), {s: Fraction(d, 2) for s, d in zip(record.strings, doubled)}
 
 
-_LAST_GRAPH: tuple | None = None  # (t, all_rho(t), an exponent-mode _KernelRecord of t)
+_LAST_GRAPH: tuple | None = None  # (t, all_rho(t), a _KernelRecord of t)
 
 
 def _graph_record(t: TestGraph) -> tuple[MultiPartition, "_KernelRecord"]:
-    """rho and an exponent-mode record of t, kept for the next call on the
-    same object (a TestGraph holds arrays and is not hashable)."""
+    """rho and a record of t, kept for the next call on the same object (a
+    TestGraph holds arrays and is not hashable)."""
     global _LAST_GRAPH
     last = _LAST_GRAPH
     if last is None or last[0] is not t:
-        last = _LAST_GRAPH = (t, all_rho(t), _KernelRecord(t, exponent=True))
+        last = _LAST_GRAPH = (t, all_rho(t), _KernelRecord(t))
     return last[1], last[2]
 
 
@@ -748,43 +749,45 @@ class _ColorSummary(NamedTuple):
     reps: tuple[int, ...]  # per quotient vertex, its smallest parent vertex
     comp_of: tuple[int, ...]  # per quotient vertex, its weak component
     components: int
-    # the exponent sweep's fields; None in a record built for the tree search
-    leaves: int | None  # bridge-forest leaves
-    injective: bool | None  # each kernel's block map h_sc is injective per component
+    leaves: int | None  # bridge-forest leaves; None where only trees are tested
 
 
-def _color_summary(edges: list[tuple[int, int]], labs: tuple[tuple[int, ...], ...], exponent: bool) -> _ColorSummary:
-    """A color's summary from its edges and its strings' kernel labels; the
-    meet numbers each distinct tuple of labels in first-occurrence order."""
-    om = labs[0] if len(labs) == 1 else _codes(zip(*labs))
+def _color_summary(edges: list[tuple[int, int]], om: tuple[int, ...], leaves: bool) -> _ColorSummary:
+    """A color's summary from its edges and the label tuple of the meet of
+    its strings' kernels."""
     reps = [v for v, k in enumerate(om) if k not in om[:v]]  # each block's first vertex
     quotient = [(om[s], om[t]) for s, t in edges]
     comp_of, components = _classes(len(reps), quotient)
-    leaves = injective = None
-    if exponent:
-        # without edges each quotient vertex is an isolated forest vertex
-        leaves = _bridge_forest(len(reps), quotient)[3] if edges else 2 * len(reps)
-        pairs = list(zip(comp_of, reps))
-        injective = all(len({(k, p[r]) for k, r in pairs}) == len(reps) for p in labs)
-    return _ColorSummary(tuple(reps), comp_of, components, leaves, injective)
+    # without edges each quotient vertex is an isolated forest vertex
+    count = (_bridge_forest(len(reps), quotient)[3] if edges else 2 * len(reps)) if leaves else None
+    return _ColorSummary(tuple(reps), comp_of, components, count)
+
+
+def _gcc_is_tree(ps: Sequence[int], summaries: Sequence[_ColorSummary]) -> bool:
+    """Whether a string's GCC, as `gcc` builds it, is a tree, from its
+    kernel's labels and its colors' summaries in sorted order."""
+    edges, offset = [], max(ps, default=-1) + 1
+    for q in summaries:
+        edges.extend([(ps[r], offset + k) for r, k in zip(q.reps, q.comp_of)])
+        offset += q.components
+    return _is_tree(offset, edges)
+
+
+def _injective(q: _ColorSummary, ps: Sequence[int]) -> bool:
+    """Whether the block map h_sc into a string's kernel is injective on
+    each component of the colored quotient."""
+    return len({(k, ps[r]) for r, k in zip(q.reps, q.comp_of)}) == len(q.reps)
 
 
 class _KernelRecord:
-    """The kernel analysis of one test graph, shared by the kernel tuples of
-    one sweep, on plain ints: each color's edges as int pairs and each
-    kernel as its label tuple.  A color's quotient depends only on the
-    kernels of its own strings and a string's GCC only on the kernels of
-    the strings sharing a color with it.  Built for the exponent sweep, the
-    record adds leaf counts and injectivity to each summary and memoises
-    summaries and tree verdicts on just those kernels; the tree search
-    reaches each prefix once, so few of its keys recur, and it keeps only
-    each color's latest summary, which the choices of later strings reuse.
-    Kernel tuples come as sequences aligned with the sorted strings; a
-    prefix will do when it holds every kernel a lookup reads."""
+    """The kernel analysis of one test graph one kernel tuple at a time, on
+    plain ints, for `growth_exponent` and `all_gcc_trees`: each color's edges
+    and strings' positions, and one summary, with its leaf count, per color
+    and meet of its strings' kernels.  Kernel tuples come as sequences
+    aligned with the sorted strings."""
 
-    def __init__(self, t: TestGraph, exponent: bool):
+    def __init__(self, t: TestGraph):
         a = t.assignment
-        self.exponent = exponent
         self.strings = a.sorted_strings()
         self.colors = {  # color -> (its edges, its strings' positions)
             c: (
@@ -794,22 +797,14 @@ class _KernelRecord:
             for c in sorted({c for s in self.strings for c in a.colors_of(s)})
         }
         self.string_colors = [sorted(a.colors_of(s)) for s in self.strings]
-        # the strings whose kernels decide string i's GCC, i among them
-        self.neighbors = [
-            sorted({i}.union(*(self.colors[c][1] for c in cs))) for i, cs in enumerate(self.string_colors)
-        ]
-        self._summaries: dict = {}  # (color, its strings' label tuples) -> _ColorSummary
-        self._trees: dict = {}  # (string position, its neighbors' label tuples) -> bool
+        self._summaries: dict = {}  # (color, the meet's label tuple) -> _ColorSummary
 
     def summary(self, c: str, parts: Sequence[Partition]) -> _ColorSummary:
         edges, idx = self.colors[c]
-        key = (c, tuple([parts[i].labels for i in idx]))
+        key = (c, _codes(zip(*[parts[i].labels for i in idx])))
         out = self._summaries.get(key)
         if out is None:
-            out = _color_summary(edges, key[1], self.exponent)
-            if not self.exponent:  # the tree search keeps only each color's latest summary
-                self._summaries = {k: v for k, v in self._summaries.items() if k[0] != c}
-            self._summaries[key] = out
+            out = self._summaries[key] = _color_summary(edges, key[1], True)
         return out
 
     def doubled_exponents(self, parts: Sequence[Partition]) -> list[int]:
@@ -823,22 +818,107 @@ class _KernelRecord:
 
     def tree(self, i: int, parts: Sequence[Partition]) -> bool:
         """Whether string i's GCC, as `gcc` builds it, is a tree."""
-        # the tree search memoises no verdicts: its key is None and its memo stays empty
-        key = (i, tuple([parts[j].labels for j in self.neighbors[i]])) if self.exponent else None
-        out = self._trees.get(key)
-        if out is None:
-            ps, edges, offset = parts[i].labels, [], parts[i].num_blocks
-            for c in self.string_colors[i]:
-                q = self.summary(c, parts)
-                edges.extend([(ps[r], offset + k) for r, k in zip(q.reps, q.comp_of)])
-                offset += q.components
-            out = _is_tree(offset, edges)
-            if self.exponent:
-                self._trees[key] = out
-        return out
+        return _gcc_is_tree(parts[i].labels, [self.summary(c, parts) for c in self.string_colors[i]])
 
     def all_trees(self, parts: Sequence[Partition]) -> bool:
         return all(self.tree(i, parts) for i in range(len(self.strings)))
+
+
+class _KernelTable(_KernelRecord):
+    """Every admissible kernel tuple of one test graph at once, for one
+    `verify.exponent_suite` or `enumerate_tree_partitions` call.  Strings
+    with equal rho_s share a pool, its coarsenings as a label array (a row
+    each, in `enumerate_partitions` order); a tuple is a point of the grid
+    of pool rows, in itertools.product order.  omega_c depends only on the
+    rows of c's strings, so each point of c's subgrid gets an omega id and
+    each distinct omega_c one `_color_summary`.  Per tuple, each string's
+    doubled exponent, GCC edge count E_s (sum of |omega_c|) and GCC vertex
+    count V_s (|pi_s| plus the colors' component counts) are gathers from
+    per-id arrays; only tuples with every E_s = V_s - 1 get the tree test.
+    Grids are swept in chunks of about SWEEP_BYTES of work arrays."""
+
+    def __init__(self, t: TestGraph, partition_guard: int, leaves: bool):
+        super().__init__(t)
+        rhos, self.total = _admissible_count(t, partition_guard)
+        pools = {p.labels: p.num_blocks for p in rhos.parts}  # one pool per distinct rho_s
+        for labels, blocks in pools.items():  # its coarsenings' labels, a row each
+            pools[labels] = np.array(list(_restricted_growth(blocks)), dtype=np.int64)[:, list(labels)]
+        self.pools = [pools[p.labels] for p in rhos.parts]
+        self.shape = [len(pool) for pool in self.pools]
+        # color -> (omega id per point of its subgrid, summary per id)
+        self.omegas = {c: self._omegas(c, t.digraph.vertex_count, leaves) for c in self.colors}
+
+    def kernel(self, i: int, row: int) -> tuple[int, ...]:
+        return tuple(self.pools[i][row].tolist())  # string i's kernel at that pool row
+
+    def _omegas(self, c: str, nv: int, leaves: bool) -> tuple[np.ndarray, list[_ColorSummary]]:
+        """Color c's omega ids and summaries.  An omega is packed from its
+        labels or, for a meet, each vertex's first vertex in its block: digit
+        v is at most v, so it is packed in base v + 1."""
+        edges, idx = self.colors[c]
+        shape = [self.shape[i] for i in idx]
+        size = math.prod(shape)
+        ids = np.empty(size, dtype=np.min_scalar_type(size))
+        weights = np.array([math.factorial(v) for v in range(nv)], dtype=np.int64 if nv <= 20 else object)
+        found: dict = {}  # packed omega -> its id
+        summaries: list[_ColorSummary] = []
+        for flat in _chunks(size, nv * nv + 32 * nv + 8):
+            at = np.unravel_index(flat, shape)
+            om = self.pools[idx[0]][at[0]]  # restricted growth strings: already one form per partition
+            for i, rows in zip(idx[1:], at[1:]):  # the meet: each vertex's first vertex of equal codes
+                om = om * nv + self.pools[i][rows]
+                om = (om[:, :, None] == om[:, None, :]).argmax(axis=2) if nv else om
+            keys, first, back = np.unique(om @ weights, return_index=True, return_inverse=True)
+            for key, j in zip(keys.tolist(), first.tolist()):
+                if key not in found:
+                    found[key] = len(summaries)
+                    summaries.append(_color_summary(edges, _codes(om[j].tolist()), leaves))
+            ids[flat] = np.array([found[k] for k in keys.tolist()])[back]
+        return ids, summaries
+
+    def sweep(self) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+        """Per chunk of the tuple grid: each tuple's doubled growth exponent
+        (its leaf terms zero without leaf counts), the mask of all-tree
+        tuples, and per all-tree tuple its pool rows and {color: its summary}."""
+        # per color and omega id: |omega_c|, its component count, its leaf term
+        per_id = {
+            c: np.array([(len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)) for q in qs]).T
+            for c, (_, qs) in self.omegas.items()
+        }
+        blocks = [pool.max(axis=1, initial=-1) + 1 for pool in self.pools]
+        for flat in _chunks(self.total, 8 * (2 * len(self.shape) + len(self.colors) + 4)):
+            at = np.unravel_index(flat, self.shape) if self.shape else ()  # no strings: one empty tuple
+            oms = {}  # color -> each tuple's omega id
+            for c, (ids, _) in self.omegas.items():
+                idx = self.colors[c][1]
+                oms[c] = ids[np.ravel_multi_index([at[i] for i in idx], [self.shape[i] for i in idx])].astype(np.int64)
+            doubled = np.zeros(len(flat), dtype=np.int64)
+            candidate = np.ones(len(flat), dtype=bool)
+            for i, colors in enumerate(self.string_colors):
+                edges, vertices = 0, blocks[i][at[i]]
+                doubled += 2 * (vertices - 1)
+                for c in colors:
+                    quotient, components, leaf_term = per_id[c][:, oms[c]]
+                    doubled += leaf_term
+                    edges, vertices = edges + quotient, vertices + components
+                candidate &= edges == vertices - 1
+            trees, found = np.zeros_like(candidate), []
+            for j in np.flatnonzero(candidate).tolist():
+                rows = [int(a[j]) for a in at]
+                summaries = {c: qs[oms[c][j]] for c, (_, qs) in self.omegas.items()}
+                if all(
+                    _gcc_is_tree(self.kernel(i, r), [summaries[c] for c in colors])
+                    for i, (r, colors) in enumerate(zip(rows, self.string_colors))
+                ):
+                    trees[j] = True
+                    found.append((rows, summaries))
+            yield doubled, trees, found
+
+
+def _chunks(size: int, item_bytes: int) -> Iterator[np.ndarray]:
+    """range(size) in index arrays of SWEEP_BYTES // item_bytes items (at least one)."""
+    step = max(1, SWEEP_BYTES // item_bytes)
+    return (np.arange(lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
 def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartition, int]:
@@ -851,20 +931,14 @@ def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartitio
     return rhos, total
 
 
-def _kernel_pools(t: TestGraph, partition_guard: int) -> tuple[tuple[str, ...], list[list[Partition]]]:
-    """The sorted strings and, per string, every partition above its rho_s,
-    once the count of kernel tuples is checked against the guard."""
-    rhos = _admissible_count(t, partition_guard)[0]
-    return rhos.strings, [list(enumerate_partitions(t.digraph.vertex_count, p)) for p in rhos.parts]
-
-
 def enumerate_admissible(
     t: TestGraph, partition_guard: int = PARTITION_GUARD
 ) -> Iterator[MultiPartition]:
     """All kernel tuples lying above every minimal kernel rho_s."""
-    strings, pools = _kernel_pools(t, partition_guard)
+    rhos = _admissible_count(t, partition_guard)[0]
+    pools = [list(enumerate_partitions(t.digraph.vertex_count, p)) for p in rhos.parts]
     for combo in itertools.product(*pools):
-        yield MultiPartition(strings, tuple(combo))
+        yield MultiPartition(rhos.strings, tuple(combo))
 
 
 def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
@@ -875,28 +949,16 @@ def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
 def enumerate_tree_partitions(
     t: TestGraph, partition_guard: int = PARTITION_GUARD
 ) -> Iterator[MultiPartition]:
-    """Admissible kernel tuples whose colored-component graphs are all trees.
-
-    Enumerates string by string and discards a prefix as soon as some string's
-    tree test is already decided and fails; the test for string s only needs
-    the partitions of the strings sharing a color with s.
-    """
-    strings, pools = _kernel_pools(t, partition_guard)
-    record = _KernelRecord(t, exponent=False)
-    # string i's tree test is decided once the last of its neighbors is chosen
-    check_at = [[i for i, near in enumerate(record.neighbors) if near[-1] == lv] for lv in range(len(strings))]
-
-    def rec(level: int, chosen: list[Partition]):
-        if level == len(strings):
-            yield MultiPartition(strings, tuple(chosen))
-            return
-        for part in pools[level]:
-            chosen.append(part)
-            if all(record.tree(i, chosen) for i in check_at[level]):
-                yield from rec(level + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+    """Admissible kernel tuples whose colored-component graphs are all trees,
+    in `enumerate_admissible` order, read off one `_KernelTable`; each
+    distinct kernel is one `Partition` object per call."""
+    table = _KernelTable(t, partition_guard, leaves=False)
+    kernels: dict = {}  # label tuple -> its one Partition in this call
+    for _, _, found in table.sweep():
+        for rows, _ in found:
+            labels = map(table.kernel, range(len(rows)), rows)
+            parts = (kernels.get(k) or kernels.setdefault(k, Partition.from_labels(k)) for k in labels)
+            yield MultiPartition(table.strings, tuple(parts))
 
 
 def expected_trace_leading_terms(

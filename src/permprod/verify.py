@@ -17,12 +17,13 @@ from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
 from .tensor import rng_stream, sample_uniform_permutation, sums_agree
-from .traffic import (  # noqa: F401  (growth_exponent stays importable from here)
+from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible stay importable from here)
     MAP_GUARD,
     LoopedTestGraph,
     TestGraph,
-    _KernelRecord,
+    _KernelTable,
     _admissible_count,
+    _injective,
     _kernel_buckets,
     color_quotient,
     gcc,
@@ -67,23 +68,16 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
         # the growth bound assumes two-edge connectivity; nothing to check
         return [("exponent-suite", True, "skipped: graph is not two-edge connected")]
     bound_ok = equality_iff_trees = leaf_rule = injective_rule = True
-    seen = 0
-    # the tuples come from enumerate_admissible, so they are admissible and
-    # their parts are aligned with the record's sorted strings
-    record = _KernelRecord(t, exponent=True)
-    for pi in enumerate_admissible(t, partition_guard):
-        seen += 1
-        doubled = sum(record.doubled_exponents(pi.parts))
-        trees = record.all_trees(pi.parts)
-        bound_ok &= doubled <= 0
-        equality_iff_trees &= (doubled == 0) == trees
-        if trees:
-            for c in record.colors:
-                q = record.summary(c, pi.parts)
+    table = _KernelTable(t, partition_guard, leaves=True)
+    for doubled, trees, found in table.sweep():
+        bound_ok &= bool((doubled <= 0).all())
+        equality_iff_trees &= bool(((doubled == 0) == trees).all())
+        for rows, summaries in found:
+            for c, q in summaries.items():
                 leaf_rule &= q.leaves == 2 * q.components
-                injective_rule &= q.injective
+                injective_rule &= all(_injective(q, table.kernel(i, rows[i])) for i in table.colors[c][1])
     return [
-        ("exponent-nonpositive", bound_ok, f"{seen} kernel tuples"),
+        ("exponent-nonpositive", bound_ok, f"{table.total} kernel tuples"),
         ("tree-equality", equality_iff_trees, "exponent vanishes exactly at all-tree tuples"),
         ("leaf-count-at-equality", leaf_rule, "leaf weight is twice the component count"),
         ("tree-injectivity", injective_rule, "block maps injective per component at trees"),

@@ -1,31 +1,36 @@
-"""The per-graph kernel record against the tuple-by-tuple oracles.
+"""The per-graph kernel table and record against the tuple-by-tuple oracles.
 
 `verify.exponent_suite` and `enumerate_tree_partitions` read the growth
 exponent, the GCC tree verdicts and the leaf and injectivity laws off one
-`_KernelRecord` per call, memoised on the kernels each answer depends on.
-Every answer must equal the straightforward per-tuple recomputation in
-`tests/oracles.py`, and each memo key must build its quotient once.
+`_KernelTable` per call, which summarises each color's quotient once per
+distinct meet omega_c; `growth_exponent` and `all_gcc_trees` read them off a
+`_KernelRecord`, one tuple at a time.  Every answer must equal the
+straightforward per-tuple recomputation in `tests/oracles.py`.
 """
 
 import json
 import os
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permprod import chains, serialize, traffic, verify
 from permprod.digraphs import DiGraph, _bridge_forest, is_two_edge_connected, two_edge_decompose
 from permprod.partitions import Partition
+from permprod.strings import StringAssignment
 from permprod.traffic import (
     PARTITION_GUARD,
     TestGraph,
     _KernelRecord,
+    _injective,
     all_gcc_trees,
     color_quotient,
     enumerate_admissible,
     enumerate_tree_partitions,
     growth_exponent,
     h_sc,
+    omega,
 )
 from helpers import example_test_graph, make_test_graph, three_color_model
 from oracles import (
@@ -35,7 +40,7 @@ from oracles import (
     h_sc_gcc,
     string_major_growth_exponent,
 )
-from test_kernel_pass import graphs_under_test
+from test_kernel_pass import g_cycle_with_chord, graphs_under_test
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "appendix_a.json")
 
@@ -63,7 +68,7 @@ def test_exponent_suite_equals_oracle_suite():
 def test_one_record_answers_every_tuple_as_the_oracles_do():
     tuples = 0
     for t in [appendix_graph(), *graphs_under_test()]:
-        record = _KernelRecord(t, exponent=True)  # shared by all tuples, as in a sweep
+        record = _KernelRecord(t)  # shared by all tuples, as in a sweep
         for pi in enumerate_admissible(t):
             doubled = record.doubled_exponents(pi.parts)
             expo, per_string = string_major_growth_exponent(t, pi)
@@ -77,7 +82,7 @@ def test_one_record_answers_every_tuple_as_the_oracles_do():
                 q, summary = color_quotient(t, pi, c), record.summary(c, pi.parts)
                 comps = q.components
                 assert (summary.leaves, summary.components) == (q.decomposition().leaf_count, comps.num_blocks)
-                assert summary.injective == all(
+                assert all(_injective(summary, pi.part(s).labels) for s in t.assignment.sorted_strings_of(c)) == all(
                     len({h_sc(t, pi, s, c)[v] for v in b}) == len(b)
                     for s in t.assignment.sorted_strings_of(c)
                     for b in comps.blocks
@@ -143,41 +148,127 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_each_memo_key_builds_one_quotient(monkeypatch):
-    graphs = [t for t in graphs_under_test() if len(t.assignment.strings) == 3 and is_two_edge_connected(t.digraph)]
+def omegas_by_color(t):
+    """Per color of a string, the distinct meets of its strings' kernels
+    over the admissible tuples, as label tuples."""
+    a = t.assignment
+    colors = sorted({c for s in a.strings for c in a.colors_of(s)})
+    out = {c: set() for c in colors}
+    for pi in enumerate_admissible(t):
+        for c in colors:
+            out[c].add(omega(pi, a, c).labels)
+    return out
+
+
+def test_each_distinct_omega_is_summarised_once_per_call(monkeypatch):
+    # per exponent_suite or tree search call, _color_summary runs once per
+    # (color, distinct omega_c); only the exponent suite builds bridge forests
     quotients = counting(monkeypatch, "_color_summary")
-    decompositions = counting(monkeypatch, "_bridge_forest")
+    forests = counting(monkeypatch, "_bridge_forest")
+    calls = 0
+    for t in [*graphs_under_test(), *small_chain_graphs()]:
+        want = omegas_by_color(t)
+        edged = sum(len(oms) for c, oms in want.items() if c in t.edge_colors)
+        runs = [(False, lambda: list(enumerate_tree_partitions(t)))]
+        if is_two_edge_connected(t.digraph):
+            runs.append((True, lambda: verify.exponent_suite(t, PARTITION_GUARD)))
+        for leaves, run in runs:
+            quotients.clear()
+            forests.clear()
+            run()
+            got: dict = {}  # each color's edge list -> the meets summarised with it
+            for edges, om, with_leaves in quotients:
+                assert with_leaves == leaves
+                got.setdefault(id(edges), []).append(om)
+            assert sorted(map(sorted, got.values())) == sorted(map(sorted, want.values()))
+            assert len(forests) == (edged if leaves else 0)
+            calls += 1
+    assert calls > 60
+
+
+def test_each_yielded_kernel_is_one_object_per_distinct_labels():
+    repeats = 0
+    for t in [appendix_graph(), *graphs_under_test(), *small_chain_graphs()]:
+        objects = {}
+        for pi in enumerate_tree_partitions(t):
+            for p in pi.parts:
+                repeats += p.labels in objects
+                assert objects.setdefault(p.labels, p) is p
+    assert repeats > 100
+
+
+@st.composite
+def three_color_graphs(draw):
+    """A test graph of the three-color model on 3 to 6 vertices: a cycle
+    through every vertex plus up to three edges drawn at random (self-loops
+    and parallel edges among them), each edge colored at random, so a color
+    may have no edge."""
+    nv = draw(st.integers(3, 6))
+    vertex = st.integers(0, nv - 1)
+    edges = [(v, (v + 1) % nv) for v in range(nv)] + draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    colors = draw(st.lists(st.sampled_from("BGR"), min_size=len(edges), max_size=len(edges)))
+    return make_test_graph(three_color_model()[1], nv, list(zip(edges, colors)))
+
+
+@given(three_color_graphs())
+@settings(max_examples=30, deadline=None)
+def test_table_sweeps_equal_the_oracles_in_one_chunk_and_in_many(t):
+    assume(is_two_edge_connected(t.digraph))
+    tuples = list(enumerate_admissible(t))
+    assume(len(tuples) <= 300)
+    want_suite = exponent_suite_by_oracles(t, tuples)
+    want_trees = [pi for pi in tuples if all_gcc_trees_by_oracles(t, pi)]
+    assert verify.exponent_suite(t, PARTITION_GUARD) == want_suite
+    assert list(enumerate_tree_partitions(t)) == want_trees
+    with pytest.MonkeyPatch.context() as mp:
+        sweeps = []  # (items, chunks) per sweep of a grid or a color's subgrid
+        real = traffic._chunks
+
+        def counted(size, item_bytes):
+            chunks = list(real(size, item_bytes))
+            sweeps.append((size, len(chunks)))
+            return iter(chunks)
+
+        mp.setattr(traffic, "SWEEP_BYTES", 300)  # one or two items per chunk on these graphs
+        mp.setattr(traffic, "_chunks", counted)
+        assert verify.exponent_suite(t, PARTITION_GUARD) == want_suite
+        assert list(enumerate_tree_partitions(t)) == want_trees
+    assert all(chunks >= (size + 1) // 2 for size, chunks in sweeps)  # several chunks past two items
+
+
+def test_chord_graph_sweeps_every_tuple_and_passes_all_four_laws():
+    # regression row: a G-cycle on 6 vertices with a G chord, 41,209 tuples
+    t = g_cycle_with_chord(6)
+    assert verify.exponent_suite(t, PARTITION_GUARD) == [
+        ("exponent-nonpositive", True, "41209 kernel tuples"),
+        ("tree-equality", True, "exponent vanishes exactly at all-tree tuples"),
+        ("leaf-count-at-equality", True, "leaf weight is twice the component count"),
+        ("tree-injectivity", True, "block maps injective per component at trees"),
+    ]
+    assert sum(1 for _ in enumerate_tree_partitions(t)) == 203
+
+
+def test_a_ground_set_past_twenty_vertices_packs_exactly():
+    # an R cycle through 22 vertices and B paths in three runs: rho_3 has
+    # three blocks and every other rho one, so 5 tuples on 22 vertices,
+    # whose packed meets pass 2**63
+    nv = 22
+    edges = [((v, (v + 1) % nv), "R") for v in range(nv)]
+    edges += [((v, v + 1), "B") for v in range(nv - 1) if v not in (6, 14)] + [((6, 6), "G")]
+    t = make_test_graph(three_color_model()[1], nv, edges)
+    tuples = list(enumerate_admissible(t))
+    assert len(tuples) == 5 and is_two_edge_connected(t.digraph)
+    assert verify.exponent_suite(t, PARTITION_GUARD) == exponent_suite_by_oracles(t, tuples)
+    assert list(enumerate_tree_partitions(t)) == [pi for pi in tuples if all_gcc_trees_by_oracles(t, pi)]
+
+
+def test_degenerate_graphs_equal_the_oracle_filter():
+    # no strings at all (one empty tuple), three strings on no vertex, and
+    # one vertex without edges: the table sweeps them as the filter does
+    three = three_color_model()[1]
+    graphs = [TestGraph(StringAssignment.of([], []), DiGraph.of(nv, []), (), ()) for nv in (0, 2)]
+    graphs += [make_test_graph(three, nv, []) for nv in (0, 1)]
     for t in graphs:
-        keys, edged = set(), set()
-        colors = {c for s in t.assignment.strings for c in t.assignment.colors_of(s)}
-        for pi in enumerate_admissible(t):
-            for c in colors:
-                key = (c, tuple(pi.part(s) for s in t.assignment.sorted_strings_of(c)))
-                keys.add(key)
-                if c in t.edge_colors:
-                    edged.add(key)
-        quotients.clear()
-        decompositions.clear()
-        verify.exponent_suite(t, PARTITION_GUARD)
-        assert len(quotients) == len(keys)
-        assert len(decompositions) == len(edged)  # colors without edges need no bridge forest
-    assert sum(len(list(enumerate_admissible(t))) for t in graphs) > 700
-    decompositions.clear()
-    assert sum(len(list(enumerate_tree_partitions(t))) for t in graphs) > 0
-    assert decompositions == []
-
-
-def test_tree_search_reuses_each_colors_latest_summary(monkeypatch):
-    # the tree search keeps each color's latest summary, so no color's
-    # summary is built twice in a row on the same kernels of its strings
-    quotients = counting(monkeypatch, "_color_summary")
-    built = 0
-    for t in graphs_under_test():
-        quotients.clear()
-        list(enumerate_tree_partitions(t))
-        latest = {}
-        for edges, kernels, _ in quotients:
-            assert latest.get(id(edges)) != kernels
-            latest[id(edges)] = kernels
-        built += len(quotients)
-    assert built > 1000
+        want = [pi for pi in enumerate_admissible(t) if all_gcc_trees_by_oracles(t, pi)]
+        assert list(enumerate_tree_partitions(t)) == want
+    assert [len(list(enumerate_tree_partitions(t))) for t in graphs] == [1, 1, 0, 1]

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,3 +132,67 @@ def test_lattice_laws_exhaustive_small():
             assert meet(p, q) == brute_meet(p, q)
             assert p.refines(q) == brute_refines(p, q)
 
+
+
+@dataclass(frozen=True)
+class BlocksPartition:
+    """The behaviour `Partition` keeps: a frozen dataclass of its ground
+    size and canonical blocks."""
+
+    ground_size: int
+    blocks: tuple
+
+
+def rgs_lists(max_n=6):
+    return st.lists(st.integers(0, 3), max_size=max_n)
+
+
+@given(rgs_lists(), rgs_lists())
+def test_repr_equality_and_hash_match_the_dataclass_of_blocks(xs, ys):
+    parts = [Partition.of(len(v), fibers(v)) for v in (xs, ys)]
+    refs = [BlocksPartition(p.ground_size, tuple(map(tuple, fibers(v)))) for p, v in zip(parts, (xs, ys))]
+    for p, ref in zip(parts, refs):
+        assert repr(p) == repr(ref).replace("BlocksPartition", "Partition")
+        assert p.blocks == ref.blocks and p.num_blocks == len(ref.blocks)
+        assert Partition.from_labels(p.labels) == p and hash(Partition.from_labels(p.labels)) == hash(p)
+    assert (parts[0] == parts[1]) == (refs[0] == refs[1])
+    if parts[0] == parts[1]:
+        assert hash(parts[0]) == hash(parts[1])
+    assert parts[0] != refs[0] and parts[0] != parts[0].labels
+
+
+def fibers(labels):
+    out = {}
+    for i, k in enumerate(labels):
+        out.setdefault(k, []).append(i)
+    return sorted(out.values())
+
+
+def test_validating_constructor_raises_its_five_errors():
+    cases = [
+        ((2, ((0, 1), ())), "empty block"),
+        ((2, ((0, 2),)), "element 2 out of range for ground size 2"),
+        ((2, ((0, 1), (1,))), "element 1 appears twice"),
+        ((3, ((0, 1),)), "blocks do not cover the ground set"),
+        ((2, ((1,), (0,))), "blocks not in canonical form; use Partition.of"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            Partition(*args)
+        assert str(err.value) == message
+    assert Partition(3, ((0, 2), (1,))) == Partition.of(3, [(2, 0), (1,)])
+
+
+def test_partitions_are_immutable_and_store_their_labels_only():
+    p = Partition.of(4, [(0, 2), (1,), (3,)])
+    for name in ("labels", "num_blocks", "blocks", "ground_size", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.labels = (0, 0, 0, 0)
+    assert not hasattr(p, "__dict__") and set(Partition.__slots__) == {"labels", "num_blocks"}
+    held = [x for x in gc.get_referents(p) if isinstance(x, tuple)]
+    assert held == [p.labels] == [(0, 1, 0, 2)]
+    assert p.blocks == ((0, 2), (1,), (3,)) and p.ground_size == 4 and p.num_blocks == 3
+    for q in (Partition.singletons(3), Partition.trivial(3), Partition.trivial(0), Partition.from_labels("abab")):
+        assert [x for x in gc.get_referents(q) if isinstance(x, tuple)] == [q.labels]

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permprod.strings import (
     ColorGraph,
@@ -143,3 +144,20 @@ def test_color_word_type():
         ColorWord(("a",), (0,))
     with pytest.raises(ValueError):
         ColorWord(("a",), (1, 2))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    )
+)
+def test_adjacent_equals_the_frozenset_rule(case):
+    # random color graphs, edges given in either order; every ordered pair
+    # of colors, equal ones included, answers as frozenset((a, b)) in edges
+    n, pairs = case
+    colors = [f"c{i}" for i in range(n)]
+    g = ColorGraph.of(colors, [(colors[i], colors[j]) for i, j in pairs if i != j])
+    for a, b in itertools.product(colors + ["absent"], repeat=2):
+        assert g.adjacent(a, b) == (frozenset((a, b)) in g.edges)
+    assert g == ColorGraph(g.colors, g.edges) and hash(g) == hash(ColorGraph(g.colors, g.edges))
+    assert repr(g) == f"ColorGraph(colors={g.colors!r}, edges={g.edges!r})"
