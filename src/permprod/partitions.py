@@ -145,21 +145,20 @@ def connect(ground_size: int, pairs: Iterable[tuple[int, int]]) -> Partition:
 
 def _classes(ground_size: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """`connect` on plain ints: the classes' restricted-growth string and
-    their count, by union-find with path halving."""
+    their count, by union-find with path halving (inlined: these graphs
+    are small, and a call per find costs more than the find)."""
     parent = list(range(ground_size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[y] = x
+    for i in range(ground_size):  # point every element at its root
+        while parent[i] != parent[parent[i]]:
+            parent[i] = parent[parent[i]]
     roots: dict = {}
-    return tuple([roots.setdefault(find(i), len(roots)) for i in range(ground_size)]), len(roots)
+    return tuple([roots.setdefault(r, len(roots)) for r in parent]), len(roots)
 
 
 def join(p: Partition, q: Partition) -> Partition:

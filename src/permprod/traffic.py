@@ -756,11 +756,11 @@ def _color_summary(edges: list[tuple[int, int]], om: tuple[int, ...], leaves: bo
     """A color's summary from its edges and the label tuple of the meet of
     its strings' kernels."""
     reps = [v for v, k in enumerate(om) if k not in om[:v]]  # each block's first vertex
+    if not edges:  # each quotient vertex is an isolated component and forest vertex
+        return _ColorSummary(tuple(reps), tuple(range(len(reps))), len(reps), 2 * len(reps) if leaves else None)
     quotient = [(om[s], om[t]) for s, t in edges]
     comp_of, components = _classes(len(reps), quotient)
-    # without edges each quotient vertex is an isolated forest vertex
-    count = (_bridge_forest(len(reps), quotient)[3] if edges else 2 * len(reps)) if leaves else None
-    return _ColorSummary(tuple(reps), comp_of, components, count)
+    return _ColorSummary(tuple(reps), comp_of, components, _bridge_forest(len(reps), quotient)[3] if leaves else None)
 
 
 def _gcc_is_tree(ps: Sequence[int], summaries: Sequence[_ColorSummary]) -> bool:
@@ -868,12 +868,12 @@ class _KernelTable(_KernelRecord):
             for i, rows in zip(idx[1:], at[1:]):  # the meet: each vertex's first vertex of equal codes
                 om = om * nv + self.pools[i][rows]
                 om = (om[:, :, None] == om[:, None, :]).argmax(axis=2) if nv else om
-            keys, first, back = np.unique(om @ weights, return_index=True, return_inverse=True)
-            for key, j in zip(keys.tolist(), first.tolist()):
+            keys = (om @ weights).tolist()
+            for j, key in enumerate(keys):
                 if key not in found:
                     found[key] = len(summaries)
                     summaries.append(_color_summary(edges, _codes(om[j].tolist()), leaves))
-            ids[flat] = np.array([found[k] for k in keys.tolist()])[back]
+            ids[flat] = [found[key] for key in keys]
         return ids, summaries
 
     def sweep(self) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
@@ -882,23 +882,24 @@ class _KernelTable(_KernelRecord):
         tuples, and per all-tree tuple its pool rows and {color: its summary}."""
         # per color and omega id: |omega_c|, its component count, its leaf term
         per_id = {
-            c: np.array([(len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)) for q in qs]).T
+            c: np.array([(len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)) for q in qs])
             for c, (_, qs) in self.omegas.items()
         }
         blocks = [pool.max(axis=1, initial=-1) + 1 for pool in self.pools]
         for flat in _chunks(self.total, 8 * (2 * len(self.shape) + len(self.colors) + 4)):
             at = np.unravel_index(flat, self.shape) if self.shape else ()  # no strings: one empty tuple
-            oms = {}  # color -> each tuple's omega id
+            oms, terms = {}, {}  # color -> each tuple's omega id, and its three per-id terms
             for c, (ids, _) in self.omegas.items():
                 idx = self.colors[c][1]
-                oms[c] = ids[np.ravel_multi_index([at[i] for i in idx], [self.shape[i] for i in idx])].astype(np.int64)
+                oms[c] = ids[np.ravel_multi_index([at[i] for i in idx], [self.shape[i] for i in idx])]
+                terms[c] = per_id[c][oms[c]].T
             doubled = np.zeros(len(flat), dtype=np.int64)
             candidate = np.ones(len(flat), dtype=bool)
             for i, colors in enumerate(self.string_colors):
                 edges, vertices = 0, blocks[i][at[i]]
                 doubled += 2 * (vertices - 1)
                 for c in colors:
-                    quotient, components, leaf_term = per_id[c][:, oms[c]]
+                    quotient, components, leaf_term = terms[c]
                     doubled += leaf_term
                     edges, vertices = edges + quotient, vertices + components
                 candidate &= edges == vertices - 1
