@@ -20,17 +20,14 @@ from .tensor import (
     MultiIndexSpace,
     Permutation,
     StructuredMatrix,
-    centered_chain_norm,
     chain_product,
     conjugate_by_color,
     delta,
     delta_vector,
     lift,
-    normalized_trace,
     perm_word_trace,
     rng_stream,
     sample_uniform_permutation,
-    two_norm,
 )
 from .traffic import (
     GCCGraph,

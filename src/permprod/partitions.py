@@ -104,9 +104,6 @@ class Partition:
     def block_index(self, x: int) -> int:
         return self.labels[x]
 
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self.labels[x]]
-
     def same_block(self, x: int, y: int) -> bool:
         return self.labels[x] == self.labels[y]
 

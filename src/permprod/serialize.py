@@ -100,19 +100,6 @@ def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
     return g, a
 
 
-def matrix_to_dict(m: StructuredMatrix) -> dict:
-    arr = np.asarray(m.entries, dtype=np.complex128)
-    out = {
-        "support": list(m.support),
-        "n": m.n,
-        "entries_re": arr.real.tolist(),
-        "entries_im": arr.imag.tolist(),
-    }
-    if m.perm is not None:
-        out["permutation"] = permutation_to_dict(m.perm)
-    return out
-
-
 def matrix_from_dict(d: dict) -> StructuredMatrix:
     json_object(d, "a matrix")
     support, n = json_list(d["support"], "matrix support"), json_int(d["n"], "matrix side")

@@ -29,7 +29,6 @@ the most significant digit of the mixed-radix encoding.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -362,17 +361,6 @@ def delta(a: np.ndarray) -> np.ndarray:
     return np.diag(delta_vector(a))
 
 
-def normalized_trace(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("not a square matrix")
-    tr = np.trace(a)
-    if a.dtype == object:
-        return Fraction(tr, a.shape[0]) if isinstance(tr, (int, Fraction)) else tr / a.shape[0]
-    if np.issubdtype(a.dtype, np.integer):
-        return Fraction(int(tr), a.shape[0])
-    return complex(tr) / a.shape[0]
-
-
 def sums_agree(a, b, tol: float = 1e-9) -> bool:
     """Exact equality when both sums are Fractions; otherwise agreement
     within tol as complex numbers, since float sums taken in different
@@ -380,14 +368,6 @@ def sums_agree(a, b, tol: float = 1e-9) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     return abs(complex(a) - complex(b)) <= tol
-
-
-def two_norm(a: np.ndarray) -> float:
-    """Normalized Hilbert-Schmidt norm sqrt(sum |a_ij|^2 / dim)."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("not a square matrix")
-    arr = a.astype(np.complex128) if a.dtype == object else a
-    return float(np.sqrt(np.vdot(arr, arr).real / a.shape[0]))
 
 
 def chain_product(lambdas: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -416,12 +396,6 @@ def exact_operands(arrays: list[np.ndarray], terms: int) -> list[np.ndarray]:
     for a in arrays:
         bound *= max(int(np.abs(a).max(initial=0)), 1)
     return arrays if bound < 2**62 else [a.astype(object) for a in arrays]
-
-
-def centered_chain_norm(ys: Sequence[np.ndarray]) -> float:
-    """The two-norm of the diagonal part of the product of the centered
-    factors (Y_i minus its diagonal part)."""
-    return math.sqrt(float(centered_chain_norm_sq(ys)))
 
 
 def centered_chain_norm_sq(ys: Sequence[np.ndarray]):

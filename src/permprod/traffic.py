@@ -337,15 +337,6 @@ def color_quotient(t: TestGraph, pi: MultiPartition, c: str) -> ColoredQuotient:
     return ColoredQuotient(q, om, keep, tuple(t.labels[i] for i in keep))
 
 
-def string_quotient(t: TestGraph, pi: MultiPartition, s: str) -> ColoredQuotient:
-    """The subgraph of edges colored by colors meeting string s, with
-    vertices identified along pi_s."""
-    ps = pi.part(s)
-    keep = tuple(i for i, col in enumerate(t.edge_colors) if s in t.assignment.strings_of(col))
-    q, _ = quotient_digraph(t.digraph.restrict_edges(keep), ps)
-    return ColoredQuotient(q, ps, keep, tuple(t.labels[i] for i in keep))
-
-
 def h_sc(t: TestGraph, pi: MultiPartition, s: str, c: str) -> tuple[int, ...]:
     """Block map from the c-quotient's vertices to the s-quotient's vertices;
     well defined because the meet refines every string's kernel."""
@@ -363,17 +354,8 @@ class GCCGraph:
     right_comps: tuple[tuple[str, tuple[int, ...]], ...]  # (color, parent vertices)
     edge_keys: tuple[tuple[str, tuple[int, ...]], ...]  # (color, omega block)
 
-    @property
-    def left_count(self) -> int:
-        return len(self.left_blocks)
-
     def is_tree(self) -> bool:
         return self.graph.is_tree()
-
-    def vertex_desc(self, v: int):
-        if v < self.left_count:
-            return ("block", self.left_blocks[v])
-        return ("comp",) + self.right_comps[v - self.left_count]
 
 
 def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
@@ -390,61 +372,6 @@ def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
             edges.append((ps.block_index(block[0]), offset + comps.block_index(v)))
             keys.append((c, block))
     return GCCGraph(Multigraph(len(left) + len(right), tuple(edges)), left, tuple(right), tuple(keys))
-
-
-@dataclass(frozen=True)
-class GCCWalk:
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    vertex_descs: tuple
-    edge_keys: tuple
-
-
-def induced_gcc_walk(t: TestGraph, pi: MultiPartition, s: str, edge_sequence: Sequence[int]) -> GCCWalk:
-    """The walk a quotient-graph walk induces in the graph of colored
-    components: alternates string-quotient blocks with colored components,
-    one GCC edge per endpoint of each relevant edge."""
-    _check_admissible(t, pi)
-    if not edge_sequence:
-        raise ValueError("empty edge sequence")
-    cs = sorted(t.assignment.colors_of(s))
-    if not any(_is_quotient_walk(t, pi, c, edge_sequence) for c in cs):
-        raise ValueError("edge sequence is not a walk in any relevant color quotient")
-    g = gcc(t, pi, s)
-    ps = pi.part(s)
-    relevant = [j for j in edge_sequence if t.edge_colors[j] in cs]
-    verts, edge_ids = [ps.block_index(t.digraph.edges[edge_sequence[0]][0])], []
-    key_index = {k_eid: i for i, k_eid in enumerate(g.edge_keys)}
-    for j in relevant:
-        c = t.edge_colors[j]
-        om = omega(pi, t.assignment, c)
-        src, dst = t.digraph.edges[j]
-        e_in = key_index[(c, om.block_containing(src))]
-        e_out = key_index[(c, om.block_containing(dst))]
-        if verts[-1] != ps.block_index(src):
-            raise ValueError("walk is not consistent in the string quotient")
-        verts.append(g.graph.edges[e_in][1])  # the colored component holding src
-        verts.append(ps.block_index(dst))
-        edge_ids.extend([e_in, e_out])
-    if verts[-1] != ps.block_index(t.digraph.edges[edge_sequence[-1]][1]):
-        raise ValueError("walk does not end where the edge sequence does")
-    _assert_walk_valid(g, verts, edge_ids)
-    descs, keys = tuple(map(g.vertex_desc, verts)), tuple(g.edge_keys[e] for e in edge_ids)
-    return GCCWalk(tuple(verts), tuple(edge_ids), descs, keys)
-
-
-def _is_quotient_walk(t: TestGraph, pi: MultiPartition, c: str, seq: Sequence[int]) -> bool:
-    om = omega(pi, t.assignment, c)
-    return all(om.same_block(t.digraph.edges[a][1], t.digraph.edges[b][0]) for a, b in zip(seq, seq[1:]))
-
-
-def _assert_walk_valid(g: GCCGraph, verts: Sequence[int], edges: Sequence[int]):
-    if len(verts) != len(edges) + 1:
-        raise AssertionError("walk shape mismatch")
-    for i, e in enumerate(edges):
-        u, v = g.graph.edges[e]
-        if {u, v} != {verts[i], verts[i + 1]} and not (u == v == verts[i] == verts[i + 1]):
-            raise AssertionError("edge does not join consecutive walk vertices")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .tensor import rng_stream, sample_uniform_permutation, sums_agree
 from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible stay importable from here)
     MAP_GUARD,
     LoopedTestGraph,
+    MultiPartition,
     TestGraph,
     _KernelTable,
     _admissible_count,
@@ -37,6 +38,16 @@ from .traffic import rho as rho_of
 CheckResult = tuple[str, bool, str]
 
 
+def _claimed_pi(t: TestGraph, item: dict) -> MultiPartition:
+    """A claim's kernel tuple, which must name exactly the graph's strings."""
+    pi = multipartition_from_dict(item["pi"], t.digraph.vertex_count)
+    wrong = sorted(set(pi.strings) ^ set(t.assignment.strings))
+    if wrong:
+        where = "names unknown" if wrong[0] in pi.strings else "omits"
+        raise ValueError(f"a claim's pi {where} string {wrong[0]!r}; it must name exactly the graph's strings")
+    return pi
+
+
 def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
     json_object(claims, "claims")
     out: list[CheckResult] = []
@@ -47,17 +58,18 @@ def check_claims(t: TestGraph, claims: dict) -> list[CheckResult]:
         out.append((f"minimal-kernel[{s}]", got == want, f"got {got.blocks}, claimed {want.blocks}"))
     for item in json_list(claims.get("color_quotients", []), "color_quotients"):
         json_object(item, "a color-quotient claim")
-        pi = multipartition_from_dict(item["pi"], nv)
-        q = color_quotient(t, pi, json_str(item["color"], "claimed color"))
+        q = color_quotient(t, _claimed_pi(t, item), json_str(item["color"], "claimed color"))
         want_blocks = tuple(tuple(json_list(b, "a block")) for b in json_list(item["vertex_blocks"], "vertex_blocks"))
         ok = q.partition.blocks == want_blocks and list(q.edge_ids) == json_list(item["edge_ids"], "edge_ids")
         out.append((f"color-quotient[{item['color']}]", ok, f"blocks {q.partition.blocks}, edges {q.edge_ids}"))
     for item in json_list(claims.get("gcc_trees", []), "gcc_trees"):
         json_object(item, "a gcc-tree claim")
-        pi = multipartition_from_dict(item["pi"], nv)
+        pi, s = _claimed_pi(t, item), json_str(item["string"], "claimed string")
+        if s not in t.assignment.strings:
+            raise ValueError(f"a gcc-tree claim names unknown string {s!r}")
         claimed = json_bool(item["is_tree"], "claimed is_tree")
-        got = gcc(t, pi, json_str(item["string"], "claimed string")).is_tree()
-        out.append((f"gcc-tree[{item['string']}]", got == claimed, f"is_tree={got}, claimed {claimed}"))
+        got = gcc(t, pi, s).is_tree()
+        out.append((f"gcc-tree[{s}]", got == claimed, f"is_tree={got}, claimed {claimed}"))
     return out
 
 

@@ -406,6 +406,14 @@ def permutation_label_fixture(images):
 CONVERGE = {"colors": ["a", "b"], "edges": [], "chi": ["a", "b"], "ell": [1, 1], "n_grid": [2, 4], "samples": 2}
 LABEL_FIXTURE = permutation_label_fixture([1, 0])
 GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
+with open(FIXTURE) as fh:
+    APPENDIX = json.load(fh)
+APPENDIX_QUOTIENT, APPENDIX_TREE = APPENDIX["claims"]["color_quotients"][0], APPENDIX["claims"]["gcc_trees"][0]
+WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exactly the strings 1, 2 and 3
+    ("3", {"color_quotients": [dict(APPENDIX_QUOTIENT, pi={s: b for s, b in APPENDIX_QUOTIENT["pi"].items() if s != "3"})]}),
+    ("9", {"color_quotients": [dict(APPENDIX_QUOTIENT, pi=dict(APPENDIX_QUOTIENT["pi"], **{"9": [[0, 1, 2, 3, 4, 5]]}))]}),
+    ("9", {"gcc_trees": [dict(APPENDIX_TREE, string="9")]}),
+]
 
 
 @pytest.mark.parametrize(
@@ -459,6 +467,7 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         ("sofic-certify", dict(sofic_config({"a": "Z"}), words=[[["a", 1], ["a", 5]]])),
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["b", 1]]])),
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["a", 0]]])),
+        *(("traffic-check --n 2", dict(APPENDIX, claims=claims)) for _, claims in WRONG_STRING_CLAIMS),
     ],
     ids=[
         "short-test-edge",
@@ -509,6 +518,9 @@ GCC_CLAIM = {"pi": {"s": [[0], [1]]}, "string": "s", "is_tree": True}
         "sofic-letter-past-the-generators",
         "sofic-letter-of-no-color",
         "sofic-letter-index-zero",
+        "traffic-color-quotient-pi-without-a-string",
+        "traffic-color-quotient-pi-with-an-extra-string",
+        "traffic-gcc-tree-claim-unknown-string",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -517,6 +529,14 @@ def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, con
     assert main([*command.split(), str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "input-error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("named, claims", WRONG_STRING_CLAIMS, ids=["pi-omits-3", "pi-names-9", "tree-string-9"])
+def test_claim_with_wrong_strings_names_the_string(tmp_path, capsys, named, claims):
+    cfg = tmp_path / "claims.json"
+    write(cfg, dict(APPENDIX, claims=claims))
+    assert main(["traffic-check", str(cfg), "--n", "2", "--out", str(tmp_path)]) == 2
+    assert f"string {named!r}" in capsys.readouterr().err
 
 
 STRING_MODELS = {  # a valid config with strings and incidence per subcommand

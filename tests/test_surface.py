@@ -1,0 +1,73 @@
+"""The package's names: what the benchmark and `permprod.__all__` promise
+resolves, and every private definition has a caller."""
+
+import ast
+import importlib
+import pathlib
+from collections import defaultdict
+
+import permprod
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "permprod"
+
+
+def _tracer_layers() -> dict:
+    """bench/tracer.py's LAYERS, read from its source without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (value,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "LAYERS"]
+    return ast.literal_eval(value)
+
+
+def test_every_traced_name_resolves():
+    missing = []
+    for mod, names in _tracer_layers().items():
+        module = importlib.import_module(f"permprod.{mod}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{mod}.{name}")
+    assert missing == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in permprod.__all__ if not hasattr(permprod, name)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level functions and classes, and methods, whose names start
+    with one underscore, as (name, first line, last line)."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if d.name.startswith("_") and not d.name.endswith("__"):
+                    yield d.name, d.lineno, d.end_lineno
+
+
+def _references(tree: ast.Module):
+    """Each name a module reads, imports or looks up as an attribute, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_private_definition_is_referenced_outside_itself():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses = defaultdict(list)  # name -> (module, line) of each reference
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            uses[name].append((module, line))
+    unused = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if all(other == module and first <= line <= last for other, line in uses[name]):
+                unused.append(f"{module}:{first} {name}")
+    assert unused == []

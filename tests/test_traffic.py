@@ -24,14 +24,12 @@ from permprod.traffic import (
     gcc,
     growth_exponent,
     h_sc,
-    induced_gcc_walk,
     injective_trace,
     lambda_value,
     omega,
     raw_graph_sum,
     raw_injective_graph_sum,
     rho,
-    string_quotient,
     trace_test_graph,
 )
 from helpers import (
@@ -219,17 +217,6 @@ def test_example_omega_and_color_quotients():
             h_sc(t, pi, s, c)
 
 
-def test_example_string_quotients():
-    t = example_test_graph()
-    pi = all_rho(t)
-    q1 = string_quotient(t, pi, "1")
-    assert q1.digraph.vertex_count == 2
-    assert q1.edge_ids == (2, 3, 7)  # only the B-colored edges survive
-    q2 = string_quotient(t, pi, "2")
-    assert q2.digraph.vertex_count == 5
-    assert len(q2.edge_ids) == 7  # everything but the R edge
-
-
 def test_example_gcc_shapes_and_trees():
     t = example_test_graph()
     pi = all_rho(t)
@@ -245,7 +232,7 @@ def test_example_gcc_shapes_and_trees():
     # parallel green edges from blocks {0} and {1} at the block {0,1}
     green_edges_at_01 = [
         k for (u, v), k in zip(g2.graph.edges, g2.edge_keys)
-        if k[0] == "G" and 0 in g2.left_blocks[u if u < g2.left_count else v]
+        if k[0] == "G" and 0 in g2.left_blocks[u if u < len(g2.left_blocks) else v]
     ]
     assert (("G", (0,)) in green_edges_at_01) and (("G", (1,)) in green_edges_at_01)
     for s in ("1", "2", "3"):
@@ -279,69 +266,6 @@ def test_tree_gcc_forces_injective_block_maps():
             for block in comp.blocks:
                 images = [hmap[v] for v in block]
                 assert len(set(images)) == len(images)
-
-
-def test_example_induced_walk_string_two():
-    t = example_test_graph()
-    pi = all_rho(t)
-    walk = induced_gcc_walk(t, pi, "2", [0, 2, 3, 6, 7])
-    assert walk.vertex_descs == (
-        ("block", (0, 1)),
-        ("comp", "B", (0, 1, 2, 3)),
-        ("block", (2,)),
-        ("comp", "B", (0, 1, 2, 3)),
-        ("block", (3,)),
-        ("comp", "G", (0, 1, 2, 3, 4)),
-        ("block", (4,)),
-        ("comp", "B", (4, 5)),
-        ("block", (5,)),
-    )
-    assert walk.edge_keys == (
-        ("B", (0, 1)),
-        ("B", (2,)),
-        ("B", (2,)),
-        ("B", (3,)),
-        ("G", (3,)),
-        ("G", (4,)),
-        ("B", (4,)),
-        ("B", (5,)),
-    )
-    # the second blue edge is traversed twice, once in each direction
-    assert walk.edges[1] == walk.edges[2]
-
-
-def test_example_induced_walk_string_three():
-    t = example_test_graph()
-    pi = all_rho(t)
-    walk = induced_gcc_walk(t, pi, "3", [0, 2, 3, 6, 7])
-    assert walk.vertex_descs == (
-        ("block", (0,)),
-        ("comp", "R", (0, 1, 2, 3)),
-        ("block", (1, 2, 3)),
-        ("comp", "G", (0, 1, 2, 3, 4)),
-        ("block", (4, 5)),
-    )
-    assert walk.edge_keys == (
-        ("R", (0,)),
-        ("R", (1, 2, 3)),
-        ("G", (3,)),
-        ("G", (4,)),
-    )
-
-
-def test_induced_walk_single_colored_edge():
-    _, a = one_color_model()
-    t = make_test_graph(a, 2, [((0, 1), "a")], 2)
-    pi = all_rho(t)
-    walk = induced_gcc_walk(t, pi, "s", [0])
-    assert len(walk.vertices) == 3 and len(walk.edges) == 2
-
-
-def test_induced_walk_precondition_violation():
-    t = example_test_graph()
-    pi = all_rho(t)
-    with pytest.raises(ValueError):
-        induced_gcc_walk(t, pi, "2", [0, 7])  # not a walk in any relevant quotient
 
 
 # ---------------------------------------------------------------------------
