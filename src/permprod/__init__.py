@@ -47,7 +47,6 @@ from .chains import (
     ChainSpec,
     build_squared_chain,
     convergence_run,
-    concentration_run,
     inconsistency_search,
     signed_expansion_check,
 )

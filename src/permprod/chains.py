@@ -16,7 +16,7 @@ import concurrent.futures
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -338,7 +338,8 @@ def inconsistency_search(
     colored-component graph a tree and (unless dropped) an empty
     border-merge set.  The search is expected to come back empty; dropping
     the border condition is the sanity control that trees do exist."""
-    chain = build_squared_chain(spec, 1, 0)  # labels are irrelevant here
+    # only the graph is read: identity letters and diagonals draw nothing
+    chain = build_squared_chain(replace(spec, x_mode="identity", lambda_mode="identity"), 1)
     out = []
     for pi in enumerate_tree_partitions(chain.test_graph, partition_guard):
         if drop_border_condition or not j_set(chain, pi):
@@ -423,9 +424,6 @@ def convergence_run(
     if len(n_grid) < 2:
         raise ValueError("need at least two grid points for a slope")
     return _table_from_values(monte_carlo_values(spec, n_grid, samples, seed, workers))
-
-
-concentration_run = convergence_run  # the same table, read for its per-N variance
 
 
 def means_nonincreasing(table: ResultTable, sigmas: float = 2.0) -> bool:

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import chains, serialize, sofic, verify
+from .partitions import bell_exceeds
 from .strings import build_string_assignment, validate_assignment
 from .tensor import GuardExceeded
 from .traffic import MAP_GUARD, PARTITION_GUARD
@@ -95,15 +96,17 @@ def _cmd_traffic_check(args) -> int:
     data = serialize.load_json(args.fixture)
     seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
     n = args.n
-    if args.draws < 1:
-        raise ValueError(f"--draws must be positive, not {args.draws}")
+    if args.draws < 1 or n < 1:
+        raise ValueError(f"--n and --draws must be positive, not {n} and {args.draws}")
     t = serialize.load_test_graph(data, n, seed)
-    if t.digraph.vertex_count and n ** t.digraph.vertex_count > args.guard_maps:
-        print(
-            f"guard: per-string labeling count {n}**{t.digraph.vertex_count} exceeds map guard",
-            file=sys.stderr,
-        )
+    nv, ne = t.digraph.vertex_count, t.digraph.edge_count
+    # for n > 1, nv past the guard's bit length passes it: n**nv is only formed below that
+    if nv and (n > 1 and nv > args.guard_maps.bit_length() or n**nv > args.guard_maps):
+        print(f"guard: per-string labeling count {n}**{nv} exceeds map guard", file=sys.stderr)
         return EXIT_GUARD
+    # each edge joins at most two components, so every rho_s has at least nv - ne blocks
+    if t.assignment.strings and bell_exceeds(nv - ne, args.guard_partitions):
+        raise GuardExceeded(f"partition tuple count of at least Bell({nv - ne}) exceeds guard {args.guard_partitions}")
     results = []
     results.extend(verify.check_claims(t, data.get("claims", {})))
     results.extend(verify.exponent_suite(t, args.guard_partitions))

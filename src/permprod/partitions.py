@@ -204,8 +204,16 @@ def _restricted_growth(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def bell_number(n: int) -> int:
-    row = [1]  # the Bell triangle: each row starts with the last entry of the row above
-    for _ in range(n):
-        row = list(itertools.accumulate(row, initial=row[-1]))
-    return row[0]
+    return next(itertools.islice(_bell_numbers(), n, None))
 
+
+def bell_exceeds(n: int, bound: int) -> bool:
+    """Whether Bell(n) > bound; Bell numbers never fall, so none past the bound is formed."""
+    return any(b > bound for _, b in zip(range(n + 1), _bell_numbers()))
+
+
+def _bell_numbers() -> Iterator[int]:
+    row = [1]  # the Bell triangle: each row starts with the last entry of the row above
+    while True:
+        yield row[0]
+        row = list(itertools.accumulate(row, initial=row[-1]))

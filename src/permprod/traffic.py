@@ -38,7 +38,16 @@ from .digraphs import (
     two_edge_decompose,
     weak_components,
 )
-from .partitions import Partition, _classes, _codes, _restricted_growth, bell_number, enumerate_partitions, meet_many
+from .partitions import (
+    Partition,
+    _classes,
+    _codes,
+    _restricted_growth,
+    bell_exceeds,
+    bell_number,
+    enumerate_partitions,
+    meet_many,
+)
 from .strings import StringAssignment
 from .tensor import (
     GuardExceeded,
@@ -297,7 +306,7 @@ def all_rho(t: TestGraph) -> MultiPartition:
 
 
 def _check_admissible(t: TestGraph, pi: MultiPartition) -> None:
-    rhos = _graph_record(t)[0]
+    rhos = all_rho(t)
     for s, part in pi.items():
         if not rhos.part(s).refines(part):
             raise ValueError(f"pi_{s} is not above rho_{s}")
@@ -652,22 +661,14 @@ def growth_exponent(t: TestGraph, pi: MultiPartition) -> tuple[Fraction, dict[st
     two-edge-connected graphs, zero exactly when every colored-component
     graph is a tree."""
     _check_admissible(t, pi)
-    record = _graph_record(t)[1]
-    doubled = record.doubled_exponents([pi.part(s) for s in record.strings])
-    return Fraction(sum(doubled), 2), {s: Fraction(d, 2) for s, d in zip(record.strings, doubled)}
-
-
-_LAST_GRAPH: tuple | None = None  # (t, all_rho(t), a _KernelRecord of t)
-
-
-def _graph_record(t: TestGraph) -> tuple[MultiPartition, "_KernelRecord"]:
-    """rho and a record of t, kept for the next call on the same object (a
-    TestGraph holds arrays and is not hashable)."""
-    global _LAST_GRAPH
-    last = _LAST_GRAPH
-    if last is None or last[0] is not t:
-        last = _LAST_GRAPH = (t, all_rho(t), _KernelRecord(t))
-    return last[1], last[2]
+    a = t.assignment
+    per_string = {s: Fraction(pi.part(s).num_blocks - 1) for s in a.sorted_strings()}
+    for c in sorted(set(t.edge_colors)):  # an edgeless color's term is zero
+        q = color_quotient(t, pi, c)
+        term = Fraction(q.decomposition().leaf_count, 2) - q.partition.num_blocks
+        for s in a.sorted_strings_of(c):
+            per_string[s] += term
+    return sum(per_string.values(), Fraction(0)), per_string
 
 
 class _ColorSummary(NamedTuple):
@@ -706,52 +707,7 @@ def _injective(q: _ColorSummary, ps: Sequence[int]) -> bool:
     return len({(k, ps[r]) for r, k in zip(q.reps, q.comp_of)}) == len(q.reps)
 
 
-class _KernelRecord:
-    """The kernel analysis of one test graph one kernel tuple at a time, on
-    plain ints, for `growth_exponent` and `all_gcc_trees`: each color's edges
-    and strings' positions, and one summary, with its leaf count, per color
-    and meet of its strings' kernels.  Kernel tuples come as sequences
-    aligned with the sorted strings."""
-
-    def __init__(self, t: TestGraph):
-        a = t.assignment
-        self.strings = a.sorted_strings()
-        self.colors = {  # color -> (its edges, its strings' positions)
-            c: (
-                [e for e, x in zip(t.digraph.edges, t.edge_colors) if x == c],
-                tuple(map(self.strings.index, a.sorted_strings_of(c))),
-            )
-            for c in sorted({c for s in self.strings for c in a.colors_of(s)})
-        }
-        self.string_colors = [sorted(a.colors_of(s)) for s in self.strings]
-        self._summaries: dict = {}  # (color, the meet's label tuple) -> _ColorSummary
-
-    def summary(self, c: str, parts: Sequence[Partition]) -> _ColorSummary:
-        edges, idx = self.colors[c]
-        key = (c, _codes(zip(*[parts[i].labels for i in idx])))
-        out = self._summaries.get(key)
-        if out is None:
-            out = self._summaries[key] = _color_summary(edges, key[1], True)
-        return out
-
-    def doubled_exponents(self, parts: Sequence[Partition]) -> list[int]:
-        """Twice each string's growth exponent, in sorted-string order."""
-        out = [2 * (p.num_blocks - 1) for p in parts]
-        for c, (_, idx) in self.colors.items():
-            q = self.summary(c, parts)
-            for i in idx:
-                out[i] += q.leaves - 2 * len(q.reps)
-        return out
-
-    def tree(self, i: int, parts: Sequence[Partition]) -> bool:
-        """Whether string i's GCC, as `gcc` builds it, is a tree."""
-        return _gcc_is_tree(parts[i].labels, [self.summary(c, parts) for c in self.string_colors[i]])
-
-    def all_trees(self, parts: Sequence[Partition]) -> bool:
-        return all(self.tree(i, parts) for i in range(len(self.strings)))
-
-
-class _KernelTable(_KernelRecord):
+class _KernelTable:
     """Every admissible kernel tuple of one test graph at once, for one
     `verify.exponent_suite` or `enumerate_tree_partitions` call.  Strings
     with equal rho_s share a pool, its coarsenings as a label array (a row
@@ -762,10 +718,19 @@ class _KernelTable(_KernelRecord):
     doubled exponent, GCC edge count E_s (sum of |omega_c|) and GCC vertex
     count V_s (|pi_s| plus the colors' component counts) are gathers from
     per-id arrays; only tuples with every E_s = V_s - 1 get the tree test.
-    Grids are swept in chunks of about SWEEP_BYTES of work arrays."""
+    Grids are swept in chunks of about SWEEP_BYTES of work arrays.
+    `growth_exponent` and `all_gcc_trees` are the tuple-by-tuple path it is
+    checked against."""
 
     def __init__(self, t: TestGraph, partition_guard: int, leaves: bool):
-        super().__init__(t)
+        a = t.assignment
+        self.strings = a.sorted_strings()
+        edges = list(zip(t.digraph.edges, t.edge_colors))
+        self.colors = {  # color -> (its edges, its strings' positions)
+            c: ([e for e, x in edges if x == c], tuple(map(self.strings.index, a.sorted_strings_of(c))))
+            for c in sorted({c for s in self.strings for c in a.colors_of(s)})
+        }
+        self.string_colors = [sorted(a.colors_of(s)) for s in self.strings]
         rhos, self.total = _admissible_count(t, partition_guard)
         pools = {p.labels: p.num_blocks for p in rhos.parts}  # one pool per distinct rho_s
         for labels, blocks in pools.items():  # its coarsenings' labels, a row each
@@ -851,9 +816,13 @@ def _chunks(size: int, item_bytes: int) -> Iterator[np.ndarray]:
 
 def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartition, int]:
     """Every rho_s and the count of kernel tuples above them, the product of
-    Bell(|rho_s|), checked against the guard."""
+    Bell(|rho_s|), checked against the guard; no Bell number past the
+    guard is formed."""
     rhos = all_rho(t)
-    total = math.prod(bell_number(p.num_blocks) for p in rhos.parts)
+    blocks = [p.num_blocks for p in rhos.parts]
+    if any(bell_exceeds(b, partition_guard) for b in blocks):
+        raise GuardExceeded(f"partition tuple count of at least Bell({max(blocks)}) exceeds guard {partition_guard}")
+    total = math.prod(map(bell_number, blocks))
     if total > partition_guard:
         raise GuardExceeded(f"partition tuple count {total} exceeds guard {partition_guard}")
     return rhos, total
@@ -870,8 +839,7 @@ def enumerate_admissible(
 
 
 def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
-    record = _graph_record(t)[1]
-    return record.all_trees([pi.part(s) for s in record.strings])
+    return all(gcc(t, pi, s).is_tree() for s in t.assignment.sorted_strings())
 
 
 def enumerate_tree_partitions(

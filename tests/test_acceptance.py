@@ -25,16 +25,16 @@ from permprod.tensor import (
     sample_uniform_permutation,
 )
 from permprod.traffic import (
+    PARTITION_GUARD,
     LoopedTestGraph,
     MultiPartition,
-    all_gcc_trees,
+    _KernelTable,
     all_rho,
     color_quotient,
     enumerate_admissible,
     gamma_empirical,
     gamma_expected_formula,
     gcc,
-    growth_exponent,
     rho,
     trace_test_graph,
 )
@@ -246,9 +246,11 @@ def test_criterion_4_growth_exponent_exhaustive():
         budget = math.prod(bell_number(rhos.part(s).num_blocks) for s in a.sorted_strings())
         if budget > 20000:
             continue
-        for pi in enumerate_admissible(t):
-            expo, _ = growth_exponent(t, pi)
-            trees = all_gcc_trees(t, pi)
+        # each tuple's doubled exponent and all-trees bit, read off one table sweep
+        table = _KernelTable(t, PARTITION_GUARD, leaves=True)
+        laws = (law for doubled, trees, _ in table.sweep() for law in zip(doubled.tolist(), trees.tolist()))
+        for pi, (doubled, trees) in zip(enumerate_admissible(t), laws, strict=True):
+            expo = Fraction(doubled, 2)
             assert expo <= 0
             assert (expo == 0) == trees
             if trees:

@@ -4,15 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from permprod import traffic
+from permprod import chains, traffic
 from permprod.digraphs import two_edge_decompose, weak_components
 from permprod.partitions import meet_many
+from permprod.strings import is_g_reduced
 from permprod.tensor import Permutation, StructuredMatrix
 from permprod.chains import (
     ChainSpec,
     build_squared_chain,
     chain_factors,
-    concentration_run,
     convergence_run,
     draw_sigmas,
     inconsistency_search,
@@ -22,8 +22,9 @@ from permprod.chains import (
     subset_indices,
 )
 from permprod.tensor import sums_agree
-from permprod.traffic import enumerate_admissible, trace_test_graph
+from permprod.traffic import enumerate_admissible, enumerate_tree_partitions, trace_test_graph
 from helpers import shared_string_model, disjoint_string_model, three_color_model
+from test_acceptance import _chain_assignments, _compositions
 from oracles import quotient_looped, subset_quotient_partition
 
 
@@ -285,6 +286,32 @@ def test_inconsistency_search_empty_and_control():
         assert control, spec.chi
 
 
+def test_inconsistency_search_draws_nothing(monkeypatch):
+    # the search reads only the squared chain's graph: with every draw
+    # refused, criterion 5's specs still have no surviving class, and the
+    # control finds the tree tuples of the drawn chain's graph
+    specs = [
+        ChainSpec(g, a, chi, ell)
+        for g, a in _chain_assignments()
+        for k in (1, 2, 3)
+        for chi in itertools.product(g.colors, repeat=k)
+        if is_g_reduced(chi, g)
+        for total in range(k, 4)
+        for ell in _compositions(total, k)
+    ]
+    trees = [list(enumerate_tree_partitions(build_squared_chain(spec, 1, 0).test_graph)) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("the search drew a letter or a diagonal")
+
+    monkeypatch.setattr(chains, "sample_uniform_permutation", refuse)
+    monkeypatch.setattr(chains, "rng_stream", refuse)
+    for spec, want in zip(specs, trees):
+        assert inconsistency_search(spec) == []
+        assert inconsistency_search(spec, drop_border_condition=True) == want != []
+    assert len(specs) > 100
+
+
 def test_convergence_run_slope_and_monotonicity():
     spec = edgeless_spec(("a", "b"), (1, 1), x_mode="cycle")
     table = convergence_run(spec, [4, 8, 16, 32], 120, seed=5)
@@ -324,13 +351,12 @@ def test_complete_graph_k1_means_identically_zero():
     table = convergence_run(spec, [2, 4, 8], 20, seed=2)
     assert all(r["mean"] == 0.0 for r in table.rows)
     assert table.slope is None
-    conc = concentration_run(spec, [2, 4, 8], 20, seed=2)
-    assert all(r["variance"] == 0.0 for r in conc.rows)
+    assert all(r["variance"] == 0.0 for r in table.rows)
 
 
 def test_concentration_variance_decreases():
     spec = edgeless_spec(("a", "b"), (1, 1), x_mode="cycle")
-    table = concentration_run(spec, [4, 32], 200, seed=7)
+    table = convergence_run(spec, [4, 32], 200, seed=7)
     assert table.rows[-1]["variance"] < table.rows[0]["variance"]
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -215,6 +216,35 @@ def test_traffic_check_map_guard_reaches_the_kernel_chase(tmp_path):
     assert main(["traffic-check", str(fixture), "--n", "2", "--guard-maps", "100", "--out", str(tmp_path)]) == 0
     byname = {c["name"]: c for c in json.load(open(tmp_path / "report.json"))["checks"]}
     assert "exceeds map guard 100" in byname["kernel-decomposition"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "n, vertices",
+    [(2, 10**30), (1, 10**5), (1, 10**30)],
+    ids=["maps-vertices-1e30", "partitions-vertices-1e5", "partitions-vertices-1e30"],
+)
+def test_traffic_check_guards_refuse_before_any_per_vertex_work(tmp_path, capsys, n, vertices):
+    # neither n**vertices nor Bell(vertices - edges), a floor on the kernel
+    # tuple count, is formed to be compared with its guard
+    data = json.load(open(FIXTURE))
+    data.update(vertices=vertices, claims={})
+    fixture = tmp_path / "big.json"
+    write(fixture, data)
+    start = time.perf_counter()
+    assert main(["traffic-check", str(fixture), "--n", str(n), "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["big.json"]  # nothing written
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_traffic_check_map_guard_is_exact_at_its_bound(tmp_path, capsys, n):
+    # the six-vertex fixture has n**6 labelings per string: a guard of
+    # exactly that passes the pre-check, and one less refuses
+    for guard, code in ((n**6, 0), (n**6 - 1, 3)):
+        assert main(["traffic-check", FIXTURE, "--n", str(n), "--guard-maps", str(guard), "--out", str(tmp_path)]) == code
+        assert ("per-string labeling count" in capsys.readouterr().err) == (code == 3)
 
 
 def test_converge_cli_and_determinism(tmp_path):

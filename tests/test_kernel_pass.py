@@ -111,6 +111,15 @@ def test_kernel_suite_guard_is_the_enumeration_guard():
     assert str(suite.value).startswith("partition tuple count ")
 
 
+def test_partition_guard_stops_at_the_first_bell_number_past_it():
+    # 300 isolated vertices: every rho_s has 300 blocks, and the triangle
+    # stops at Bell(13), the first past 10**7, instead of forming Bell(300)
+    t = make_test_graph(three_color_model()[1], 300, [])
+    with pytest.raises(GuardExceeded) as direct:
+        list(enumerate_admissible(t))
+    assert str(direct.value) == "partition tuple count of at least Bell(300) exceeds guard 10000000"
+
+
 def g_cycle_with_chord(nv):
     """A G-colored cycle through nv vertices plus a G chord from 0 to 3 on the
     three-color wiring: rho_1 is one block, rho_2 and rho_3 are singletons."""

@@ -1,17 +1,19 @@
-"""The per-graph kernel table and record against the tuple-by-tuple oracles.
+"""The per-graph kernel table against the tuple-by-tuple oracles.
 
 `verify.exponent_suite` and `enumerate_tree_partitions` read the growth
 exponent, the GCC tree verdicts and the leaf and injectivity laws off one
 `_KernelTable` per call, which summarises each color's quotient once per
-distinct meet omega_c; `growth_exponent` and `all_gcc_trees` read them off a
-`_KernelRecord`, one tuple at a time.  Every answer must equal the
-straightforward per-tuple recomputation in `tests/oracles.py`.
+distinct meet omega_c; `growth_exponent` and `all_gcc_trees` compute them
+directly, one tuple at a time, and keep nothing between calls.  Every
+answer must equal the straightforward per-tuple recomputation in
+`tests/oracles.py`.
 """
 
 import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,7 +24,8 @@ from permprod.strings import StringAssignment
 from permprod.traffic import (
     PARTITION_GUARD,
     TestGraph,
-    _KernelRecord,
+    _KernelTable,
+    _gcc_is_tree,
     _injective,
     all_gcc_trees,
     color_quotient,
@@ -66,20 +69,30 @@ def test_exponent_suite_equals_oracle_suite():
 
 
 def test_one_record_answers_every_tuple_as_the_oracles_do():
+    # one table per graph: each tuple's swept laws, and the per-omega
+    # summaries at its pool rows, against the oracles
     tuples = 0
     for t in [appendix_graph(), *graphs_under_test()]:
-        record = _KernelRecord(t)  # shared by all tuples, as in a sweep
-        for pi in enumerate_admissible(t):
-            doubled = record.doubled_exponents(pi.parts)
+        table = _KernelTable(t, PARTITION_GUARD, leaves=True)
+        laws = (law for doubled, trees, _ in table.sweep() for law in zip(doubled.tolist(), trees.tolist()))
+        for k, (pi, (doubled, all_trees)) in enumerate(zip(enumerate_admissible(t), laws, strict=True)):
             expo, per_string = string_major_growth_exponent(t, pi)
-            assert Fraction(sum(doubled), 2) == expo
-            assert {s: Fraction(d, 2) for s, d in zip(pi.strings, doubled)} == per_string
+            assert Fraction(doubled, 2) == expo
             assert traffic.growth_exponent(t, pi) == (expo, per_string)
+            rows = np.unravel_index(k, table.shape)
+            kernels = [table.kernel(i, r) for i, r in enumerate(rows)]
+            assert kernels == [p.labels for p in pi.parts]
+            summaries = {}  # color -> its summary at this tuple
+            for c, (ids, qs) in table.omegas.items():
+                idx = table.colors[c][1]
+                summaries[c] = qs[ids[np.ravel_multi_index([rows[i] for i in idx], [table.shape[i] for i in idx])]]
             trees = [h_sc_gcc(t, pi, s).is_tree() for s in pi.strings]
-            assert [record.tree(i, pi.parts) for i in range(len(pi.strings))] == trees
-            assert record.all_trees(pi.parts) == traffic.all_gcc_trees(t, pi) == all(trees)
-            for c in record.colors:
-                q, summary = color_quotient(t, pi, c), record.summary(c, pi.parts)
+            assert [
+                _gcc_is_tree(ps, [summaries[c] for c in colors]) for ps, colors in zip(kernels, table.string_colors)
+            ] == trees
+            assert all_trees == traffic.all_gcc_trees(t, pi) == all(trees)
+            for c, summary in summaries.items():
+                q = color_quotient(t, pi, c)
                 comps = q.components
                 assert (summary.leaves, summary.components) == (q.decomposition().leaf_count, comps.num_blocks)
                 assert all(_injective(summary, pi.part(s).labels) for s in t.assignment.sorted_strings_of(c)) == all(
@@ -121,9 +134,9 @@ def test_int_leaf_count_equals_the_decomposition(case):
 
 
 def test_cached_record_follows_the_graph_it_is_called_with():
-    # the public functions share one record per graph object; interleaved
-    # calls over A, B, A and a new object equal to A must each answer as a
-    # cache-free, tuple-by-tuple recomputation does
+    # the public functions keep nothing between calls: interleaved calls
+    # over A, B, A and a new object equal to A must each answer as the
+    # tuple-by-tuple oracles do
     a = example_test_graph()
     b = make_test_graph(a.assignment, 6, list(zip(a.digraph.edges, ("G", "G", "B", "R", "G", "B", "G", "B"))))
     a_copy = TestGraph(a.assignment, a.digraph, a.edge_colors, a.labels)

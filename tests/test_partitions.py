@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from permprod.partitions import (
     Partition,
+    bell_exceeds,
     bell_number,
     enumerate_partitions,
     join,
@@ -35,6 +36,14 @@ def test_enumerate_counts_bell_numbers():
     for n, b in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
         assert len(list(enumerate_partitions(n))) == b
         assert bell_number(n) == b
+
+
+def test_bell_exceeds_compares_without_forming_the_number():
+    for n in range(-1, 30):
+        b = bell_number(max(n, 0))
+        for bound in (-1, 0, 1, b - 1, b, b + 1, 10**7):
+            assert bell_exceeds(n, bound) == (n >= 0 and b > bound)
+    assert bell_exceeds(10**30, 10**7)  # stops at Bell(13), the first past the bound
 
 
 def test_enumerate_matches_bruteforce_and_is_deduplicated():

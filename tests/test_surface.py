@@ -71,3 +71,15 @@ def test_every_private_definition_is_referenced_outside_itself():
             if all(other == module and first <= line <= last for other, line in uses[name]):
                 unused.append(f"{module}:{first} {name}")
     assert unused == []
+
+
+def test_no_module_state_outlives_a_call():
+    # a `global` statement is how a function keeps a result for the next
+    # call; none may, so no cache outlives the call that filled it
+    found = [
+        f"{path.name}:{node.lineno} {', '.join(node.names)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
