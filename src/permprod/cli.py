@@ -33,13 +33,12 @@ EXIT_GUARD = 3
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process.  Each subcommand takes
+    only the flags it reads."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--workers", type=int, default=None, help="worker threads for sampling")
-    common.add_argument("--guard-maps", type=int, default=MAP_GUARD)
-    common.add_argument("--guard-partitions", type=int, default=PARTITION_GUARD)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     parser = argparse.ArgumentParser(prog="permprod")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,15 +46,18 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("string-assign", parents=[common], help="build a string assignment for a color graph")
     p.add_argument("graph")
 
-    p = sub.add_parser("traffic-check", parents=[common], help="verify moment invariants over a fixture")
+    p = sub.add_parser("traffic-check", parents=[seeded], help="verify moment invariants over a fixture")
     p.add_argument("fixture")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--draws", type=int, default=3)
+    p.add_argument("--guard-maps", type=int, default=MAP_GUARD)
+    p.add_argument("--guard-partitions", type=int, default=PARTITION_GUARD)
 
-    p = sub.add_parser("converge", parents=[common], help="Monte Carlo decay of the centered chain norm")
+    p = sub.add_parser("converge", parents=[seeded], help="Monte Carlo decay of the centered chain norm")
     p.add_argument("config")
+    p.add_argument("--workers", type=int, default=None, help="worker threads for sampling")
 
-    p = sub.add_parser("sofic-certify", parents=[common], help="certify word traces of a product representation")
+    p = sub.add_parser("sofic-certify", parents=[seeded], help="certify word traces of a product representation")
     p.add_argument("config")
 
     return parser

@@ -102,14 +102,13 @@ def model_from_dict(d: dict) -> tuple[ColorGraph, StringAssignment | None]:
 
 def matrix_from_dict(d: dict) -> StructuredMatrix:
     json_object(d, "a matrix")
-    support, n = json_list(d["support"], "matrix support"), json_int(d["n"], "matrix side")
+    support = [json_str(s, "a matrix support string") for s in json_list(d["support"], "matrix support")]
+    n = json_int(d["n"], "matrix side")
     if "permutation" in d:
         perm = permutation_from_dict(d["permutation"])
         return StructuredMatrix.from_permutation(support, n, perm)
-    re = np.asarray(d["entries_re"], dtype=float)
-    im = np.asarray(d.get("entries_im", np.zeros_like(re)), dtype=float)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite numbers")
+    re = _entries(d["entries_re"], "entries_re")
+    im = _entries(d["entries_im"], "entries_im") if "entries_im" in d else np.zeros_like(re)
     # exact integer labels only when every entry is one: a float holds every
     # integer up to 2**53 exactly, and nothing is rounded into an integer
     if not im.any() and np.array_equal(re, np.trunc(re)) and np.all(np.abs(re) <= 2**53):
@@ -117,13 +116,19 @@ def matrix_from_dict(d: dict) -> StructuredMatrix:
     return StructuredMatrix.dense(support, n, re + 1j * im)
 
 
-def permutation_to_dict(p: Permutation) -> dict:
-    return {"n": p.n, "images": p.images.tolist()}
+def _entries(value, name: str) -> np.ndarray:
+    """A matrix's entries as floats: a JSON list of lists of finite numbers."""
+    rows = [json_list(row, f"a row of {name}") for row in json_list(value, name)]
+    try:  # an integer past the float range overflows
+        return np.asarray([[json_number(x, f"an entry of {name}") for x in row] for row in rows], dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must hold finite numbers") from None
 
 
 def permutation_from_dict(d: dict) -> Permutation:
+    json_object(d, "a permutation")
     p = Permutation(d["images"])
-    if p.n != d["n"]:
+    if p.n != json_int(d["n"], "permutation length"):
         raise ValueError("permutation length mismatch")
     return p
 

@@ -65,7 +65,7 @@ from .tensor import (
 MAP_GUARD = 2**24
 LABELING_CHUNK = 2**14  # array entries per chunk of kernel labelings
 PARTITION_GUARD = 10**7
-SWEEP_BYTES = 2**24  # work-array bytes per chunk of a `_KernelTable` sweep
+SWEEP_BYTES = 2**24  # bytes per `_kernel_sweep` chunk: they bound all the sweep keeps but its pools
 
 
 @dataclass(frozen=True)
@@ -344,13 +344,6 @@ def color_quotient(t: TestGraph, pi: MultiPartition, c: str) -> ColoredQuotient:
     keep = tuple(i for i, col in enumerate(t.edge_colors) if col == c)
     q, _ = quotient_digraph(t.digraph.restrict_edges(keep), om)
     return ColoredQuotient(q, om, keep, tuple(t.labels[i] for i in keep))
-
-
-def h_sc(t: TestGraph, pi: MultiPartition, s: str, c: str) -> tuple[int, ...]:
-    """Block map from the c-quotient's vertices to the s-quotient's vertices;
-    well defined because the meet refines every string's kernel."""
-    labels = pi.part(s).labels
-    return tuple(labels[b[0]] for b in omega(pi, t.assignment, c).blocks)
 
 
 @dataclass(frozen=True)
@@ -707,111 +700,108 @@ def _injective(q: _ColorSummary, ps: Sequence[int]) -> bool:
     return len({(k, ps[r]) for r, k in zip(q.reps, q.comp_of)}) == len(q.reps)
 
 
-class _KernelTable:
-    """Every admissible kernel tuple of one test graph at once, for one
-    `verify.exponent_suite` or `enumerate_tree_partitions` call.  Strings
-    with equal rho_s share a pool, its coarsenings as a label array (a row
-    each, in `enumerate_partitions` order); a tuple is a point of the grid
-    of pool rows, in itertools.product order.  omega_c depends only on the
-    rows of c's strings, so each point of c's subgrid gets an omega id and
-    each distinct omega_c one `_color_summary`.  Per tuple, each string's
-    doubled exponent, GCC edge count E_s (sum of |omega_c|) and GCC vertex
-    count V_s (|pi_s| plus the colors' component counts) are gathers from
-    per-id arrays; only tuples with every E_s = V_s - 1 get the tree test.
-    Grids are swept in chunks of about SWEEP_BYTES of work arrays.
-    `growth_exponent` and `all_gcc_trees` are the tuple-by-tuple path it is
+def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+    """Every admissible kernel tuple of one test graph, in
+    `enumerate_admissible` order, for one `verify.exponent_suite` or
+    `enumerate_tree_partitions` call.  Per chunk of about SWEEP_BYTES it
+    yields each tuple's doubled growth exponent (leaf counts read as zero
+    without `leaves`), the mask of all-tree tuples, and per all-tree tuple
+    its kernels (a label tuple per sorted string) and {color: its summary}.
+
+    Strings with equal rho_s share a pool, its coarsenings as a small signed
+    label array; a tuple is a point of the grid of pool rows.  omega_c is
+    packed in one int (a label, or a meet's first vertex of a vertex's
+    block, is at most the vertex v, so it goes in base v + 1) and formed
+    once per point of c's subgrid that a chunk meets, or once per call
+    where the subgrid fits a chunk.  Each distinct omega_c is summarised
+    once; a color's summaries carry into the next chunk while they number
+    no more than a chunk's tuples, so the chunk bounds all the sweep keeps
+    but its pools.  Exponents and GCC edge and vertex counts are gathers;
+    only tuples with E_s = V_s - 1 on every string get the tree test.
+    `growth_exponent` and `all_gcc_trees` are the per-tuple path it is
     checked against."""
+    a, nv = t.assignment, t.digraph.vertex_count
+    strings = a.sorted_strings()
+    edges = list(zip(t.digraph.edges, t.edge_colors))
+    colors = {  # color -> (its edges, its strings' positions)
+        c: ([e for e, x in edges if x == c], tuple(map(strings.index, a.sorted_strings_of(c))))
+        for c in sorted({c for s in strings for c in a.colors_of(s)})
+    }
+    string_colors = [sorted(a.colors_of(s)) for s in strings]
+    rhos, total = _admissible_count(t, partition_guard)
+    pools: dict = {}  # one per distinct rho_s: its coarsenings' labels, a row each
+    for p in rhos.parts:
+        if p.labels not in pools:
+            codes = itertools.chain.from_iterable(_restricted_growth(p.num_blocks))
+            size = bell_number(p.num_blocks), p.num_blocks
+            grid = np.fromiter(codes, np.min_scalar_type(-nv - 1), math.prod(size)).reshape(size)
+            # a code per block of rho_s, then per vertex (the same where rho_s is the singletons)
+            pools[p.labels] = grid if p.num_blocks == nv else grid[:, list(p.labels)]
+    pools = [pools[p.labels] for p in rhos.parts]
+    shape = [len(pool) for pool in pools]
+    blocks = [pool.max(axis=1, initial=-1) + 1 for pool in pools]
+    weights = np.array([math.factorial(v) for v in range(nv)], dtype=np.int64 if nv <= 20 else object)
+    seen = {c: ({}, [], []) for c in colors}  # color -> (omega -> id, summary per id, terms per id)
 
-    def __init__(self, t: TestGraph, partition_guard: int, leaves: bool):
-        a = t.assignment
-        self.strings = a.sorted_strings()
-        edges = list(zip(t.digraph.edges, t.edge_colors))
-        self.colors = {  # color -> (its edges, its strings' positions)
-            c: ([e for e, x in edges if x == c], tuple(map(self.strings.index, a.sorted_strings_of(c))))
-            for c in sorted({c for s in self.strings for c in a.colors_of(s)})
-        }
-        self.string_colors = [sorted(a.colors_of(s)) for s in self.strings]
-        rhos, self.total = _admissible_count(t, partition_guard)
-        pools = {p.labels: p.num_blocks for p in rhos.parts}  # one pool per distinct rho_s
-        for labels, blocks in pools.items():  # its coarsenings' labels, a row each
-            pools[labels] = np.array(list(_restricted_growth(blocks)), dtype=np.int64)[:, list(labels)]
-        self.pools = [pools[p.labels] for p in rhos.parts]
-        self.shape = [len(pool) for pool in self.pools]
-        # color -> (omega id per point of its subgrid, summary per id)
-        self.omegas = {c: self._omegas(c, t.digraph.vertex_count, leaves) for c in self.colors}
+    def summarise(c: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point of c's subgrid: its summary's id, and its |omega_c|, components and leaf term."""
+        color_edges, idx = colors[c]
+        rows = np.unravel_index(points, [shape[i] for i in idx])
+        om = pools[idx[0]][rows[0]].astype(np.int64)  # restricted growth strings: one form per partition
+        for i, r in zip(idx[1:], rows[1:]):  # the meet: each vertex's first vertex of equal codes
+            om = om * nv + pools[i][r]
+            om = (om[:, :, None] == om[:, None, :]).argmax(axis=2) if nv else om
+        index, summaries, per_id = seen[c]
+        keys = (om @ weights).tolist()
+        for j, key in enumerate(keys):
+            if key not in index:
+                index[key] = len(summaries)
+                q = _color_summary(color_edges, _codes(om[j].tolist()), leaves)
+                summaries.append(q)
+                per_id.append((len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)))
+        ids = np.array([index[key] for key in keys])
+        return ids, np.array(per_id)[ids]
 
-    def kernel(self, i: int, row: int) -> tuple[int, ...]:
-        return tuple(self.pools[i][row].tolist())  # string i's kernel at that pool row
-
-    def _omegas(self, c: str, nv: int, leaves: bool) -> tuple[np.ndarray, list[_ColorSummary]]:
-        """Color c's omega ids and summaries.  An omega is packed from its
-        labels or, for a meet, each vertex's first vertex in its block: digit
-        v is at most v, so it is packed in base v + 1."""
-        edges, idx = self.colors[c]
-        shape = [self.shape[i] for i in idx]
-        size = math.prod(shape)
-        ids = np.empty(size, dtype=np.min_scalar_type(size))
-        weights = np.array([math.factorial(v) for v in range(nv)], dtype=np.int64 if nv <= 20 else object)
-        found: dict = {}  # packed omega -> its id
-        summaries: list[_ColorSummary] = []
-        for flat in _chunks(size, nv * nv + 32 * nv + 8):
-            at = np.unravel_index(flat, shape)
-            om = self.pools[idx[0]][at[0]]  # restricted growth strings: already one form per partition
-            for i, rows in zip(idx[1:], at[1:]):  # the meet: each vertex's first vertex of equal codes
-                om = om * nv + self.pools[i][rows]
-                om = (om[:, :, None] == om[:, None, :]).argmax(axis=2) if nv else om
-            keys = (om @ weights).tolist()
-            for j, key in enumerate(keys):
-                if key not in found:
-                    found[key] = len(summaries)
-                    summaries.append(_color_summary(edges, _codes(om[j].tolist()), leaves))
-            ids[flat] = [found[key] for key in keys]
-        return ids, summaries
-
-    def sweep(self) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
-        """Per chunk of the tuple grid: each tuple's doubled growth exponent
-        (its leaf terms zero without leaf counts), the mask of all-tree
-        tuples, and per all-tree tuple its pool rows and {color: its summary}."""
-        # per color and omega id: |omega_c|, its component count, its leaf term
-        per_id = {
-            c: np.array([(len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)) for q in qs])
-            for c, (_, qs) in self.omegas.items()
-        }
-        blocks = [pool.max(axis=1, initial=-1) + 1 for pool in self.pools]
-        for flat in _chunks(self.total, 8 * (2 * len(self.shape) + len(self.colors) + 4)):
-            at = np.unravel_index(flat, self.shape) if self.shape else ()  # no strings: one empty tuple
-            oms, terms = {}, {}  # color -> each tuple's omega id, and its three per-id terms
-            for c, (ids, _) in self.omegas.items():
-                idx = self.colors[c][1]
-                oms[c] = ids[np.ravel_multi_index([at[i] for i in idx], [self.shape[i] for i in idx])]
-                terms[c] = per_id[c][oms[c]].T
-            doubled = np.zeros(len(flat), dtype=np.int64)
-            candidate = np.ones(len(flat), dtype=bool)
-            for i, colors in enumerate(self.string_colors):
-                edges, vertices = 0, blocks[i][at[i]]
-                doubled += 2 * (vertices - 1)
-                for c in colors:
-                    quotient, components, leaf_term = terms[c]
-                    doubled += leaf_term
-                    edges, vertices = edges + quotient, vertices + components
-                candidate &= edges == vertices - 1
-            trees, found = np.zeros_like(candidate), []
-            for j in np.flatnonzero(candidate).tolist():
-                rows = [int(a[j]) for a in at]
-                summaries = {c: qs[oms[c][j]] for c, (_, qs) in self.omegas.items()}
-                if all(
-                    _gcc_is_tree(self.kernel(i, r), [summaries[c] for c in colors])
-                    for i, (r, colors) in enumerate(zip(rows, self.string_colors))
-                ):
-                    trees[j] = True
-                    found.append((rows, summaries))
-            yield doubled, trees, found
-
-
-def _chunks(size: int, item_bytes: int) -> Iterator[np.ndarray]:
-    """range(size) in index arrays of SWEEP_BYTES // item_bytes items (at least one)."""
+    # per tuple: 8-byte work arrays, a few per string and color, and per color up
+    # to two summaries (those carried in and those made), each with its keys
+    item_bytes = 8 * (len(shape) + 6 * len(colors) + 4) + 2 * len(colors) * (500 + 16 * nv)
     step = max(1, SWEEP_BYTES // item_bytes)
-    return (np.arange(lo, min(lo + step, size)) for lo in range(0, size, step))
+    whole = {}  # color -> `summarise` of every point of its subgrid, where that fits a chunk
+    for flat in (np.arange(lo, min(lo + step, total)) for lo in range(0, total, step)):
+        at = np.unravel_index(flat, shape) if shape else ()  # no strings: one empty tuple
+        ids, terms = {}, {}  # color -> each tuple's summary id, and its |omega_c|, components and leaf term
+        for c, (_, idx) in colors.items():
+            sub_shape = [shape[i] for i in idx]
+            sub, size = np.ravel_multi_index([at[i] for i in idx], sub_shape), math.prod(sub_shape)
+            if size <= step:
+                if c not in whole:
+                    whole[c] = summarise(c, np.arange(size))
+                (point_ids, point_terms), inverse = whole[c], sub
+            else:
+                points, inverse = np.unique(sub, return_inverse=True)
+                point_ids, point_terms = summarise(c, points)
+            ids[c], terms[c] = point_ids[inverse], point_terms[inverse].T
+        doubled = np.zeros(len(flat), dtype=np.int64)
+        candidate = np.ones(len(flat), dtype=bool)
+        for i, cs in enumerate(string_colors):
+            n_edges, vertices = 0, blocks[i][at[i]].astype(np.int64)
+            doubled += 2 * (vertices - 1)
+            for c in cs:
+                quotient, components, leaf_term = terms[c]
+                doubled += leaf_term
+                n_edges, vertices = n_edges + quotient, vertices + components
+            candidate &= n_edges == vertices - 1
+        trees, found = np.zeros_like(candidate), []
+        picked = np.flatnonzero(candidate).tolist()
+        columns = [pool[r[picked]].tolist() for pool, r in zip(pools, at)]  # per string, each candidate's kernel
+        for k, j in enumerate(picked):
+            kernels = tuple(tuple(column[k]) for column in columns)
+            chosen = {c: seen[c][1][ids[c][j]] for c in colors}
+            if all(_gcc_is_tree(ps, [chosen[c] for c in cs]) for ps, cs in zip(kernels, string_colors)):
+                trees[j] = True
+                found.append((kernels, chosen))
+        seen = {c: kept if len(kept[1]) <= step else ({}, [], []) for c, kept in seen.items()}
+        yield doubled, trees, found
 
 
 def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartition, int]:
@@ -846,15 +836,14 @@ def enumerate_tree_partitions(
     t: TestGraph, partition_guard: int = PARTITION_GUARD
 ) -> Iterator[MultiPartition]:
     """Admissible kernel tuples whose colored-component graphs are all trees,
-    in `enumerate_admissible` order, read off one `_KernelTable`; each
+    in `enumerate_admissible` order, read off one `_kernel_sweep`; each
     distinct kernel is one `Partition` object per call."""
-    table = _KernelTable(t, partition_guard, leaves=False)
+    strings = t.assignment.sorted_strings()
     kernels: dict = {}  # label tuple -> its one Partition in this call
-    for _, _, found in table.sweep():
-        for rows, _ in found:
-            labels = map(table.kernel, range(len(rows)), rows)
+    for _, _, found in _kernel_sweep(t, partition_guard, leaves=False):
+        for labels, _ in found:
             parts = (kernels.get(k) or kernels.setdefault(k, Partition.from_labels(k)) for k in labels)
-            yield MultiPartition(table.strings, tuple(parts))
+            yield MultiPartition(strings, tuple(parts))
 
 
 def expected_trace_leading_terms(

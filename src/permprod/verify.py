@@ -22,10 +22,10 @@ from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible 
     LoopedTestGraph,
     MultiPartition,
     TestGraph,
-    _KernelTable,
     _admissible_count,
     _injective,
     _kernel_buckets,
+    _kernel_sweep,
     color_quotient,
     gcc,
     growth_exponent,
@@ -80,16 +80,17 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
         # the growth bound assumes two-edge connectivity; nothing to check
         return [("exponent-suite", True, "skipped: graph is not two-edge connected")]
     bound_ok = equality_iff_trees = leaf_rule = injective_rule = True
-    table = _KernelTable(t, partition_guard, leaves=True)
-    for doubled, trees, found in table.sweep():
+    string_colors = [t.assignment.colors_of(s) for s in t.assignment.sorted_strings()]
+    tuples = 0
+    for doubled, trees, found in _kernel_sweep(t, partition_guard, leaves=True):
+        tuples += len(doubled)
         bound_ok &= bool((doubled <= 0).all())
         equality_iff_trees &= bool(((doubled == 0) == trees).all())
-        for rows, summaries in found:
-            for c, q in summaries.items():
-                leaf_rule &= q.leaves == 2 * q.components
-                injective_rule &= all(_injective(q, table.kernel(i, rows[i])) for i in table.colors[c][1])
+        for kernels, summaries in found:
+            leaf_rule &= all(q.leaves == 2 * q.components for q in summaries.values())
+            injective_rule &= all(_injective(summaries[c], ps) for ps, cs in zip(kernels, string_colors) for c in cs)
     return [
-        ("exponent-nonpositive", bound_ok, f"{table.total} kernel tuples"),
+        ("exponent-nonpositive", bound_ok, f"{tuples} kernel tuples"),
         ("tree-equality", equality_iff_trees, "exponent vanishes exactly at all-tree tuples"),
         ("leaf-count-at-equality", leaf_rule, "leaf weight is twice the component count"),
         ("tree-injectivity", injective_rule, "block maps injective per component at trees"),

@@ -26,9 +26,18 @@ from permprod.traffic import (
     TestGraph,
     _as_exact_or_complex,
     _is_ones,
+    MultiPartition,
     color_quotient,
-    h_sc,
+    omega,
 )
+
+
+def h_sc(t: TestGraph, pi: MultiPartition, s: str, c: str) -> tuple[int, ...]:
+    """Block map from the c-quotient's vertices to the s-quotient's vertices,
+    from the meet of the color's kernels; well defined because the meet
+    refines every string's kernel."""
+    labels = pi.part(s).labels
+    return tuple(labels[b[0]] for b in omega(pi, t.assignment, c).blocks)
 
 
 def brute_join(p: Partition, q: Partition) -> Partition:

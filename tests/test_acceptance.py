@@ -28,7 +28,7 @@ from permprod.traffic import (
     PARTITION_GUARD,
     LoopedTestGraph,
     MultiPartition,
-    _KernelTable,
+    _kernel_sweep,
     all_rho,
     color_quotient,
     enumerate_admissible,
@@ -246,9 +246,9 @@ def test_criterion_4_growth_exponent_exhaustive():
         budget = math.prod(bell_number(rhos.part(s).num_blocks) for s in a.sorted_strings())
         if budget > 20000:
             continue
-        # each tuple's doubled exponent and all-trees bit, read off one table sweep
-        table = _KernelTable(t, PARTITION_GUARD, leaves=True)
-        laws = (law for doubled, trees, _ in table.sweep() for law in zip(doubled.tolist(), trees.tolist()))
+        # each tuple's doubled exponent and all-trees bit, read off one kernel sweep
+        sweep = _kernel_sweep(t, PARTITION_GUARD, leaves=True)
+        laws = (law for doubled, trees, _ in sweep for law in zip(doubled.tolist(), trees.tolist()))
         for pi, (doubled, trees) in zip(enumerate_admissible(t), laws, strict=True):
             expo = Fraction(doubled, 2)
             assert expo <= 0

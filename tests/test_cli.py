@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permprod.cli import main
+from permprod.cli import _parser, main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "appendix_a.json")
 
@@ -427,10 +427,17 @@ def sofic_config(vertex_groups):
     return {"colors": ["a"], "edges": [], "vertex_groups": vertex_groups, "n": 2}
 
 
-def permutation_label_fixture(images):
-    label = {"support": ["s"], "n": 2, "permutation": {"n": 2, "images": images}}
+def label_fixture(label):
+    """One a-edge between two vertices on one string, with the given label."""
     model = {"colors": ["a"], "edges": [], "strings": ["s"], "incidence": [["s", "a"]]}
     return dict(model, vertices=2, test_edges=[[0, 1, "a"]], labels=[label])
+
+
+def permutation_label_fixture(images):
+    return label_fixture({"support": ["s"], "n": 2, "permutation": {"n": 2, "images": images}})
+
+
+DENSE_LABEL = {"support": ["s"], "n": 2, "entries_re": [[0, 1], [1, 0]], "entries_im": [[0, 0], [0, 0]]}
 
 
 CONVERGE = {"colors": ["a", "b"], "edges": [], "chi": ["a", "b"], "ell": [1, 1], "n_grid": [2, 4], "samples": 2}
@@ -498,6 +505,15 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["b", 1]]])),
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), words=[[["a", 0]]])),
         *(("traffic-check --n 2", dict(APPENDIX, claims=claims)) for _, claims in WRONG_STRING_CLAIMS),
+        ("traffic-check", label_fixture({"support": ["s"], "n": 2, "permutation": [1, 0]})),
+        ("traffic-check", label_fixture({"support": ["s"], "n": 2, "permutation": None})),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re={"a": 1}))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re=[[{"a": 1}, 0], [0, 1]]))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_im={"a": 1}))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_im=[[0, {"a": 1}], [0, 0]]))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, support=["s", 1]))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re=[[True, 0], [0, 1]]))),
+        ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re=[[10**400, 0], [0, 1]]))),
     ],
     ids=[
         "short-test-edge",
@@ -551,6 +567,15 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         "traffic-color-quotient-pi-without-a-string",
         "traffic-color-quotient-pi-with-an-extra-string",
         "traffic-gcc-tree-claim-unknown-string",
+        "label-permutation-a-list",
+        "label-permutation-null",
+        "label-entries-re-an-object",
+        "label-entries-re-holding-an-object",
+        "label-entries-im-an-object",
+        "label-entries-im-holding-an-object",
+        "label-support-entry-a-number",
+        "label-entry-true",
+        "label-entry-past-the-float-range",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -559,6 +584,40 @@ def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, con
     assert main([*command.split(), str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "input-error" in err and "Traceback" not in err
+
+
+def test_the_label_rows_differ_from_a_valid_label_in_one_field(tmp_path):
+    for label in (DENSE_LABEL, {"support": ["s"], "n": 2, "permutation": {"n": 2, "images": [1, 0]}}):
+        write(tmp_path / "label.json", label_fixture(label))
+        assert main(["traffic-check", str(tmp_path / "label.json"), "--out", str(tmp_path)]) == 0
+
+
+REMOVED_FLAGS = {  # subcommand -> the common flags it never read, now refused
+    "string-assign": ["--seed", "--workers", "--guard-maps", "--guard-partitions"],
+    "traffic-check": ["--workers"],
+    "converge": ["--guard-maps", "--guard-partitions"],
+    "sofic-certify": ["--workers", "--guard-maps", "--guard-partitions"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags])
+def test_each_subcommand_refuses_the_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "config.json", flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_each_subcommand_keeps_the_flags_it_reads():
+    kept = {
+        "string-assign": [],
+        "traffic-check": ["--seed", "--n", "--draws", "--guard-maps", "--guard-partitions"],
+        "converge": ["--seed", "--workers"],
+        "sofic-certify": ["--seed"],
+    }
+    for command, flags in kept.items():
+        args = _parser().parse_args([command, "config.json", "--out", "o", *(x for f in flags for x in (f, "7"))])
+        assert args.out == "o" and all(getattr(args, f[2:].replace("-", "_")) == 7 for f in flags)
 
 
 @pytest.mark.parametrize("named, claims", WRONG_STRING_CLAIMS, ids=["pi-omits-3", "pi-names-9", "tree-string-9"])

@@ -1,19 +1,19 @@
-"""The per-graph kernel table against the tuple-by-tuple oracles.
+"""The chunked kernel sweep against the tuple-by-tuple oracles.
 
 `verify.exponent_suite` and `enumerate_tree_partitions` read the growth
 exponent, the GCC tree verdicts and the leaf and injectivity laws off one
-`_KernelTable` per call, which summarises each color's quotient once per
-distinct meet omega_c; `growth_exponent` and `all_gcc_trees` compute them
-directly, one tuple at a time, and keep nothing between calls.  Every
-answer must equal the straightforward per-tuple recomputation in
+`_kernel_sweep` per call, which summarises each color's quotient once per
+distinct meet omega_c in a chunk; `growth_exponent` and `all_gcc_trees`
+compute them directly, one tuple at a time, and keep nothing between calls.
+Every answer must equal the straightforward per-tuple recomputation in
 `tests/oracles.py`.
 """
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,22 +24,23 @@ from permprod.strings import StringAssignment
 from permprod.traffic import (
     PARTITION_GUARD,
     TestGraph,
-    _KernelTable,
+    _color_summary,
     _gcc_is_tree,
     _injective,
+    _kernel_sweep,
     all_gcc_trees,
     color_quotient,
     enumerate_admissible,
     enumerate_tree_partitions,
     growth_exponent,
-    h_sc,
     omega,
 )
-from helpers import example_test_graph, make_test_graph, three_color_model
+from helpers import example_test_graph, make_test_graph, shared_string_model, three_color_model
 from oracles import (
     all_gcc_trees_by_oracles,
     brute_leaf_count,
     exponent_suite_by_oracles,
+    h_sc,
     h_sc_gcc,
     string_major_growth_exponent,
 )
@@ -69,38 +70,42 @@ def test_exponent_suite_equals_oracle_suite():
 
 
 def test_one_record_answers_every_tuple_as_the_oracles_do():
-    # one table per graph: each tuple's swept laws, and the per-omega
-    # summaries at its pool rows, against the oracles
+    # one sweep per graph: each tuple's swept laws, and the per-omega
+    # summaries of each tuple, against the oracles; each all-tree tuple's
+    # kernels and summaries as the sweep yields them
     tuples = 0
     for t in [appendix_graph(), *graphs_under_test()]:
-        table = _KernelTable(t, PARTITION_GUARD, leaves=True)
-        laws = (law for doubled, trees, _ in table.sweep() for law in zip(doubled.tolist(), trees.tolist()))
-        for k, (pi, (doubled, all_trees)) in enumerate(zip(enumerate_admissible(t), laws, strict=True)):
+        a = t.assignment
+        colors = sorted({c for s in a.strings for c in a.colors_of(s)})
+        edges = {c: [e for e, x in zip(t.digraph.edges, t.edge_colors) if x == c] for c in colors}
+        chunks = list(_kernel_sweep(t, PARTITION_GUARD, leaves=True))
+        laws = (law for doubled, trees, _ in chunks for law in zip(doubled.tolist(), trees.tolist()))
+        yielded = iter([item for _, _, found in chunks for item in found])
+        for pi, (doubled, all_trees) in zip(enumerate_admissible(t), laws, strict=True):
             expo, per_string = string_major_growth_exponent(t, pi)
             assert Fraction(doubled, 2) == expo
             assert traffic.growth_exponent(t, pi) == (expo, per_string)
-            rows = np.unravel_index(k, table.shape)
-            kernels = [table.kernel(i, r) for i, r in enumerate(rows)]
-            assert kernels == [p.labels for p in pi.parts]
-            summaries = {}  # color -> its summary at this tuple
-            for c, (ids, qs) in table.omegas.items():
-                idx = table.colors[c][1]
-                summaries[c] = qs[ids[np.ravel_multi_index([rows[i] for i in idx], [table.shape[i] for i in idx])]]
+            kernels = tuple(p.labels for p in pi.parts)
+            summaries = {c: _color_summary(edges[c], omega(pi, a, c).labels, True) for c in colors}
             trees = [h_sc_gcc(t, pi, s).is_tree() for s in pi.strings]
+            string_colors = [sorted(a.colors_of(s)) for s in pi.strings]
             assert [
-                _gcc_is_tree(ps, [summaries[c] for c in colors]) for ps, colors in zip(kernels, table.string_colors)
+                _gcc_is_tree(ps, [summaries[c] for c in cs]) for ps, cs in zip(kernels, string_colors)
             ] == trees
             assert all_trees == traffic.all_gcc_trees(t, pi) == all(trees)
+            if all_trees:
+                assert next(yielded) == (kernels, summaries)
             for c, summary in summaries.items():
                 q = color_quotient(t, pi, c)
                 comps = q.components
                 assert (summary.leaves, summary.components) == (q.decomposition().leaf_count, comps.num_blocks)
-                assert all(_injective(summary, pi.part(s).labels) for s in t.assignment.sorted_strings_of(c)) == all(
+                assert all(_injective(summary, pi.part(s).labels) for s in a.sorted_strings_of(c)) == all(
                     len({h_sc(t, pi, s, c)[v] for v in b}) == len(b)
-                    for s in t.assignment.sorted_strings_of(c)
+                    for s in a.sorted_strings_of(c)
                     for b in comps.blocks
                 )
             tuples += 1
+        assert next(yielded, None) is None
     assert tuples > 1000
 
 
@@ -174,8 +179,9 @@ def omegas_by_color(t):
 
 
 def test_each_distinct_omega_is_summarised_once_per_call(monkeypatch):
-    # per exponent_suite or tree search call, _color_summary runs once per
-    # (color, distinct omega_c); only the exponent suite builds bridge forests
+    # per exponent_suite or tree search call on a graph whose tuples fit one
+    # chunk, _color_summary runs once per (color, distinct omega_c); only
+    # the exponent suite builds bridge forests
     quotients = counting(monkeypatch, "_color_summary")
     forests = counting(monkeypatch, "_bridge_forest")
     calls = 0
@@ -234,19 +240,11 @@ def test_table_sweeps_equal_the_oracles_in_one_chunk_and_in_many(t):
     assert verify.exponent_suite(t, PARTITION_GUARD) == want_suite
     assert list(enumerate_tree_partitions(t)) == want_trees
     with pytest.MonkeyPatch.context() as mp:
-        sweeps = []  # (items, chunks) per sweep of a grid or a color's subgrid
-        real = traffic._chunks
-
-        def counted(size, item_bytes):
-            chunks = list(real(size, item_bytes))
-            sweeps.append((size, len(chunks)))
-            return iter(chunks)
-
-        mp.setattr(traffic, "SWEEP_BYTES", 300)  # one or two items per chunk on these graphs
-        mp.setattr(traffic, "_chunks", counted)
+        mp.setattr(traffic, "SWEEP_BYTES", 300)  # one or two tuples per chunk on these graphs
         assert verify.exponent_suite(t, PARTITION_GUARD) == want_suite
         assert list(enumerate_tree_partitions(t)) == want_trees
-    assert all(chunks >= (size + 1) // 2 for size, chunks in sweeps)  # several chunks past two items
+        for leaves in (False, True):  # several chunks past two tuples
+            assert len(list(_kernel_sweep(t, PARTITION_GUARD, leaves))) >= (len(tuples) + 1) // 2
 
 
 def test_chord_graph_sweeps_every_tuple_and_passes_all_four_laws():
@@ -259,6 +257,30 @@ def test_chord_graph_sweeps_every_tuple_and_passes_all_four_laws():
         ("tree-injectivity", True, "block maps injective per component at trees"),
     ]
     assert sum(1 for _ in enumerate_tree_partitions(t)) == 203
+
+
+def test_sweep_memory_does_not_grow_with_the_tuple_count(monkeypatch):
+    # one string carries both colors of an a-cycle with a b chord, so every
+    # kernel tuple has an omega of its own: 877 tuples on 7 vertices and
+    # 4,140 on 8.  The chunk bounds the summaries kept, as it does the
+    # rest; only the pool grows, by about a byte per vertex and tuple.
+    # Keeping a summary per omega for the whole call grows the peak about
+    # 3.9-fold.
+    _, shared = shared_string_model()
+    monkeypatch.setattr(traffic, "SWEEP_BYTES", 2**16)
+    graphs = {
+        nv: make_test_graph(shared, nv, [((v, (v + 1) % nv), "a") for v in range(nv)] + [((0, 3), "b")])
+        for nv in (7, 8)
+    }
+    verify.exponent_suite(graphs[7], PARTITION_GUARD)  # first-call allocations out of the reading
+    peaks = []
+    for nv, tuples in ((7, 877), (8, 4140)):
+        tracemalloc.start()
+        suite = verify.exponent_suite(graphs[nv], PARTITION_GUARD)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert suite[0][2] == f"{tuples} kernel tuples" and all(ok for _, ok, _ in suite)
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 def test_a_ground_set_past_twenty_vertices_packs_exactly():
@@ -277,7 +299,7 @@ def test_a_ground_set_past_twenty_vertices_packs_exactly():
 
 def test_degenerate_graphs_equal_the_oracle_filter():
     # no strings at all (one empty tuple), three strings on no vertex, and
-    # one vertex without edges: the table sweeps them as the filter does
+    # one vertex without edges: the sweep answers them as the filter does
     three = three_color_model()[1]
     graphs = [TestGraph(StringAssignment.of([], []), DiGraph.of(nv, []), (), ()) for nv in (0, 2)]
     graphs += [make_test_graph(three, nv, []) for nv in (0, 1)]

@@ -23,7 +23,6 @@ from permprod.traffic import (
     gamma_expected_formula,
     gcc,
     growth_exponent,
-    h_sc,
     injective_trace,
     lambda_value,
     omega,
@@ -42,7 +41,7 @@ from helpers import (
     shared_string_model,
     three_color_model,
 )
-from oracles import brute_injective_sum, brute_raw_sum
+from oracles import brute_injective_sum, brute_raw_sum, h_sc
 
 
 def all_multipartitions(nv, strings):
