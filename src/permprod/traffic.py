@@ -65,7 +65,7 @@ from .tensor import (
 MAP_GUARD = 2**24
 LABELING_CHUNK = 2**14  # array entries per chunk of kernel labelings
 PARTITION_GUARD = 10**7
-SWEEP_BYTES = 2**24  # bytes per `_kernel_sweep` chunk: they bound all the sweep keeps but its pools
+SWEEP_BYTES = 2**24  # estimated bytes per `_kernel_sweep` chunk: they bound all the sweep keeps but its pools
 
 
 @dataclass(frozen=True)
@@ -710,16 +710,15 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
 
     Strings with equal rho_s share a pool, its coarsenings as a small signed
     label array; a tuple is a point of the grid of pool rows.  omega_c is
-    packed in one int (a label, or a meet's first vertex of a vertex's
+    packed in one int key (a label, or a meet's first vertex of a vertex's
     block, is at most the vertex v, so it goes in base v + 1) and formed
-    once per point of c's subgrid that a chunk meets, or once per call
-    where the subgrid fits a chunk.  Each distinct omega_c is summarised
-    once; a color's summaries carry into the next chunk while they number
-    no more than a chunk's tuples, so the chunk bounds all the sweep keeps
-    but its pools.  Exponents and GCC edge and vertex counts are gathers;
-    only tuples with E_s = V_s - 1 on every string get the tree test.
-    `growth_exponent` and `all_gcc_trees` are the per-tuple path it is
-    checked against."""
+    per tuple from its strings' pool rows.  Each distinct omega_c is
+    summarised once; a color's sorted keys, their terms and their
+    summaries carry into the next chunk while they number no more than a
+    chunk's tuples, so the chunk bounds all the sweep keeps but its pools.
+    Exponents and GCC edge and vertex counts are gathers; only tuples with
+    E_s = V_s - 1 on every string get the tree test.  `growth_exponent` and
+    `all_gcc_trees` are the per-tuple path it is checked against."""
     a, nv = t.assignment, t.digraph.vertex_count
     strings = a.sorted_strings()
     edges = list(zip(t.digraph.edges, t.edge_colors))
@@ -741,46 +740,47 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
     shape = [len(pool) for pool in pools]
     blocks = [pool.max(axis=1, initial=-1) + 1 for pool in pools]
     weights = np.array([math.factorial(v) for v in range(nv)], dtype=np.int64 if nv <= 20 else object)
-    seen = {c: ({}, [], []) for c in colors}  # color -> (omega -> id, summary per id, terms per id)
+    empty = np.empty(0, weights.dtype), np.empty((0, 3), np.int64)
+    seen = {c: (*empty, {}) for c in colors}  # color -> (its sorted omega keys, their terms, key -> summary)
 
-    def summarise(c: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point of c's subgrid: its summary's id, and its |omega_c|, components and leaf term."""
+    def summarise(c: str, at: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Per tuple of a chunk: its omega_c's key, and its |omega_c|, components and leaf term (three rows)."""
         color_edges, idx = colors[c]
-        rows = np.unravel_index(points, [shape[i] for i in idx])
-        om = pools[idx[0]][rows[0]].astype(np.int64)  # restricted growth strings: one form per partition
+        rows = [at[i] for i in idx]
+        om = pools[idx[0]][rows[0]]  # restricted growth strings: one form per partition
         for i, r in zip(idx[1:], rows[1:]):  # the meet: each vertex's first vertex of equal codes
-            om = om * nv + pools[i][r]
-            om = (om[:, :, None] == om[:, None, :]).argmax(axis=2) if nv else om
-        index, summaries, per_id = seen[c]
-        keys = (om @ weights).tolist()
-        for j, key in enumerate(keys):
-            if key not in index:
-                index[key] = len(summaries)
-                q = _color_summary(color_edges, _codes(om[j].tolist()), leaves)
-                summaries.append(q)
-                per_id.append((len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)))
-        ids = np.array([index[key] for key in keys])
-        return ids, np.array(per_id)[ids]
+            # a pair of codes per vertex, in nv * nv slots of its own per tuple
+            om = (np.arange(len(om))[:, None] * nv + om) * nv + pools[i][r]
+            first_of = np.zeros(len(om) * nv * nv, pools[i].dtype)
+            for v in reversed(range(nv)):  # the last write to a slot is its first vertex
+                first_of[om[:, v]] = v
+            om = first_of[om]
+        keys = om @ weights
+        known, known_terms, summaries = seen[c]
+        miss = np.flatnonzero(~np.isin(keys, known))
+        if len(miss):
+            new, first = np.unique(keys[miss], return_index=True)
+            made = []
+            for key, j in zip(new.tolist(), miss[first].tolist()):
+                summaries[key] = q = _color_summary(color_edges, _codes(om[j].tolist()), leaves)
+                made.append((len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)))
+            known, known_terms = np.concatenate([known, new]), np.concatenate([known_terms, made])
+            order = np.argsort(known)
+            known, known_terms = known[order], known_terms[order]
+            seen[c] = known, known_terms, summaries
+        return keys, known_terms[np.searchsorted(known, keys)].T
 
-    # per tuple: 8-byte work arrays, a few per string and color, and per color up
-    # to two summaries (those carried in and those made), each with its keys
-    item_bytes = 8 * (len(shape) + 6 * len(colors) + 4) + 2 * len(colors) * (500 + 16 * nv)
+    # per tuple, an estimate: 8-byte work arrays, a few per string and color, a
+    # meet's arrays, and per color up to two summaries (those carried in and those
+    # made) with their keys and terms, at most 500 + 16 v bytes each (tracemalloc
+    # read 150-460 bytes at 5 to 13 vertices)
+    item_bytes = 8 * (len(shape) + 6 * len(colors) + 4) + nv * (nv + 24) + 2 * len(colors) * (500 + 16 * nv)
     step = max(1, SWEEP_BYTES // item_bytes)
-    whole = {}  # color -> `summarise` of every point of its subgrid, where that fits a chunk
     for flat in (np.arange(lo, min(lo + step, total)) for lo in range(0, total, step)):
         at = np.unravel_index(flat, shape) if shape else ()  # no strings: one empty tuple
-        ids, terms = {}, {}  # color -> each tuple's summary id, and its |omega_c|, components and leaf term
-        for c, (_, idx) in colors.items():
-            sub_shape = [shape[i] for i in idx]
-            sub, size = np.ravel_multi_index([at[i] for i in idx], sub_shape), math.prod(sub_shape)
-            if size <= step:
-                if c not in whole:
-                    whole[c] = summarise(c, np.arange(size))
-                (point_ids, point_terms), inverse = whole[c], sub
-            else:
-                points, inverse = np.unique(sub, return_inverse=True)
-                point_ids, point_terms = summarise(c, points)
-            ids[c], terms[c] = point_ids[inverse], point_terms[inverse].T
+        keys, terms = {}, {}  # color -> each tuple's omega_c key, and its |omega_c|, components and leaf term
+        for c in colors:
+            keys[c], terms[c] = summarise(c, at)
         doubled = np.zeros(len(flat), dtype=np.int64)
         candidate = np.ones(len(flat), dtype=bool)
         for i, cs in enumerate(string_colors):
@@ -796,11 +796,11 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
         columns = [pool[r[picked]].tolist() for pool, r in zip(pools, at)]  # per string, each candidate's kernel
         for k, j in enumerate(picked):
             kernels = tuple(tuple(column[k]) for column in columns)
-            chosen = {c: seen[c][1][ids[c][j]] for c in colors}
+            chosen = {c: seen[c][2][keys[c][j]] for c in colors}
             if all(_gcc_is_tree(ps, [chosen[c] for c in cs]) for ps, cs in zip(kernels, string_colors)):
                 trees[j] = True
                 found.append((kernels, chosen))
-        seen = {c: kept if len(kept[1]) <= step else ({}, [], []) for c, kept in seen.items()}
+        seen = {c: kept if len(kept[2]) <= step else (*empty, {}) for c, kept in seen.items()}
         yield doubled, trees, found
 
 

@@ -265,7 +265,7 @@ def test_sweep_memory_does_not_grow_with_the_tuple_count(monkeypatch):
     # 4,140 on 8.  The chunk bounds the summaries kept, as it does the
     # rest; only the pool grows, by about a byte per vertex and tuple.
     # Keeping a summary per omega for the whole call grows the peak about
-    # 3.9-fold.
+    # 7-fold.
     _, shared = shared_string_model()
     monkeypatch.setattr(traffic, "SWEEP_BYTES", 2**16)
     graphs = {
