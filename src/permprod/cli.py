@@ -189,20 +189,18 @@ def _vertex_group_from_config(value):
     if value == "Z":
         return sofic.INTEGERS
     if isinstance(value, str) and value.startswith("cyclic:"):
-        order = int(value.split(":", 1)[1])
-        if order < 1:
-            raise ValueError(f"cyclic group order must be positive, not {order}")
-        return sofic.FiniteGroupTable.cyclic(order)
+        order = value.removeprefix("cyclic:")
+        if not (order.isascii() and order.isdigit() and int(order) > 0):
+            raise ValueError(f"cyclic group order must be a positive decimal integer, not {order!r}")
+        return sofic.FiniteGroupTable.cyclic(int(order))
     if not isinstance(value, dict):
         raise ValueError(f'vertex group {value!r} is not "Z", "cyclic:<order>" or a table object')
-    table, generators = value["table"], value["generators"]
-    if not isinstance(table, list) or not all(
-        isinstance(row, list) and len(row) == len(table) and all(isinstance(x, int) for x in row) for row in table
-    ):
-        raise ValueError("group table must be a square JSON list of integer lists")
-    if not isinstance(generators, list) or not all(isinstance(x, int) for x in generators):
-        raise ValueError("group generators must be a JSON list of integers")
-    return sofic.FiniteGroupTable.of(table, generators)
+    rows = [serialize.json_list(row, "a group table row") for row in serialize.json_list(value["table"], "group table")]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("group table must be square")
+    table = [[serialize.json_int(x, "a group table entry") for x in row] for row in rows]
+    generators = serialize.json_list(value["generators"], "group generators")
+    return sofic.FiniteGroupTable.of(table, [serialize.json_int(x, "a group generator") for x in generators])
 
 
 def _cmd_sofic_certify(args) -> int:
@@ -212,10 +210,10 @@ def _cmd_sofic_certify(args) -> int:
         a = build_string_assignment(g)
     seed = args.seed if args.seed is not None else serialize.json_int(data.get("seed", 0), "seed")
     n = serialize.json_int(data["n"], "n")
-    if not isinstance(data["vertex_groups"], dict):
-        raise ValueError("vertex_groups must be a JSON object from color to group")
-    groups = {c: _vertex_group_from_config(v) for c, v in data["vertex_groups"].items()}
-    sofic.check_product_space(a, n)
+    vertex_groups = serialize.json_object(data["vertex_groups"], "vertex_groups")
+    groups = {c: _vertex_group_from_config(v) for c, v in vertex_groups.items()}
+    generators = sum(1 if groups[c] is sofic.INTEGERS else len(groups[c].generators) for c in g.colors)  # Z has one
+    sofic.check_product_space(a, n, 2 * generators)  # a signed letter per generator and per inverse
     reps = {}
     for c in g.colors:
         dim = n ** len(a.strings_of(c))
@@ -225,9 +223,7 @@ def _cmd_sofic_certify(args) -> int:
         else:
             base = sofic.left_regular_rep(group)
             if base.n > dim:
-                raise ValueError(
-                    f"group of order {base.n} does not fit color block of size {dim}"
-                )
+                raise ValueError(f"group of order {base.n} does not fit color block of size {dim}")
             reps[c] = sofic.pad_rep(base, dim) if base.n < dim else base
     rep = sofic.graph_product_rep(g, a, reps, n, seed)
     words = _words_from_config(data, g, groups)
@@ -284,7 +280,7 @@ def _words_from_config(data: dict, g, groups):
 def _word_letter(x, alphabet: dict) -> tuple[str, int]:
     if not (isinstance(x, list) and len(x) == 2):
         raise ValueError(f"a word letter must be a JSON [color, index] pair, not {x!r}")
-    letter = str(x[0]), serialize.json_int(x[1], "word letter index")
+    letter = serialize.json_str(x[0], "a word letter color"), serialize.json_int(x[1], "word letter index")
     if letter not in alphabet:
         indices = [j for c, j in alphabet if c == letter[0]]
         raise ValueError(f"word letter {x!r} names no generator: color {letter[0]!r} has the indices {indices}")

@@ -155,13 +155,11 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
     if not ok:
         raise ValueError(f"invalid assignment: {violations}")
     nv = json_int(d["vertices"], "vertices")
-    test_edges = d["test_edges"]
-    if not isinstance(test_edges, list) or not all(
-        isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e[:2]) for e in test_edges
-    ):
-        raise ValueError("test_edges must be a JSON list of [source, target, color] triples")
-    edges = [(e[0], e[1]) for e in test_edges]
-    colors = [str(e[2]) for e in test_edges]
+    test_edges = [json_list(e, "a test edge") for e in json_list(d["test_edges"], "test_edges")]
+    if not all(len(e) == 3 for e in test_edges):
+        raise ValueError("a test edge must be a JSON list of a source, a target and a color")
+    edges = [(json_int(e[0], "a test edge source"), json_int(e[1], "a test edge target")) for e in test_edges]
+    colors = [json_str(e[2], "a test edge color") for e in test_edges]
     digraph = DiGraph.of(nv, edges)
     mode = d.get("labels", "identity")
     if mode not in ("identity", "permutation") and not (isinstance(mode, list) and len(mode) == len(edges)):

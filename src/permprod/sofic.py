@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +35,7 @@ from .tensor import (
 
 TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
 WORD_GUARD = 2**17  # words one sofic-certify call certifies (a reduction, an entry and a JSON record each)
+LETTER_GUARD = 2**24  # signed letters * full-space points: a product's letter image arrays (8 bytes a point)
 COMPARE_POINTS = 2**20  # image points that `certify` compares against one head at once
 
 
@@ -115,8 +116,6 @@ class GeneratorRep:
 
     n: int
     gens: tuple[Permutation, ...]
-    provenance: str
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.gens:
@@ -128,16 +127,11 @@ class GeneratorRep:
         return self.n
 
     def images(self, j: int) -> np.ndarray:
-        """Image array of a signed letter, computed once."""
-        if j not in self._images:
-            self._images[j] = self.letter(j).images
-        return self._images[j]
-
-    def letter(self, j: int) -> Permutation:
+        """Image array of generator j, or of the inverse of generator -j."""
         if j == 0 or abs(j) > len(self.gens):
             raise ValueError(f"no generator {j}")
         p = self.gens[abs(j) - 1]
-        return p if j > 0 else p.inverse()
+        return p.images if j > 0 else p.inverse().images
 
     def word_permutation(self, word: Sequence[int]) -> Permutation:
         return compose_images(map(self.images, word), self.n)
@@ -150,14 +144,14 @@ def left_regular_rep(g: FiniteGroupTable) -> GeneratorRep:
     """Left multiplication by each generator; word traces match triviality
     exactly at size equal to the group order."""
     gens = tuple(Permutation(g.table[x]) for x in g.generators)  # row x: y -> x*y
-    return GeneratorRep(g.order, gens, "left-regular")
+    return GeneratorRep(g.order, gens)
 
 
 def cyclic_shift_rep(n: int) -> GeneratorRep:
     """The full cycle on n points: exact for integer words shorter than n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return GeneratorRep(n, (Permutation((np.arange(n) + 1) % n),), "cyclic-shift")
+    return GeneratorRep(n, (Permutation((np.arange(n) + 1) % n),))
 
 
 def pad_rep(rep: GeneratorRep, target_n: int) -> GeneratorRep:
@@ -169,7 +163,7 @@ def pad_rep(rep: GeneratorRep, target_n: int) -> GeneratorRep:
     offsets = rep.n * np.arange(q)[:, None]
     rest = np.arange(q * rep.n, target_n)
     gens = tuple(Permutation(np.concatenate([(offsets + p.images).ravel(), rest])) for p in rep.gens)
-    return GeneratorRep(target_n, gens, "padded")
+    return GeneratorRep(target_n, gens)
 
 
 def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
@@ -184,18 +178,15 @@ def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its letters are numpy arrays
 class GraphProductRep:
-    """Generators for the product over a color graph: each color's generators
-    conjugated by that color's block permutation, acting on the color's
-    string coordinates only."""
+    """Generators for the product over a color graph as the full-space image
+    array of each signed letter (color, j): the color's generator conjugated
+    by the color's block permutation, acting on the color's strings only."""
 
     assignment: StringAssignment
     n: int
-    colors: tuple[str, ...]
-    factors: dict  # (color, 1-based index) -> permutation of the color block
-    provenance: str
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    letters: dict  # (color, signed 1-based index) -> full-space image array
 
     @property
     def space(self) -> MultiIndexSpace:
@@ -206,34 +197,30 @@ class GraphProductRep:
         return self.space.total_dim
 
     def images(self, letter: tuple[str, int]) -> np.ndarray:
-        """Full-space image array of a signed letter (color, j), computed once."""
+        """Full-space image array of a signed letter (color, j)."""
         c, j = letter
-        if (c, j) not in self._images:
-            self._images[(c, j)] = lift_permutation(self.letter(c, j), self.space).images
-        return self._images[(c, j)]
-
-    def letter(self, color: str, j: int) -> StructuredMatrix:
-        """The signed generator as a permutation of the color's block."""
-        if (color, abs(j)) not in self.factors:
-            raise ValueError(f"no generator {j} for color {color!r}")
-        x = self.factors[(color, abs(j))]
-        return x if j > 0 else x.adjoint()
+        if (c, j) not in self.letters:
+            raise ValueError(f"no generator {j} for color {c!r}")
+        return self.letters[(c, j)]
 
     def word_trace(self, word: Sequence[tuple[str, int]]) -> Fraction:
         return certify(self, [(word, True)]).entries[0].trace
 
     def word_permutation(self, word: Sequence[tuple[str, int]]) -> Permutation:
-        """Materialized full-space permutation of a word, from the cached
-        letter image arrays."""
+        """Materialized full-space permutation of a word, from the letter
+        image arrays."""
         return compose_images(map(self.images, word), self.dim)
 
 
-def check_product_space(assignment: StringAssignment, n: int) -> None:
+def check_product_space(assignment: StringAssignment, n: int, letters: int) -> None:
     """Refuse a product whose full space has more than POINT_GUARD points,
-    the bound its letters' image arrays meet, before any block is drawn."""
+    or whose `letters` signed letters have more than LETTER_GUARD points in
+    all, before any block is drawn."""
     dim = MultiIndexSpace.of(assignment.strings, n).total_dim
     if dim > POINT_GUARD:
         raise GuardExceeded(f"full-space dimension {dim} exceeds point guard {POINT_GUARD}")
+    if letters * dim > LETTER_GUARD:
+        raise GuardExceeded(f"{letters} signed letters of {dim} points exceed the letter guard {LETTER_GUARD} points")
 
 
 def graph_product_rep(
@@ -243,26 +230,27 @@ def graph_product_rep(
     n: int,
     seed: int,
 ) -> GraphProductRep:
-    """Draw one uniform permutation per color block and conjugate every
-    vertex generator by it.  Each vertex representation must already have
-    size equal to the color's block dimension (pad first)."""
+    """Draw one uniform permutation per color block, conjugate every vertex
+    generator by it and lift each signed letter to the full space once.
+    Each vertex representation must already have size equal to the color's
+    block dimension (pad first)."""
     ok, violations = validate_assignment(g, assignment)
     if not ok:
         raise ValueError(f"invalid assignment: {violations}")
-    check_product_space(assignment, n)
-    factors = {}
+    check_product_space(assignment, n, 2 * sum(len(vertex_reps[c].gens) for c in g.colors))
+    space = MultiIndexSpace.of(assignment.strings, n)
+    letters = {}
     for ci, c in enumerate(sorted(g.colors)):
         rep = vertex_reps[c]
         dim = n ** len(assignment.strings_of(c))
         if rep.n != dim:
-            raise ValueError(
-                f"representation for color {c!r} has size {rep.n}, block needs {dim}"
-            )
+            raise ValueError(f"representation for color {c!r} has size {rep.n}, block needs {dim}")
         sigma = sample_uniform_permutation(dim, rng_stream(seed, ci))
         sup = assignment.sorted_strings_of(c)
-        for idx, p in enumerate(rep.gens, start=1):
-            factors[(c, idx)] = StructuredMatrix.from_permutation(sup, n, p.conjugate(sigma))
-    return GraphProductRep(assignment, n, tuple(sorted(g.colors)), factors, "graph-product")
+        for j, p in enumerate(rep.gens, start=1):
+            lifted = lift_permutation(StructuredMatrix.from_permutation(sup, n, p.conjugate(sigma)), space)
+            letters[(c, j)], letters[(c, -j)] = lifted.images, lifted.inverse().images
+    return GraphProductRep(assignment, n, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +417,7 @@ def _letter_str(letter) -> str:
 def certify(rep, words_with_truth: Iterable[tuple[Sequence, bool]]) -> SoficCertificate:
     """Exact trace and deviation from the trivial-word indicator, per word.
 
-    `rep` supplies `dim` and `images(letter)`, the cached image array of a
+    `rep` supplies `dim` and `images(letter)`, the image array of a
     signed letter (a hashable letter: a signed index, or a (color, signed
     index) tuple).  The last letter Z of a word is never composed: the word
     Q Z fixes b exactly when Q(b) = Z^-1(b).  So each run of consecutive words
@@ -440,9 +428,12 @@ def certify(rep, words_with_truth: Iterable[tuple[Sequence, bool]]) -> SoficCert
     holds the image arrays of the current head's prefixes, so a head shares
     the work of its common prefix with the head before it.  Words in any
     order give the same traces (sorted lists share the most), and a word may
-    repeat or be empty (trace 1).  Memory O(max word length * dim +
-    COMPARE_POINTS); `sofic-certify` counts its words against WORD_GUARD
-    before it enumerates any.
+    repeat or be empty (trace 1).  Memory in 8-byte points: `rep`'s letter
+    table (signed letters * dim, at most LETTER_GUARD for a product), the
+    longest word's length * dim for the stack of head prefixes, and
+    max(COMPARE_POINTS, dim) for the stacked last letters; plus an entry per
+    word, which `sofic-certify` counts against WORD_GUARD before it
+    enumerates any.
     """
     dim = rep.dim
     prefix: list = []  # letters whose product is stacked

@@ -114,10 +114,12 @@ class LoopedTestGraph:
         return LoopedTestGraph(base, tuple(ones for _ in range(base.digraph.vertex_count)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MultiPartition:
     """One vertex partition per string, aligned with the sorted string list."""
 
+    # named slots: `slots=True` rebuilds the class, whose frozen __setattr__ then raises TypeError
+    __slots__ = ("strings", "parts")
     strings: tuple[str, ...]
     parts: tuple[Partition, ...]
 
@@ -129,6 +131,9 @@ class MultiPartition:
         sizes = {p.ground_size for p in self.parts}
         if len(sizes) > 1:
             raise ValueError("partitions have mismatched ground sets")
+
+    def __reduce__(self):
+        return MultiPartition, (self.strings, self.parts)
 
     @staticmethod
     def of(mapping: dict[str, Partition]) -> "MultiPartition":
@@ -245,7 +250,7 @@ def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int
     return [lift(lab, space) for lab in _conjugated_labels(t, sigmas)]
 
 
-def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
+def _trace_impl(t, sigmas, n, injective, map_guard):
     base = t.base if isinstance(t, LoopedTestGraph) else t
     nn = n if n is not None else base.n
     space = base.full_space(nn)
@@ -259,8 +264,6 @@ def _trace_impl(t, sigmas, n, injective, normalized, map_guard):
         loops = t.vertex_labels if isinstance(t, LoopedTestGraph) else None
         mats = underline_labels(base, sigmas, nn)
         raw = raw_graph_sum(base.digraph, mats, space.total_dim, loops, map_guard ** max(1, len(space.strings)))
-    if not normalized:
-        return raw
     return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, space.total_dim))
 
 
@@ -268,24 +271,22 @@ def trace_test_graph(
     t: TestGraph | LoopedTestGraph,
     n: int | None = None,
     sigmas: dict[str, Permutation] | None = None,
-    normalized: bool = True,
     map_guard: int = MAP_GUARD,
 ):
     """The trace of the test graph over its full space: the sum over all
     vertex labelings, divided by dim per weakly connected component."""
-    return _trace_impl(t, sigmas, n, False, normalized, map_guard)
+    return _trace_impl(t, sigmas, n, False, map_guard)
 
 
 def injective_trace(
     t: TestGraph | LoopedTestGraph,
     n: int | None = None,
     sigmas: dict[str, Permutation] | None = None,
-    normalized: bool = True,
     map_guard: int = MAP_GUARD,
 ):
     """The trace restricted to injective vertex labelings: the chased
     labelings whose points are all distinct."""
-    return _trace_impl(t, sigmas, n, True, normalized, map_guard)
+    return _trace_impl(t, sigmas, n, True, map_guard)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,15 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         ("traffic-check", label_fixture(dict(DENSE_LABEL, support=["s", 1]))),
         ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re=[[True, 0], [0, 1]]))),
         ("traffic-check", label_fixture(dict(DENSE_LABEL, entries_re=[[10**400, 0], [0, 1]]))),
+        ("traffic-check", dict(LABEL_FIXTURE, test_edges=[[0, True, "a"]])),
+        ("traffic-check", dict(LABEL_FIXTURE, test_edges=[[True, 0, "a"]])),
+        ("traffic-check", dict(LABEL_FIXTURE, colors=["5"], incidence=[["s", "5"]], test_edges=[[0, 1, 5]])),
+        ("sofic-certify", sofic_config({"a": {"table": [[0, 1], [1, 0]], "generators": [True]}})),
+        ("sofic-certify", sofic_config({"a": {"table": [[0, True], [True, 0]], "generators": [1]}})),
+        ("sofic-certify", sofic_config({"a": "cyclic: 2"})),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2_0"}), n=20)),  # a block that holds 20 points
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), colors=["5"], vertex_groups={"5": "cyclic:2"},
+                               words=[[[5, 1]]])),
     ],
     ids=[
         "short-test-edge",
@@ -576,6 +585,14 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         "label-support-entry-a-number",
         "label-entry-true",
         "label-entry-past-the-float-range",
+        "test-edge-target-true",
+        "test-edge-source-true",
+        "test-edge-color-a-number",
+        "group-generator-true",
+        "group-table-entry-true",
+        "cyclic-order-with-a-space",
+        "cyclic-order-with-an-underscore",
+        "sofic-letter-color-a-number",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -706,6 +723,7 @@ THREE_COLORS = {
     "vertex_groups": {"B": "cyclic:3", "G": "Z", "R": "cyclic:2"},
     "n": 3,
 }
+MANY_GENERATORS = {"table": [[0, 1], [1, 0]], "generators": [1] * 3000}
 
 
 @pytest.mark.parametrize(
@@ -723,9 +741,16 @@ THREE_COLORS = {
                                                        "sofic.cyclic_shift_rep": refuse}),
         ("sofic-certify", dict(THREE_COLORS, n=100000), {"sofic.sample_uniform_permutation": refuse,
                                                          "sofic.cyclic_shift_rep": refuse}),
+        # 6004 signed letters of 64**2 points: no vertex representation is
+        # built and no block is drawn
+        ("sofic-certify", dict(THREE_COLORS, n=64, words={"max_length": 1},
+                               vertex_groups=dict(THREE_COLORS["vertex_groups"], R=MANY_GENERATORS)),
+         {"sofic.sample_uniform_permutation": refuse, "sofic.cyclic_shift_rep": refuse,
+          "sofic.left_regular_rep": refuse, "sofic.pad_rep": refuse}),
     ],
     ids=["sofic-max-length-14", "sofic-max-length-huge", "sofic-words-past-guard", "sofic-word-list-past-guard",
-         "converge-samples-huge", "converge-samples-past-guard", "sofic-points-1500", "sofic-points-100000"],
+         "converge-samples-huge", "converge-samples-past-guard", "sofic-points-1500", "sofic-points-100000",
+         "sofic-letters-past-guard"],
 )
 def test_guards_refuse_before_the_work(tmp_path, capsys, monkeypatch, command, config, patches):
     for name, value in patches.items():
@@ -744,3 +769,14 @@ def test_word_guard_counts_words_exactly(tmp_path, monkeypatch):
     write(cfg, dict(THREE_COLORS, words={"max_length": 3}))
     assert main(["sofic-certify", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(json.load(open(tmp_path / "certificate.json"))["words"]) == 258
+
+
+def test_letter_guard_counts_points_exactly(tmp_path, monkeypatch, capsys):
+    # six signed letters of 3**2 points each
+    cfg = tmp_path / "letters.json"
+    write(cfg, THREE_COLORS)
+    monkeypatch.setattr("permprod.sofic.LETTER_GUARD", 54)
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path / "at")]) == 0
+    monkeypatch.setattr("permprod.sofic.LETTER_GUARD", 53)
+    assert main(["sofic-certify", str(cfg), "--out", str(tmp_path / "past")]) == 3
+    assert "6 signed letters of 9 points exceed the letter guard 53 points" in capsys.readouterr().err

@@ -73,6 +73,31 @@ def test_every_private_definition_is_referenced_outside_itself():
     assert unused == []
 
 
+def _decorator_name(decorator: ast.expr) -> str | None:
+    """The name a decorator gives, bare or from its module, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read as an attribute somewhere in the package, the tests
+    # or the benchmark; one that nothing reads is dead weight on every instance
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "dataclass" in map(_decorator_name, node.decorator_list):
+                fields = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+                unread += [f"{path.name}:{node.name}.{f}" for f in fields if f not in read]
+    assert unread == []
+
+
 # Module-level memos that outlive a call, each with the reason it may.
 CACHES_ALLOWED = {
     "chains.py:subset_indices": "a report holds its subset tuples, so tuples built per report would "
@@ -81,13 +106,6 @@ CACHES_ALLOWED = {
     "traffic.py:_einsum_plan": "planning a contraction path takes about 0.9 ms against 0.3 ms for the "
     "contraction, over 288 calls per kernel-moment benchmark pass; it holds paths, not operands",
 }
-
-
-def _is_cache(decorator: ast.expr) -> bool:
-    """`cache` or `lru_cache`, bare or from functools, called or not."""
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-    return name in ("cache", "lru_cache")
 
 
 def test_no_module_state_outlives_a_call():
@@ -99,7 +117,9 @@ def test_no_module_state_outlives_a_call():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Global):
                 found.append(f"{path.name}:{node.lineno} {', '.join(node.names)}")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_cache, node.decorator_list)):
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("cache", "lru_cache") for d in node.decorator_list
+            ):
                 cached.append(f"{path.name}:{node.name}")
     assert found == []
     assert sorted(cached) == sorted(CACHES_ALLOWED)

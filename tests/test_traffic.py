@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +424,18 @@ def test_expectation_formula_exact_multi_string_blocks():
         lt = LoopedTestGraph.with_identity(t)
         for pi in enumerate_admissible(t):
             assert gamma_expected_formula(lt, pi, n) == brute_expected_gamma(lt, pi, n)
+
+
+def test_multipartitions_are_immutable_slotted_and_pickle():
+    # a field and a name that is not a field raise the same error, as for Partition
+    pi = MultiPartition.of({"s": Partition.singletons(3), "t": Partition.trivial(3)})
+    for name in ("parts", "strings", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pi, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(pi, name)
+    assert not hasattr(pi, "__dict__")
+    assert pickle.loads(pickle.dumps(pi)) == pi
 
 
 def test_expectation_formula_zero_on_oversized_kernels():
