@@ -44,7 +44,6 @@ from .tensor import (
 from .traffic import (
     LoopedTestGraph,
     MultiPartition,
-    PARTITION_GUARD,
     TestGraph,
     _is_exact,
     _kernel_sum,
@@ -54,7 +53,7 @@ from .traffic import (
 
 X_MODES = ("permutation", "cycle", "unitary", "identity", "fixture")
 LAMBDA_MODES = ("identity", "signs", "fixture")
-SAMPLE_GUARD = 2**26  # samples * sum of dim over the N grid: full-space points one converge run chases
+SAMPLE_GUARD = 2**26  # samples * letters * sum of dim over the N grid: the points one converge run chases
 
 
 @dataclass(frozen=True)
@@ -329,11 +328,7 @@ def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9
     return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), terms)
 
 
-def inconsistency_search(
-    spec: ChainSpec,
-    drop_border_condition: bool = False,
-    partition_guard: int = PARTITION_GUARD,
-) -> list[MultiPartition]:
+def inconsistency_search(spec: ChainSpec, drop_border_condition: bool = False) -> list[MultiPartition]:
     """Exhaustively list admissible kernel tuples with every
     colored-component graph a tree and (unless dropped) an empty
     border-merge set.  The search is expected to come back empty; dropping
@@ -341,7 +336,7 @@ def inconsistency_search(
     # only the graph is read: identity letters and diagonals draw nothing
     chain = build_squared_chain(replace(spec, x_mode="identity", lambda_mode="identity"), 1)
     out = []
-    for pi in enumerate_tree_partitions(chain.test_graph, partition_guard):
+    for pi in enumerate_tree_partitions(chain.test_graph):
         if drop_border_condition or not j_set(chain, pi):
             out.append(pi)
     return out
@@ -384,8 +379,9 @@ def monte_carlo_values(
     for n, dim in zip(n_grid, dims):
         if dim > POINT_GUARD:
             raise GuardExceeded(f"full-space dimension {dim} at N={n} exceeds point guard {POINT_GUARD}")
-    if samples * sum(dims) > SAMPLE_GUARD:
-        raise GuardExceeded(f"{samples} samples of {sum(dims)} points over the N grid exceed sample guard {SAMPLE_GUARD}")
+    letters, points = sum(spec.ell), sum(dims)
+    if samples * letters * points > SAMPLE_GUARD:
+        raise GuardExceeded(f"{samples} samples * {letters} letters * {points} points exceed sample guard {SAMPLE_GUARD}")
     out: dict[int, list[float]] = {}
     for n in n_grid:
         draw = ChainDraw.of(spec, n, seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from . import chains, serialize, sofic, verify
 from .partitions import bell_exceeds
 from .strings import build_string_assignment, validate_assignment
 from .tensor import GuardExceeded
-from .traffic import MAP_GUARD, PARTITION_GUARD
+from .traffic import MAP_GUARD, PARTITION_GUARD, _check_labeling_count
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -102,10 +103,7 @@ def _cmd_traffic_check(args) -> int:
         raise ValueError(f"--n and --draws must be positive, not {n} and {args.draws}")
     t = serialize.load_test_graph(data, n, seed)
     nv, ne = t.digraph.vertex_count, t.digraph.edge_count
-    # for n > 1, nv past the guard's bit length passes it: n**nv is only formed below that
-    if nv and (n > 1 and nv > args.guard_maps.bit_length() or n**nv > args.guard_maps):
-        print(f"guard: per-string labeling count {n}**{nv} exceeds map guard", file=sys.stderr)
-        return EXIT_GUARD
+    _check_labeling_count(n, nv, args.guard_maps)
     # each edge joins at most two components, so every rho_s has at least nv - ne blocks
     if t.assignment.strings and bell_exceeds(nv - ne, args.guard_partitions):
         raise GuardExceeded(f"partition tuple count of at least Bell({nv - ne}) exceeds guard {args.guard_partitions}")
@@ -212,8 +210,13 @@ def _cmd_sofic_certify(args) -> int:
     n = serialize.json_int(data["n"], "n")
     vertex_groups = serialize.json_object(data["vertex_groups"], "vertex_groups")
     groups = {c: _vertex_group_from_config(v) for c, v in vertex_groups.items()}
+    threshold = _threshold(data.get("threshold", "0.5"))
     generators = sum(1 if groups[c] is sofic.INTEGERS else len(groups[c].generators) for c in g.colors)  # Z has one
-    sofic.check_product_space(a, n, 2 * generators)  # a signed letter per generator and per inverse
+    points = sofic.check_product_space(a, n, 2 * generators)  # a signed letter per generator and per inverse
+    words = _words_from_config(data, g, groups)
+    longest = max(len(word) for word, _ in words)
+    if longest * points > sofic.LETTER_GUARD:  # `certify` stacks an image array per prefix of a head
+        raise GuardExceeded(f"a word of {longest} letters on {points} points exceeds letter guard {sofic.LETTER_GUARD}")
     reps = {}
     for c in g.colors:
         dim = n ** len(a.strings_of(c))
@@ -226,10 +229,8 @@ def _cmd_sofic_certify(args) -> int:
                 raise ValueError(f"group of order {base.n} does not fit color block of size {dim}")
             reps[c] = sofic.pad_rep(base, dim) if base.n < dim else base
     rep = sofic.graph_product_rep(g, a, reps, n, seed)
-    words = _words_from_config(data, g, groups)
     cert = sofic.certify(rep, words)
     max_deviation = cert.max_deviation
-    threshold = Fraction(str(data.get("threshold", "0.5")))
     header = {
         "n": n,
         "seed": seed,
@@ -244,6 +245,20 @@ def _cmd_sofic_certify(args) -> int:
         print("check-failed: max deviation above threshold", file=sys.stderr)
         return EXIT_FAILED
     return EXIT_OK
+
+
+def _threshold(value) -> Fraction:
+    """The certificate's threshold, exactly: a JSON number or a string
+    `Fraction` reads ("0.5", "1e-400", "1/3"), within the float range the
+    header writes it in."""
+    text = str(value)
+    try:  # an exponent past the float range is refused before `Fraction` forms 10**exponent
+        threshold = Fraction(text) if "e" not in text.lower() or math.isfinite(float(text)) else None
+    except ZeroDivisionError:  # "p/0"
+        threshold = None
+    if threshold is None or abs(threshold) > sys.float_info.max:
+        raise ValueError(f"threshold must be a number within the float range, not {value!r}")
+    return threshold
 
 
 def _words_from_config(data: dict, g, groups):

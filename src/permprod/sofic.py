@@ -35,7 +35,7 @@ from .tensor import (
 
 TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
 WORD_GUARD = 2**17  # words one sofic-certify call certifies (a reduction, an entry and a JSON record each)
-LETTER_GUARD = 2**24  # signed letters * full-space points: a product's letter image arrays (8 bytes a point)
+LETTER_GUARD = 2**24  # full-space points (8 bytes each): a product's signed letters, and a word's letters
 COMPARE_POINTS = 2**20  # image points that `certify` compares against one head at once
 
 
@@ -212,15 +212,16 @@ class GraphProductRep:
         return compose_images(map(self.images, word), self.dim)
 
 
-def check_product_space(assignment: StringAssignment, n: int, letters: int) -> None:
-    """Refuse a product whose full space has more than POINT_GUARD points,
-    or whose `letters` signed letters have more than LETTER_GUARD points in
-    all, before any block is drawn."""
+def check_product_space(assignment: StringAssignment, n: int, letters: int) -> int:
+    """The full-space dimension of a product.  Refuse one with more than
+    POINT_GUARD points, or whose `letters` signed letters have more than
+    LETTER_GUARD points in all, before any block is drawn."""
     dim = MultiIndexSpace.of(assignment.strings, n).total_dim
     if dim > POINT_GUARD:
         raise GuardExceeded(f"full-space dimension {dim} exceeds point guard {POINT_GUARD}")
     if letters * dim > LETTER_GUARD:
         raise GuardExceeded(f"{letters} signed letters of {dim} points exceed the letter guard {LETTER_GUARD} points")
+    return dim
 
 
 def graph_product_rep(
@@ -430,7 +431,8 @@ def certify(rep, words_with_truth: Iterable[tuple[Sequence, bool]]) -> SoficCert
     order give the same traces (sorted lists share the most), and a word may
     repeat or be empty (trace 1).  Memory in 8-byte points: `rep`'s letter
     table (signed letters * dim, at most LETTER_GUARD for a product), the
-    longest word's length * dim for the stack of head prefixes, and
+    longest word's length * dim for the stack of head prefixes (at most
+    LETTER_GUARD in `sofic-certify`), and
     max(COMPARE_POINTS, dim) for the stacked last letters; plus an entry per
     word, which `sofic-certify` counts against WORD_GUARD before it
     enumerates any.
@@ -475,12 +477,3 @@ def _inverse_letter(letter):
     if isinstance(letter, (tuple, list)):
         return (letter[0], -letter[1])
     return -letter
-
-
-def all_signed_words(num_generators: int, max_length: int) -> list[tuple[int, ...]]:
-    """Every nonempty word over the signed generator alphabet up to a length."""
-    alphabet = [j for j in range(1, num_generators + 1)] + [-j for j in range(1, num_generators + 1)]
-    out = []
-    for m in range(1, max_length + 1):
-        out.extend(itertools.product(alphabet, repeat=m))
-    return out

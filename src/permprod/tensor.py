@@ -153,7 +153,7 @@ class Permutation:
 
     def matrix(self) -> np.ndarray:
         """0/1 matrix M with M e_i = e_{images[i]}, under `lift`'s guard."""
-        _check_dense(self.n, DENSE_GUARD)
+        _check_dense(self.n)
         m = np.zeros((self.n, self.n), dtype=np.int64)
         m[self.images, np.arange(self.n)] = 1
         return m
@@ -272,26 +272,26 @@ def conjugate_by_color(x: StructuredMatrix, sigma: Permutation) -> StructuredMat
     return StructuredMatrix(x.support, x.n, x.values[np.ix_(sigma.images, sigma.images)])
 
 
-def lift(x: StructuredMatrix, target: MultiIndexSpace, dense_guard: int = DENSE_GUARD) -> np.ndarray:
+def lift(x: StructuredMatrix, target: MultiIndexSpace) -> np.ndarray:
     """Dense matrix of x acting on the full space, identity off the support:
     one scatter of the block entries through `support_grid`."""
     if x.n != target.n:
         raise ValueError("side mismatch")
     if not set(x.support) <= set(target.strings):
         raise ValueError("support not contained in target space")
-    _check_dense(target.total_dim, dense_guard)
+    _check_dense(target.total_dim)
     grid = support_grid(x.support, target)
     out = np.zeros((target.total_dim, target.total_dim), dtype=x.entries.dtype)
     out[grid[:, None, :], grid[None, :, :]] = x.entries[:, :, None]
     return out
 
 
-def _check_dense(dim: int, dense_guard: int) -> None:
-    if dim**2 > dense_guard:
-        raise GuardExceeded(f"dense lift of {dim}**2 entries exceeds dense guard {dense_guard}")
+def _check_dense(dim: int) -> None:
+    if dim**2 > DENSE_GUARD:
+        raise GuardExceeded(f"dense lift of {dim}**2 entries exceeds dense guard {DENSE_GUARD}")
 
 
-def support_grid(support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD) -> np.ndarray:
+def support_grid(support: Sequence[str], space: MultiIndexSpace) -> np.ndarray:
     """grid[s, r]: the full-space point with support code s (encoded as in
     `MultiIndexSpace(support, n)`) and rest code r.  A block operator lifts
     to the full space by acting on the rows of the grid and fixing its
@@ -300,28 +300,26 @@ def support_grid(support: Sequence[str], space: MultiIndexSpace, point_guard: in
         raise ValueError("support not contained in target space")
     if tuple(sorted(support)) != tuple(support):
         raise ValueError("support must be sorted")
-    if space.total_dim > point_guard:
-        raise GuardExceeded(f"full-space dimension {space.total_dim} exceeds point guard {point_guard}")
+    if space.total_dim > POINT_GUARD:
+        raise GuardExceeded(f"full-space dimension {space.total_dim} exceeds point guard {POINT_GUARD}")
     grid = np.arange(space.total_dim, dtype=np.int64).reshape((space.n,) * len(space.strings))
     axes = [space.strings.index(s) for s in support]
     return np.moveaxis(grid, axes, range(len(axes))).reshape(space.n ** len(support), -1)
 
 
-def permutation_images(
-    images: Sequence[int], support: Sequence[str], space: MultiIndexSpace, point_guard: int = POINT_GUARD
-) -> np.ndarray:
+def permutation_images(images: Sequence[int], support: Sequence[str], space: MultiIndexSpace) -> np.ndarray:
     """Full-space image array of a permutation of the support block: entry a
     is the image of point a when the permutation acts on the support
     coordinates and fixes the rest.  O(total_dim), vectorized."""
     if len(images) != space.n ** len(support):
         raise ValueError("permutation size does not match the support block")
-    grid = support_grid(support, space, point_guard)
+    grid = support_grid(support, space)
     out = np.empty(space.total_dim, dtype=np.int64)
     out[grid] = grid[np.asarray(images, dtype=np.int64)]
     return out
 
 
-def lifted_columns(m: np.ndarray, grid: np.ndarray, dense_guard: int = DENSE_GUARD) -> tuple[np.ndarray, np.ndarray]:
+def lifted_columns(m: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero entries of a block matrix lifted to the full space by a
     `support_grid`, column by column: (points, values), each of shape
     (total_dim, k), where row a lists the rows holding the nonzero entries
@@ -329,8 +327,8 @@ def lifted_columns(m: np.ndarray, grid: np.ndarray, dense_guard: int = DENSE_GUA
     the fullest column.  `lift`'s guard bounds their entries."""
     nonzero = m != 0
     k = int(nonzero.sum(axis=0).max(initial=0))
-    if grid.size * k > dense_guard:
-        raise GuardExceeded(f"column table of {grid.size}*{k} entries exceeds dense guard {dense_guard}")
+    if grid.size * k > DENSE_GUARD:
+        raise GuardExceeded(f"column table of {grid.size}*{k} entries exceeds dense guard {DENSE_GUARD}")
     # per block column, its nonzero rows first; a padding row holds a zero
     rows = np.argsort(~nonzero, axis=0, kind="stable")[:k].T
     points = np.empty((grid.size, k), dtype=np.int64)

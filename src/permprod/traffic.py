@@ -167,17 +167,14 @@ def raw_graph_sum(
     edge_matrices: Sequence[np.ndarray],
     dim: int,
     vertex_vectors: Sequence[np.ndarray] | None = None,
-    map_guard_total: int | None = None,
 ):
     """Sum over all vertex labelings i of prod_e M_e[i(target), i(source)]
     (times prod_v vec_v[i(v)] when vertex vectors are given).
 
     Evaluated as a tensor-network contraction, so the cost is far below the
-    dim**V count the guard bounds.  Exact for integer/object inputs.
+    dim**V labelings it sums.  Exact for integer/object inputs.
     """
     nv = g.vertex_count
-    if map_guard_total is not None and dim**nv > map_guard_total:
-        raise GuardExceeded(f"labeling count {dim}**{nv} exceeds map guard")
     if nv == 0:
         return 1
     if nv > len(_stringmod.ascii_letters):
@@ -207,7 +204,6 @@ def raw_injective_graph_sum(
     edge_matrices: Sequence[np.ndarray],
     dim: int,
     vertex_vectors: Sequence[np.ndarray] | None = None,
-    map_guard_total: int | None = None,
 ):
     """Same sum restricted to injective labelings: the chased labelings
     (`_chase`) whose points are all distinct.  An edge may also be a
@@ -215,8 +211,7 @@ def raw_injective_graph_sum(
     whole = np.arange(dim, dtype=np.int64)[:, None]  # each matrix acts on the whole space
     edges = [m if isinstance(m, Permutation) else (np.asarray(m), whole) for m in edge_matrices]
     loops = vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * g.vertex_count
-    guard = MAP_GUARD if map_guard_total is None else map_guard_total
-    return _injective_sum(*_chase(g, edges, loops, dim, guard)[:2])
+    return _injective_sum(*_chase(g, edges, loops, dim, MAP_GUARD)[:2])
 
 
 def _injective_sum(rows: np.ndarray, weights: np.ndarray):
@@ -250,20 +245,25 @@ def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int
     return [lift(lab, space) for lab in _conjugated_labels(t, sigmas)]
 
 
+def _check_labeling_count(n: int, nv: int, map_guard: int) -> None:
+    """Refuse n**nv labelings per string past the map guard; for n > 1, nv
+    past the guard's bit length passes it, so n**nv is formed only below."""
+    if nv and (n > 1 and nv > map_guard.bit_length() or n**nv > map_guard):
+        raise GuardExceeded(f"per-string labeling count {n}**{nv} exceeds map guard {map_guard}")
+
+
 def _trace_impl(t, sigmas, n, injective, map_guard):
     base = t.base if isinstance(t, LoopedTestGraph) else t
     nn = n if n is not None else base.n
     space = base.full_space(nn)
-    nv = base.digraph.vertex_count
-    if nv and nn**nv > map_guard:
-        raise GuardExceeded(f"per-string labeling count {nn}**{nv} exceeds map guard {map_guard}")
+    _check_labeling_count(nn, base.digraph.vertex_count, map_guard)
     if injective:
         looped = t if isinstance(t, LoopedTestGraph) else LoopedTestGraph.with_identity(t, nn)
         raw = _injective_sum(*chase_labelings(looped, sigmas, nn, map_guard)[:2])
     else:
         loops = t.vertex_labels if isinstance(t, LoopedTestGraph) else None
         mats = underline_labels(base, sigmas, nn)
-        raw = raw_graph_sum(base.digraph, mats, space.total_dim, loops, map_guard ** max(1, len(space.strings)))
+        raw = raw_graph_sum(base.digraph, mats, space.total_dim, loops)
     return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, space.total_dim))
 
 
@@ -279,14 +279,11 @@ def trace_test_graph(
 
 
 def injective_trace(
-    t: TestGraph | LoopedTestGraph,
-    n: int | None = None,
-    sigmas: dict[str, Permutation] | None = None,
-    map_guard: int = MAP_GUARD,
+    t: TestGraph | LoopedTestGraph, n: int | None = None, sigmas: dict[str, Permutation] | None = None
 ):
     """The trace restricted to injective vertex labelings: the chased
     labelings whose points are all distinct."""
-    return _trace_impl(t, sigmas, n, True, map_guard)
+    return _trace_impl(t, sigmas, n, True, MAP_GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +378,15 @@ def gcc(t: TestGraph, pi: MultiPartition, s: str) -> GCCGraph:
 # kernel-class sums: empirical, exact-in-lambda, and in expectation
 
 
-def _labeling_chunks(pi: MultiPartition, n: int, map_guard: int) -> tuple[int, Iterator[list[np.ndarray]]]:
+def _labeling_chunks(pi: MultiPartition, n: int) -> tuple[int, Iterator[list[np.ndarray]]]:
     """The guarded count of labelings whose per-string kernels are exactly pi,
     and those labelings in itertools.product order over each string's
     injective block maps, as chunks of per-string digit arrays (a row per
     labeling, a column per vertex) of at most LABELING_CHUNK entries."""
     counts = [math.perm(n, p.num_blocks) for p in pi.parts]
     total = math.prod(counts)
-    if total > map_guard:
-        raise GuardExceeded(f"kernel labeling count {total} exceeds map guard {map_guard}")
+    if total > MAP_GUARD:
+        raise GuardExceeded(f"kernel labeling count {total} exceeds map guard {MAP_GUARD}")
     step = max(1, LABELING_CHUNK // max(pi.parts[0].ground_size, 1))
 
     def chunk(lo: int) -> list[np.ndarray]:
@@ -440,7 +437,7 @@ def _kernel_sum(total, exact: bool, denom: int):
     return complex(total) / denom
 
 
-def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int, map_guard: int = MAP_GUARD):
+def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int):
     """Normalized sum of the vertex-label products over labelings whose
     per-string kernels are exactly pi."""
     denom = n ** sum(p.num_blocks for p in pi.parts)
@@ -450,7 +447,7 @@ def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int, map_guard: int 
         num = math.prod(math.perm(n, p.num_blocks) for p in pi.parts)
         return Fraction(num, denom)
     vecs, exact = _as_exact_or_complex(list(t.vertex_labels))
-    count, labelings = _labeling_chunks(pi, n, map_guard)
+    count, labelings = _labeling_chunks(pi, n)
     vecs = exact_operands(vecs, count)
     total = 0
     for digits in labelings:
@@ -462,13 +459,7 @@ def _is_ones(vec: np.ndarray) -> bool:
     return vec.dtype != object and np.issubdtype(vec.dtype, np.integer) and bool(np.all(vec == 1))
 
 
-def gamma_empirical(
-    t: LoopedTestGraph,
-    pi: MultiPartition,
-    sigmas: dict[str, Permutation],
-    n: int,
-    map_guard: int = MAP_GUARD,
-):
+def gamma_empirical(t: LoopedTestGraph, pi: MultiPartition, sigmas: dict[str, Permutation], n: int):
     """The kernel-class contribution to the looped trace for one concrete
     draw of the color permutations: sums only labelings whose per-string
     kernels equal pi, divided by dim once per weak component as the trace is."""
@@ -476,7 +467,7 @@ def gamma_empirical(
     dim = base.full_space(n).total_dim
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
-    count, labelings = _labeling_chunks(pi, n, map_guard)
+    count, labelings = _labeling_chunks(pi, n)
     vecs, exact_loops = _as_exact_or_complex(list(t.vertex_labels))
     exact = exact_loops and all(lab.is_exact() for lab in base.labels)
     edges = base.digraph.edges
@@ -580,7 +571,9 @@ def chase_labelings(
     return _chase(base.digraph, edges, t.vertex_labels, space.total_dim, map_guard)
 
 
-def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, map_guard: int = MAP_GUARD) -> dict:
+def _kernel_buckets(
+    t: LoopedTestGraph, sigmas: dict[str, Permutation] | None, n: int, map_guard: int = MAP_GUARD
+) -> dict:
     """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`}:
     the chased labelings' weights summed per kernel tuple."""
     rows, weights, count = chase_labelings(t, sigmas, n, map_guard)
@@ -601,12 +594,7 @@ def _kernel_buckets(t: LoopedTestGraph, sigmas: dict[str, Permutation], n: int, 
     }
 
 
-def gamma_expected_formula(
-    t: LoopedTestGraph,
-    pi: MultiPartition,
-    n: int,
-    map_guard: int = MAP_GUARD,
-):
+def gamma_expected_formula(t: LoopedTestGraph, pi: MultiPartition, n: int):
     """Exact expectation of the kernel-class sum over the uniform draws,
     valid for connected graphs and kernels above every rho_s: a power of N
     times the vertex-label sum times one factorial-weighted injective sum
@@ -615,7 +603,7 @@ def gamma_expected_formula(
     if weak_components(base.digraph).num_blocks != 1:
         raise ValueError("graph must be weakly connected")
     _check_admissible(base, pi)
-    lam = lambda_value(t, pi, n, map_guard)
+    lam = lambda_value(t, pi, n)
     if lam == 0:
         return Fraction(0) if isinstance(lam, Fraction) else 0.0
     exponent = sum(p.num_blocks - 1 for p in pi.parts)
@@ -628,19 +616,19 @@ def gamma_expected_formula(
         if v_c > d_c:
             return Fraction(0) if isinstance(lam, Fraction) else 0.0
         labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
-        raw_inj = raw_injective_graph_sum(q.digraph, labels, d_c, None, map_guard)
+        raw_inj = raw_injective_graph_sum(q.digraph, labels, d_c)
         factor = Fraction(1, math.perm(d_c, v_c)) if isinstance(raw_inj, (int, Fraction)) else 1.0 / math.perm(d_c, v_c)
         out = out * factor * raw_inj
     return out
 
 
-def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int, map_guard: int = MAP_GUARD):
+def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int):
     """Normalized injective trace of the c-colored quotient, over the color's
     own string block."""
     q = color_quotient(t, pi, c)
     d_c = n ** len(t.assignment.strings_of(c))
     labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
-    raw = raw_injective_graph_sum(q.digraph, labels, d_c, None, map_guard)
+    raw = raw_injective_graph_sum(q.digraph, labels, d_c)
     return _kernel_sum(raw, isinstance(raw, int), d_c**q.components.num_blocks)
 
 
@@ -819,11 +807,9 @@ def _admissible_count(t: TestGraph, partition_guard: int) -> tuple[MultiPartitio
     return rhos, total
 
 
-def enumerate_admissible(
-    t: TestGraph, partition_guard: int = PARTITION_GUARD
-) -> Iterator[MultiPartition]:
+def enumerate_admissible(t: TestGraph) -> Iterator[MultiPartition]:
     """All kernel tuples lying above every minimal kernel rho_s."""
-    rhos = _admissible_count(t, partition_guard)[0]
+    rhos = _admissible_count(t, PARTITION_GUARD)[0]
     pools = [list(enumerate_partitions(t.digraph.vertex_count, p)) for p in rhos.parts]
     for combo in itertools.product(*pools):
         yield MultiPartition(rhos.strings, tuple(combo))
@@ -833,26 +819,19 @@ def all_gcc_trees(t: TestGraph, pi: MultiPartition) -> bool:
     return all(gcc(t, pi, s).is_tree() for s in t.assignment.sorted_strings())
 
 
-def enumerate_tree_partitions(
-    t: TestGraph, partition_guard: int = PARTITION_GUARD
-) -> Iterator[MultiPartition]:
+def enumerate_tree_partitions(t: TestGraph) -> Iterator[MultiPartition]:
     """Admissible kernel tuples whose colored-component graphs are all trees,
     in `enumerate_admissible` order, read off one `_kernel_sweep`; each
     distinct kernel is one `Partition` object per call."""
     strings = t.assignment.sorted_strings()
     kernels: dict = {}  # label tuple -> its one Partition in this call
-    for _, _, found in _kernel_sweep(t, partition_guard, leaves=False):
+    for _, _, found in _kernel_sweep(t, PARTITION_GUARD, leaves=False):
         for labels, _ in found:
             parts = (kernels.get(k) or kernels.setdefault(k, Partition.from_labels(k)) for k in labels)
             yield MultiPartition(strings, tuple(parts))
 
 
-def expected_trace_leading_terms(
-    t: LoopedTestGraph,
-    n: int,
-    partition_guard: int = PARTITION_GUARD,
-    map_guard: int = MAP_GUARD,
-):
+def expected_trace_leading_terms(t: LoopedTestGraph, n: int):
     """Sum, over kernel tuples whose colored-component graphs are all trees,
     of the vertex-label sum times the product of normalized injective traces
     of the colored quotients; the surviving part of the expected looped trace
@@ -861,27 +840,22 @@ def expected_trace_leading_terms(
     if not is_two_edge_connected(base.digraph):
         raise ValueError("graph must be two-edge connected")
     terms, total = [], Fraction(0)
-    for pi in enumerate_tree_partitions(base, partition_guard):
-        term = lambda_value(t, pi, n, map_guard)
+    for pi in enumerate_tree_partitions(base):
+        term = lambda_value(t, pi, n)
         for c in sorted(set(base.edge_colors)):
             if term == 0:
                 break
-            term = term * color_injective_trace(base, pi, c, n, map_guard)
+            term = term * color_injective_trace(base, pi, c, n)
         if term != 0:
             terms.append((pi, term))
             total = total + term
     return total, terms
 
 
-def expected_trace_full_sum(
-    t: LoopedTestGraph,
-    n: int,
-    partition_guard: int = PARTITION_GUARD,
-    map_guard: int = MAP_GUARD,
-):
+def expected_trace_full_sum(t: LoopedTestGraph, n: int):
     """Exact expected looped trace: the expectation formula summed over every
     admissible kernel tuple."""
     total = Fraction(0)
-    for pi in enumerate_admissible(t.base, partition_guard):
-        total = total + gamma_expected_formula(t, pi, n, map_guard)
+    for pi in enumerate_admissible(t.base):
+        total = total + gamma_expected_formula(t, pi, n)
     return total

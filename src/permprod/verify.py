@@ -13,6 +13,7 @@ must be admissible.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
@@ -23,6 +24,7 @@ from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible 
     MultiPartition,
     TestGraph,
     _admissible_count,
+    _conjugated_labels,
     _injective,
     _kernel_buckets,
     _kernel_sweep,
@@ -104,7 +106,6 @@ def kernel_suite(
     plus vanishing off the admissible cone: every chased kernel tuple lies
     above rho, part by part.  The cone itself is only counted.  Exact sums
     must match exactly; float sums agree within `sums_agree`'s tolerance."""
-    looped = LoopedTestGraph.with_identity(t, n)
     rhos, admissible = _admissible_count(t, partition_guard)
     decomposition_ok = True
     vanishing_ok = True
@@ -113,8 +114,10 @@ def kernel_suite(
         for ci, c in enumerate(sorted(set(t.edge_colors))):
             dim = n ** len(t.assignment.strings_of(c))
             sigmas[c] = sample_uniform_permutation(dim, rng_stream(seed, 7, d, ci))
-        tau = trace_test_graph(looped, n=n, sigmas=sigmas, map_guard=map_guard)
-        sums = _kernel_buckets(looped, sigmas, n, map_guard)
+        # each label conjugated once per draw, for the trace and the chase alike
+        drawn = LoopedTestGraph.with_identity(replace(t, labels=tuple(_conjugated_labels(t, sigmas))), n)
+        tau = trace_test_graph(drawn, n=n, map_guard=map_guard)
+        sums = _kernel_buckets(drawn, None, n, map_guard)
         vanishing_ok &= all(r.refines(p) for key in sums for r, p in zip(rhos.parts, key))
         decomposition_ok &= sums_agree(sum(sums.values(), Fraction(0)), tau)
     return [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 
 from permprod.digraphs import DiGraph
 from permprod.strings import ColorGraph, StringAssignment
@@ -88,4 +89,13 @@ def conjugated_dense_labels_oracle(t, sigmas, n):
         conj = dense_conjugation_oracle(lab.entries, sigmas[c].images) if c in sigmas else lab.entries
         positions = [strings.index(s) for s in lab.support]
         out.append(kron_lift_oracle(conj, positions, len(strings), n))
+    return out
+
+
+def all_signed_words(num_generators: int, max_length: int) -> list[tuple[int, ...]]:
+    """Every nonempty word over the signed generator alphabet up to a length."""
+    alphabet = [j for j in range(1, num_generators + 1)] + [-j for j in range(1, num_generators + 1)]
+    out = []
+    for m in range(1, max_length + 1):
+        out.extend(itertools.product(alphabet, repeat=m))
     return out

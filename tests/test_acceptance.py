@@ -47,7 +47,6 @@ from permprod.chains import (
 )
 from permprod.sofic import (
     FiniteGroupTable,
-    all_signed_words,
     certify,
     graph_product_rep,
     hamming_distance,
@@ -56,6 +55,7 @@ from permprod.sofic import (
     word_triviality,
 )
 from helpers import (
+    all_signed_words,
     disjoint_string_model,
     draw_color_permutations,
     example_test_graph,

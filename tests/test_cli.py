@@ -523,6 +523,11 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2_0"}), n=20)),  # a block that holds 20 points
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), colors=["5"], vertex_groups={"5": "cyclic:2"},
                                words=[[[5, 1]]])),
+        # thresholds past the float range, refused before 10**exponent is formed
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold="1e400")),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold=10**400)),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold="1e7000000")),
+        ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold="1/0")),
     ],
     ids=[
         "short-test-edge",
@@ -593,6 +598,10 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         "cyclic-order-with-a-space",
         "cyclic-order-with-an-underscore",
         "sofic-letter-color-a-number",
+        "sofic-threshold-string-past-the-float-range",
+        "sofic-threshold-integer-past-the-float-range",
+        "sofic-threshold-exponent-in-the-millions",
+        "sofic-threshold-over-zero",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):
@@ -747,10 +756,15 @@ MANY_GENERATORS = {"table": [[0, 1], [1, 0]], "generators": [1] * 3000}
                                vertex_groups=dict(THREE_COLORS["vertex_groups"], R=MANY_GENERATORS)),
          {"sofic.sample_uniform_permutation": refuse, "sofic.cyclic_shift_rep": refuse,
           "sofic.left_regular_rep": refuse, "sofic.pad_rep": refuse}),
+        # a word of 5000 letters on 64**2 points: certify would stack 5000 prefix image arrays
+        ("sofic-certify", dict(THREE_COLORS, n=64, words=[[["G", 1]] * 5000]),
+         {"sofic.sample_uniform_permutation": refuse, "sofic.cyclic_shift_rep": refuse}),
+        # 10**30 letters in a chain: refused before any letter is drawn
+        ("converge", dict(CONVERGE, ell=[10**30, 1]), {"chains.ChainDraw.of": refuse}),
     ],
     ids=["sofic-max-length-14", "sofic-max-length-huge", "sofic-words-past-guard", "sofic-word-list-past-guard",
          "converge-samples-huge", "converge-samples-past-guard", "sofic-points-1500", "sofic-points-100000",
-         "sofic-letters-past-guard"],
+         "sofic-letters-past-guard", "sofic-longest-word-past-guard", "converge-ell-huge"],
 )
 def test_guards_refuse_before_the_work(tmp_path, capsys, monkeypatch, command, config, patches):
     for name, value in patches.items():

@@ -101,10 +101,11 @@ def test_two_edge_predicate_matches_decomposition_definition():
     assert any(verdicts) and not all(verdicts)
 
 
-def test_kernel_suite_guard_is_the_enumeration_guard():
+def test_kernel_suite_guard_is_the_enumeration_guard(monkeypatch):
     t = example_test_graph()
+    monkeypatch.setattr(traffic, "PARTITION_GUARD", 10)
     with pytest.raises(GuardExceeded) as direct:
-        list(enumerate_admissible(t, partition_guard=10))
+        list(enumerate_admissible(t))
     with pytest.raises(GuardExceeded) as suite:
         kernel_suite(t, 2, 0, 1, partition_guard=10)
     assert str(suite.value) == str(direct.value)

@@ -148,13 +148,13 @@ def test_labeling_count_past_one_chunk():
 def test_chunks_stay_bounded_near_the_guard():
     # 16**6 labelings of a one-string kernel: only the first chunk is built
     pi = MultiPartition(("s",), (Partition.singletons(6),))
-    count, labelings = traffic._labeling_chunks(pi, 16, traffic.MAP_GUARD)
+    count, labelings = traffic._labeling_chunks(pi, 16)
     assert count == math.perm(16, 6)
     first = next(labelings)
     assert all(d.size <= traffic.LABELING_CHUNK for d in first)
 
 
-def test_guard_trips_before_the_off_support_zero():
+def test_guard_trips_before_the_off_support_zero(monkeypatch):
     t = _graph("disjoint-string", 2, "identity")
     lt = LoopedTestGraph.with_identity(t)
     sigmas = draw_color_permutations(t, 2, 0)
@@ -164,13 +164,16 @@ def test_guard_trips_before_the_off_support_zero():
     pi = MultiPartition(("sa", "sb"), (Partition.trivial(3), single))
     assert gamma_empirical(lt, pi, sigmas, 3) == 0
     message = "kernel labeling count 18 exceeds map guard 5"
-    for fn in (gamma_empirical, loop_gamma_empirical):
-        with pytest.raises(GuardExceeded, match=message):
-            fn(lt, pi, sigmas, 3, map_guard=5)
+    monkeypatch.setattr(traffic, "MAP_GUARD", 5)
+    with pytest.raises(GuardExceeded, match=message):
+        gamma_empirical(lt, pi, sigmas, 3)
+    with pytest.raises(GuardExceeded, match=message):
+        loop_gamma_empirical(lt, pi, sigmas, 3, map_guard=5)
     loops = LoopedTestGraph(t, tuple(np.arange(9) for _ in range(3)))
-    for fn in (lambda_value, loop_lambda_value):
-        with pytest.raises(GuardExceeded, match=message):
-            fn(loops, pi, 3, map_guard=5)
+    with pytest.raises(GuardExceeded, match=message):
+        lambda_value(loops, pi, 3)
+    with pytest.raises(GuardExceeded, match=message):
+        loop_lambda_value(loops, pi, 3, map_guard=5)
 
 
 def test_chase_guard_bounds_one_row_per_point_and_component():

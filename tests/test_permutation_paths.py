@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permprod import chains
+from permprod import chains, tensor
 from permprod.chains import (
     ChainDraw,
     ChainSpec,
@@ -173,11 +173,13 @@ def test_permutation_images_matches_dense_lift():
             assert np.array_equal(dense, Permutation(tuple(images.tolist())).matrix())
 
 
-def test_point_guard():
+def test_point_guard(monkeypatch):
     sp = MultiIndexSpace.of(["1", "2"], 4)
+    monkeypatch.setattr(tensor, "POINT_GUARD", 15)
     with pytest.raises(GuardExceeded):
-        permutation_images(tuple(range(4)), ("1",), sp, point_guard=15)
-    assert len(permutation_images(tuple(range(4)), ("1",), sp, point_guard=16)) == 16
+        permutation_images(tuple(range(4)), ("1",), sp)
+    monkeypatch.setattr(tensor, "POINT_GUARD", 16)
+    assert len(permutation_images(tuple(range(4)), ("1",), sp)) == 16
     # a huge grid point is refused before anything is drawn or allocated
     g, a = three_color_model()
     spec = ChainSpec(g, a, ("B", "G", "R"), (1, 2, 1), "permutation", "signs")

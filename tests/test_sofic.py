@@ -11,7 +11,6 @@ from permprod.tensor import GuardExceeded, Permutation, rng_stream, sample_unifo
 from permprod.sofic import (
     INTEGERS,
     FiniteGroupTable,
-    all_signed_words,
     certify,
     cyclic_shift_rep,
     graph_product_rep,
@@ -21,6 +20,7 @@ from permprod.sofic import (
     reduce_word,
     word_triviality,
 )
+from helpers import all_signed_words
 from oracles import loop_reduce_word
 
 

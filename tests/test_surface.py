@@ -123,3 +123,35 @@ def test_no_module_state_outlives_a_call():
                 cached.append(f"{path.name}:{node.name}")
     assert found == []
     assert sorted(cached) == sorted(CACHES_ALLOWED)
+
+
+# Functions that take a guard as a parameter, each with the reason it may:
+# every other guard is a module constant read where it is checked.
+GUARD_PARAMETERS_ALLOWED = {
+    "verify.py:exponent_suite": "`traffic-check --guard-partitions` sets its tuple guard",
+    "verify.py:kernel_suite": "`traffic-check --guard-partitions` and `--guard-maps` set its tuple and labeling guards",
+    "traffic.py:trace_test_graph": "`kernel_suite` passes it the `--guard-maps` labeling guard",
+    "traffic.py:_trace_impl": "the one body of `trace_test_graph` and `injective_trace`, which passes the constant",
+    "traffic.py:_check_labeling_count": "`traffic-check` checks `--guard-maps` with it before any per-vertex work",
+    "traffic.py:_kernel_buckets": "`kernel_suite` passes it the `--guard-maps` chase-row guard",
+    "traffic.py:chase_labelings": "`_kernel_buckets` and `_trace_impl` pass it their chase-row guard",
+    "traffic.py:_chase": "every chase passes its row guard: `--guard-maps`, or the constant",
+    "traffic.py:_kernel_sweep": "`exponent_suite` passes it `--guard-partitions`, the tree search the constant",
+    "traffic.py:_admissible_count": "`_kernel_sweep`, `kernel_suite` and `enumerate_admissible` pass it their tuple guard",
+}
+
+
+def test_only_the_cli_path_takes_a_guard_parameter():
+    # a guard no caller overrides is a constant that tests monkeypatch, not a
+    # parameter passed down from a default
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                if any("guard" in name for name in names):
+                    found.append(f"{path.name}:{node.name}")
+    extra = sorted(set(found) - set(GUARD_PARAMETERS_ALLOWED))
+    assert not extra, "guard parameters off the allowlist:\n" + "\n".join(extra)
+    assert sorted(set(GUARD_PARAMETERS_ALLOWED) - set(found)) == []  # no stale entry

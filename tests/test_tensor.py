@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from permprod import tensor
 from permprod.tensor import (
     GuardExceeded,
     MultiIndexSpace,
@@ -279,11 +280,12 @@ def test_lift_trace_factorization():
     assert np.trace(lifted) == 4 * np.trace(x.entries)
 
 
-def test_lift_guard():
+def test_lift_guard(monkeypatch):
     full = MultiIndexSpace.of(["1", "2"], 2)
     x = StructuredMatrix.identity(["1"], 2)
+    monkeypatch.setattr(tensor, "DENSE_GUARD", 3)
     with pytest.raises(GuardExceeded):
-        lift(x, full, dense_guard=3)
+        lift(x, full)
     with pytest.raises(ValueError):
         lift(x, MultiIndexSpace.of(["2"], 2))
 
@@ -291,15 +293,17 @@ def test_lift_guard():
 def test_lift_guard_bounds_entries_before_allocating(monkeypatch):
     full = MultiIndexSpace.of(["1", "2"], 2)  # dim 4, 16 entries
     x = StructuredMatrix.identity(["1"], 2)
-    assert lift(x, full, dense_guard=16).shape == (4, 4)
+    monkeypatch.setattr(tensor, "DENSE_GUARD", 16)
+    assert lift(x, full).shape == (4, 4)
 
     def allocate(*args, **kwargs):
         raise AssertionError("allocated before the guard")
 
     monkeypatch.setattr(np, "eye", allocate)
     monkeypatch.setattr(np, "zeros", allocate)
+    monkeypatch.setattr(tensor, "DENSE_GUARD", 15)
     with pytest.raises(GuardExceeded, match=r"4\*\*2 entries"):
-        lift(x, full, dense_guard=15)  # the dimension is below the guard, its square is not
+        lift(x, full)  # the dimension is below the guard, its square is not
 
 
 def test_delta_basics():

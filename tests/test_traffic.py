@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from permprod import traffic
 from permprod.digraphs import DiGraph, two_edge_decompose, weak_components
 from permprod.partitions import Partition, enumerate_partitions
 from permprod.tensor import GuardExceeded, Permutation, StructuredMatrix, rng_stream, sample_uniform_permutation
@@ -644,7 +645,8 @@ def test_mingo_speicher_scaling_bounded():
     assert max(ratios) <= 2.0
 
 
-def test_partition_guard_trips():
+def test_partition_guard_trips(monkeypatch):
     t = example_test_graph()
+    monkeypatch.setattr(traffic, "PARTITION_GUARD", 10)
     with pytest.raises(GuardExceeded):
-        list(enumerate_admissible(t, partition_guard=10))
+        list(enumerate_admissible(t))
