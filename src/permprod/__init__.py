@@ -34,6 +34,8 @@ from .traffic import (
     LoopedTestGraph,
     MultiPartition,
     TestGraph,
+    expected_trace_full_sum,
+    expected_trace_leading_terms,
     gamma_empirical,
     gamma_expected_formula,
     gcc,

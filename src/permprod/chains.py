@@ -36,8 +36,8 @@ from .tensor import (
     conjugate_by_color,
     lift,
     lift_permutation,
-    monomial_chain_norm_sq,
     rng_stream,
+    sample_color_permutations,
     sample_uniform_permutation,
     sums_agree,
 )
@@ -141,6 +141,8 @@ class ChainDraw:
                     lam_row.append(np.asarray(spec.lambda_fixtures[i][j]))
             lambdas.append(tuple(lam_row))
             letters.append(tuple(x_row))
+        if any(d.shape != (space.total_dim,) for row in lambdas for d in row):
+            raise ValueError(f"every diagonal must be a vector of the {space.total_dim} full-space points")
         for x in itertools.chain.from_iterable(letters):
             if x.perm is not None:
                 continue  # permutation matrices have operator norm one
@@ -149,7 +151,7 @@ class ChainDraw:
                 raise ValueError(f"factor operator norm {nrm} exceeds bound {spec.norm_bound}")
         return ChainDraw(spec, space, tuple(lambdas), tuple(letters))
 
-    @property
+    @functools.cached_property
     def monomial(self) -> bool:
         """Every letter a permutation and every diagonal an integer vector:
         the chain's factors are monomial and `norm_sq` applies."""
@@ -159,14 +161,30 @@ class ChainDraw:
 
     def norm_sq(self, sigmas: dict[str, Permutation]) -> Fraction:
         """The centered, diagonally projected squared norm of a monomial
-        chain for one conjugation draw; equal to
-        centered_chain_norm_sq(chain_factors(...)) without lifting anything.
-        Each conjugated letter acts on the full space by its image array."""
-        factors = [
-            [(d, lift_permutation(conjugate_by_color(x, sigmas[c]), self.space).images) for d, x in zip(lams, row)]
-            for c, lams, row in zip(self.spec.chi, self.lambdas, self.letters)
-        ]
-        return monomial_chain_norm_sq(factors)
+        chain for one conjugation draw, equal to
+        centered_chain_norm_sq(chain_factors(...)) without lifting anything:
+        each point is carried right to left through the conjugated letters'
+        image arrays, picking up the diagonal entry at each image, and
+        centering drops the points a factor fixes.  The product's diagonal
+        lives on the points that return home, so the result is
+        Fraction(sum of their squared coefficients, dim), taken in int64
+        while every diagonal entry is -1, 0 or 1.  O(letters * dim)."""
+        if not self.monomial:
+            raise ValueError("the point chase needs permutation letters and integer diagonals")
+        dim = self.space.total_dim
+        bounded = all(np.abs(d).max(initial=0) <= 1 for lams in self.lambdas for d in lams)
+        coef = np.ones(dim, dtype=np.int64 if bounded else object)
+        pts = cur = np.arange(dim, dtype=np.int64)
+        alive = np.ones(dim, dtype=bool)
+        for c, lams, row in reversed(list(zip(self.spec.chi, self.lambdas, self.letters))):
+            y = cur
+            for d, x in zip(reversed(lams), reversed(row)):
+                y = lift_permutation(conjugate_by_color(x, sigmas[c]), self.space).images[y]
+                coef = coef * d[y]
+            alive &= y != cur
+            cur = y
+        home = coef[alive & (cur == pts)]
+        return Fraction(int((home * home).sum()), dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +287,7 @@ def j_set(chain: SquaredChainGraph, pi: MultiPartition) -> frozenset[int]:
 def draw_sigmas(spec: ChainSpec, n: int, seed: int, sample: int = 0) -> dict[str, Permutation]:
     """One uniform permutation per color, from streams keyed by the color's
     rank and the sample index."""
-    out = {}
-    for ci, c in enumerate(sorted(spec.graph.colors)):
-        dim = n ** len(spec.assignment.strings_of(c))
-        out[c] = sample_uniform_permutation(dim, rng_stream(seed, 0, n, sample, ci))
-    return out
+    return sample_color_permutations(spec.assignment, spec.graph.colors, n, seed, 0, n, sample)
 
 
 def chain_factors(draw: ChainDraw, sigmas: dict[str, Permutation]) -> list[np.ndarray]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import chains, serialize, sofic, verify
@@ -247,16 +247,20 @@ def _cmd_sofic_certify(args) -> int:
     return EXIT_OK
 
 
-def _threshold(value) -> Fraction:
-    """The certificate's threshold, exactly: a JSON number or a string
-    `Fraction` reads ("0.5", "1e-400", "1/3"), within the float range the
-    header writes it in."""
+def _threshold(value) -> Fraction | Decimal:
+    """The certificate's threshold, exactly: a JSON number or a string, read
+    as a `Fraction` in "p/q" form ("1/3") and as a `Decimal` otherwise
+    ("0.5", "1e-400"), which keeps its exponent symbolic and compares
+    exactly with the deviation, so "1e-7000000" forms no power of ten.  It
+    must lie within the float range the header writes it in."""
     text = str(value)
-    try:  # an exponent past the float range is refused before `Fraction` forms 10**exponent
-        threshold = Fraction(text) if "e" not in text.lower() or math.isfinite(float(text)) else None
-    except ZeroDivisionError:  # "p/0"
+    try:
+        threshold = Fraction(text) if "/" in text else Decimal(text) or Fraction(0)  # a zero has no sign
+        if not -sys.float_info.max <= threshold <= sys.float_info.max:  # infinite, or past the float range
+            threshold = None
+    except (ZeroDivisionError, InvalidOperation):  # "p/0", not a number, or a NaN
         threshold = None
-    if threshold is None or abs(threshold) > sys.float_info.max:
+    if threshold is None:
         raise ValueError(f"threshold must be a number within the float range, not {value!r}")
     return threshold
 

@@ -29,8 +29,7 @@ from .tensor import (
     StructuredMatrix,
     compose_images,
     lift_permutation,
-    rng_stream,
-    sample_uniform_permutation,
+    sample_color_permutations,
 )
 
 TABLE_GUARD = 2**27  # order**3 products compared by a group table's associativity check
@@ -241,13 +240,10 @@ def graph_product_rep(
     check_product_space(assignment, n, 2 * sum(len(vertex_reps[c].gens) for c in g.colors))
     space = MultiIndexSpace.of(assignment.strings, n)
     letters = {}
-    for ci, c in enumerate(sorted(g.colors)):
-        rep = vertex_reps[c]
-        dim = n ** len(assignment.strings_of(c))
-        if rep.n != dim:
-            raise ValueError(f"representation for color {c!r} has size {rep.n}, block needs {dim}")
-        sigma = sample_uniform_permutation(dim, rng_stream(seed, ci))
-        sup = assignment.sorted_strings_of(c)
+    for c, sigma in sample_color_permutations(assignment, g.colors, n, seed).items():
+        rep, sup = vertex_reps[c], assignment.sorted_strings_of(c)
+        if rep.n != sigma.n:
+            raise ValueError(f"representation for color {c!r} has size {rep.n}, block needs {sigma.n}")
         for j, p in enumerate(rep.gens, start=1):
             lifted = lift_permutation(StructuredMatrix.from_permutation(sup, n, p.conjugate(sigma)), space)
             letters[(c, j)], letters[(c, -j)] = lifted.images, lifted.inverse().images

@@ -19,7 +19,7 @@ JSON to the full space.  There are two ways to act on the full space:
   Words of permutations are composed from their image arrays
   (`compose_images`, traced by `perm_word_trace`), and alternating chains
   of permutations and integer diagonals are monomial, so their centered
-  norm is a point chase in exact integers (`monomial_chain_norm_sq`),
+  norm is a point chase in exact integers (`chains.ChainDraw.norm_sq`),
   O(letters * dim).
 
 Index convention: strings are sorted ascending; the first (lowest) string is
@@ -34,6 +34,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .strings import StringAssignment
 
 DENSE_GUARD = 2**22  # entries of a dense full-space matrix (dim**2)
 POINT_GUARD = 2**21  # full-space points of an image array (8 bytes each)
@@ -174,6 +176,17 @@ def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         images[i], images[j] = images[j], images[i]
     return Permutation._trusted(np.array(images, dtype=np.int64))  # swaps of 0..n-1 are a bijection
+
+
+def sample_color_permutations(
+    assignment: StringAssignment, colors: Iterable[str], n: int, seed: int, *key: int
+) -> dict[str, Permutation]:
+    """One uniform permutation of each color's block at side n, in sorted
+    color order: the color of rank r draws from `rng_stream(seed, *key, r)`."""
+    return {
+        c: sample_uniform_permutation(n ** len(assignment.strings_of(c)), rng_stream(seed, *key, r))
+        for r, c in enumerate(sorted(colors))
+    }
 
 
 @dataclass(frozen=True)
@@ -435,41 +448,3 @@ def perm_word_trace(factors: Sequence[StructuredMatrix], space: MultiIndexSpace)
     dim = space.total_dim
     word = compose_images((lift_permutation(f, space).images for f in factors), dim)
     return Fraction(word.fixed_points(), dim)
-
-
-def monomial_chain_norm_sq(factors: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]) -> Fraction:
-    """`centered_chain_norm_sq` of monomial factors, by chasing points.
-
-    factors[i] lists the (diagonal, image array) pairs of Y_i in product
-    order, Y_i = diag(d_1) P_1 diag(d_2) P_2 ... with P e_a = e_{images[a]},
-    so every Y_i and every centered Y_i is monomial.  Each point is carried
-    right to left through the factors, picking up the diagonal entry at
-    each image; centering drops the points a factor fixes.  The diagonal of
-    the product lives on the points that return home, and the result is the
-    exact Fraction(sum of their squared coefficients, dim).  Diagonals must
-    be integer vectors; the coefficients stay in int64 while every entry is
-    -1, 0 or 1 and become Python integers otherwise.  O(letters * dim).
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    pairs = [pair for f in factors for pair in f]
-    dim = len(pairs[0][1])
-    for d, images in pairs:
-        if d.shape != (dim,) or images.shape != (dim,):
-            raise ValueError("dimension mismatch")
-        if not np.issubdtype(d.dtype, np.integer):
-            raise ValueError("diagonals must be integer vectors")
-    bounded = all(np.abs(d).max(initial=0) <= 1 for d, _ in pairs)
-    coef = np.ones(dim, dtype=np.int64 if bounded else object)
-    pts = np.arange(dim, dtype=np.int64)
-    cur = pts
-    alive = np.ones(dim, dtype=bool)
-    for f in reversed(factors):
-        y = cur
-        for d, images in reversed(f):
-            y = images[y]
-            coef = coef * d[y]
-        alive &= y != cur
-        cur = y
-    home = coef[alive & (cur == pts)]
-    return Fraction(int((home * home).sum()), dim)

@@ -199,21 +199,6 @@ def _einsum_plan(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
     return np.einsum_path(expr, *(np.broadcast_to(0, s) for s in shapes), optimize="greedy")[0]
 
 
-def raw_injective_graph_sum(
-    g: DiGraph,
-    edge_matrices: Sequence[np.ndarray],
-    dim: int,
-    vertex_vectors: Sequence[np.ndarray] | None = None,
-):
-    """Same sum restricted to injective labelings: the chased labelings
-    (`_chase`) whose points are all distinct.  An edge may also be a
-    `Permutation` of the dim points, chased through its image array."""
-    whole = np.arange(dim, dtype=np.int64)[:, None]  # each matrix acts on the whole space
-    edges = [m if isinstance(m, Permutation) else (np.asarray(m), whole) for m in edge_matrices]
-    loops = vertex_vectors if vertex_vectors is not None else [np.ones(dim, dtype=np.int64)] * g.vertex_count
-    return _injective_sum(*_chase(g, edges, loops, dim, MAP_GUARD)[:2])
-
-
 def _injective_sum(rows: np.ndarray, weights: np.ndarray):
     """The summed weight of the rows whose points are all distinct: an int
     when the weights are exact, else complex."""
@@ -495,28 +480,29 @@ def gamma_empirical(t: LoopedTestGraph, pi: MultiPartition, sigmas: dict[str, Pe
 
 
 def _chase(
-    g: DiGraph, edges: Sequence, loops: Sequence[np.ndarray], dim: int, map_guard: int
+    g: DiGraph, labels: Sequence[StructuredMatrix], loops: Sequence[np.ndarray], space: MultiIndexSpace, map_guard: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nonzero labelings of a looped graph on dim points as (rows,
+    """The nonzero labelings of a looped graph over a space as (rows,
     weights, count): a row of points per labeling (a column per vertex),
     its product of loop and edge entries, and dim**components, the root
-    rows the guard bounds and the trace's denominator.  An edge is a
-    full-space `Permutation` or a (block matrix, `support_grid`) pair.  The
-    root rows, one per tuple of points at one root per weak component, are
-    chased along a spanning forest: a permutation sends each row's known
-    point through its image array, and a dense edge repeats each row once
-    per nonzero entry in the column of its known end (of the transpose
-    when walked backwards), times that entry.  Another edge keeps the rows
-    it agrees with or multiplies in its entry; rows of weight 0 are
-    dropped.  Weights are exact, widened past int64 as `exact_operands`
-    does, unless a label or loop is float or complex."""
+    rows the guard bounds and the trace's denominator.  The root rows, one
+    per tuple of points at one root per weak component, are chased along a
+    spanning forest: a permutation label sends each row's known point
+    through its lifted image array (`lift_permutation`), and a dense label
+    repeats each row once per nonzero entry in the column of its known end
+    (of the transpose when walked backwards), times that entry, as
+    `lifted_columns` lists them.  Another edge keeps the rows it agrees
+    with or multiplies in its entry; rows of weight 0 are dropped.  Weights
+    are exact, widened past int64 as `exact_operands` does, unless a label
+    or loop is float or complex."""
+    dim = space.total_dim
     roots = [b[0] for b in weak_components(g).blocks]
     count = dim ** len(roots)
     if count > map_guard:
         raise GuardExceeded(f"chased labeling count {dim}**{len(roots)} exceeds map guard {map_guard}")
-    dense = [e for e, x in enumerate(edges) if not isinstance(x, Permutation)]
+    dense = [e for e, lab in enumerate(labels) if lab.perm is None]
     # every row is a distinct labeling, and no more than map_guard rows are built
-    ops = exact_operands([*loops, *(edges[e][0] for e in dense)], min(dim**g.vertex_count, map_guard))
+    ops = exact_operands([*loops, *(labels[e].values for e in dense)], min(dim**g.vertex_count, map_guard))
     loops, mats = ops[: len(loops)], dict(zip(dense, ops[len(loops) :]))
     rows = np.zeros((count, g.vertex_count), dtype=np.int64)
     rows[:, roots] = np.indices((dim,) * len(roots)).reshape(len(roots), count).T
@@ -527,19 +513,20 @@ def _chase(
         todo.remove(e)
         src, dst = g.edges[e]
         if e not in mats:
+            perm = lift_permutation(labels[e], space)
             if dst not in known:
-                rows[:, dst] = edges[e].images[rows[:, src]]
+                rows[:, dst] = perm.images[rows[:, src]]
             elif src not in known:
-                rows[:, src] = edges[e].inverse().images[rows[:, dst]]
+                rows[:, src] = perm.inverse().images[rows[:, dst]]
             else:
-                keep &= rows[:, dst] == edges[e].images[rows[:, src]]
+                keep &= rows[:, dst] == perm.images[rows[:, src]]
         elif src in known and dst in known:
-            points, values = lifted_columns(mats[e], edges[e][1])
+            points, values = lifted_columns(mats[e], support_grid(labels[e].support, space))
             at = rows[:, src]
             weights = weights * (values[at] * (points[at] == rows[:, dst, None])).sum(axis=1)
         else:
             old, new, m = (src, dst, mats[e]) if src in known else (dst, src, mats[e].T)
-            points, values = lifted_columns(m, edges[e][1])
+            points, values = lifted_columns(m, support_grid(labels[e].support, space))
             rows, weights, k = rows[keep], weights[keep], points.shape[1]
             if len(rows) * k > map_guard:
                 raise GuardExceeded(f"chased labeling count {len(rows)}*{k} exceeds map guard {map_guard}")
@@ -560,15 +547,9 @@ def chase_labelings(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The nonzero labelings of a looped graph over its full side-n space,
     as `_chase` gives them, with each label conjugated by its color's
-    permutation (identity when absent): a permutation label as its lifted
-    image array, any other as its block matrix."""
+    permutation (identity when absent)."""
     base = t.base
-    space = base.full_space(n)
-    edges = [
-        lift_permutation(lab, space) if lab.perm is not None else (lab.entries, support_grid(lab.support, space))
-        for lab in _conjugated_labels(base, sigmas)
-    ]
-    return _chase(base.digraph, edges, t.vertex_labels, space.total_dim, map_guard)
+    return _chase(base.digraph, list(_conjugated_labels(base, sigmas)), t.vertex_labels, base.full_space(n), map_guard)
 
 
 def _kernel_buckets(
@@ -615,8 +596,7 @@ def gamma_expected_formula(t: LoopedTestGraph, pi: MultiPartition, n: int):
         v_c = q.partition.num_blocks
         if v_c > d_c:
             return Fraction(0) if isinstance(lam, Fraction) else 0.0
-        labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
-        raw_inj = raw_injective_graph_sum(q.digraph, labels, d_c)
+        raw_inj = _color_injective_sum(base, q, c, n)
         factor = Fraction(1, math.perm(d_c, v_c)) if isinstance(raw_inj, (int, Fraction)) else 1.0 / math.perm(d_c, v_c)
         out = out * factor * raw_inj
     return out
@@ -627,9 +607,16 @@ def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int):
     own string block."""
     q = color_quotient(t, pi, c)
     d_c = n ** len(t.assignment.strings_of(c))
-    labels = [lab.perm if lab.perm is not None else lab.entries for lab in q.labels]
-    raw = raw_injective_graph_sum(q.digraph, labels, d_c)
+    raw = _color_injective_sum(t, q, c, n)
     return _kernel_sum(raw, isinstance(raw, int), d_c**q.components.num_blocks)
+
+
+def _color_injective_sum(t: TestGraph, q: ColoredQuotient, c: str, n: int):
+    """The injective sum of a colored quotient over its color's own block:
+    the chased labelings, with all-ones loops, whose points are all distinct."""
+    space = MultiIndexSpace.of(t.assignment.strings_of(c), n)
+    loops = [np.ones(space.total_dim, dtype=np.int64)] * q.digraph.vertex_count
+    return _injective_sum(*_chase(q.digraph, q.labels, loops, space, MAP_GUARD)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +689,9 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
     packed in one int key (a label, or a meet's first vertex of a vertex's
     block, is at most the vertex v, so it goes in base v + 1) and formed
     per tuple from its strings' pool rows.  Each distinct omega_c is
-    summarised once; a color's sorted keys, their terms and their
-    summaries carry into the next chunk while they number no more than a
-    chunk's tuples, so the chunk bounds all the sweep keeps but its pools.
+    summarised once; a color's dict of keys and their summaries carries
+    into the next chunk while it holds no more entries than a chunk has
+    tuples, so the chunk bounds all the sweep keeps but its pools.
     Exponents and GCC edge and vertex counts are gathers; only tuples with
     E_s = V_s - 1 on every string get the tree test.  `growth_exponent` and
     `all_gcc_trees` are the per-tuple path it is checked against."""
@@ -729,8 +716,7 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
     shape = [len(pool) for pool in pools]
     blocks = [pool.max(axis=1, initial=-1) + 1 for pool in pools]
     weights = np.array([math.factorial(v) for v in range(nv)], dtype=np.int64 if nv <= 20 else object)
-    empty = np.empty(0, weights.dtype), np.empty((0, 3), np.int64)
-    seen = {c: (*empty, {}) for c in colors}  # color -> (its sorted omega keys, their terms, key -> summary)
+    seen = {c: {} for c in colors}  # color -> {omega key: its summary}
 
     def summarise(c: str, at: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Per tuple of a chunk: its omega_c's key, and its |omega_c|, components and leaf term (three rows)."""
@@ -745,19 +731,14 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
                 first_of[om[:, v]] = v
             om = first_of[om]
         keys = om @ weights
-        known, known_terms, summaries = seen[c]
-        miss = np.flatnonzero(~np.isin(keys, known))
-        if len(miss):
-            new, first = np.unique(keys[miss], return_index=True)
-            made = []
-            for key, j in zip(new.tolist(), miss[first].tolist()):
-                summaries[key] = q = _color_summary(color_edges, _codes(om[j].tolist()), leaves)
-                made.append((len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)))
-            known, known_terms = np.concatenate([known, new]), np.concatenate([known_terms, made])
-            order = np.argsort(known)
-            known, known_terms = known[order], known_terms[order]
-            seen[c] = known, known_terms, summaries
-        return keys, known_terms[np.searchsorted(known, keys)].T
+        known, per_key = seen[c], []
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        for key, j in zip(distinct.tolist(), first.tolist()):
+            if key not in known:
+                known[key] = _color_summary(color_edges, _codes(om[j].tolist()), leaves)
+            q = known[key]
+            per_key.append((len(q.reps), q.components, (q.leaves or 0) - 2 * len(q.reps)))
+        return keys, np.array(per_key, dtype=np.int64)[inverse].T
 
     # per tuple, an estimate: 8-byte work arrays, a few per string and color, a
     # meet's arrays, and per color up to two summaries (those carried in and those
@@ -785,11 +766,11 @@ def _kernel_sweep(t: TestGraph, partition_guard: int, leaves: bool) -> Iterator[
         columns = [pool[r[picked]].tolist() for pool, r in zip(pools, at)]  # per string, each candidate's kernel
         for k, j in enumerate(picked):
             kernels = tuple(tuple(column[k]) for column in columns)
-            chosen = {c: seen[c][2][keys[c][j]] for c in colors}
+            chosen = {c: seen[c][keys[c][j]] for c in colors}
             if all(_gcc_is_tree(ps, [chosen[c] for c in cs]) for ps, cs in zip(kernels, string_colors)):
                 trees[j] = True
                 found.append((kernels, chosen))
-        seen = {c: kept if len(kept[2]) <= step else (*empty, {}) for c, kept in seen.items()}
+        seen = {c: kept if len(kept) <= step else {} for c, kept in seen.items()}
         yield doubled, trees, found
 
 

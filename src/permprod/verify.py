@@ -17,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
-from .tensor import rng_stream, sample_uniform_permutation, sums_agree
+from .tensor import sample_color_permutations, sums_agree
 from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible stay importable from here)
     MAP_GUARD,
     LoopedTestGraph,
@@ -110,10 +110,7 @@ def kernel_suite(
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):
-        sigmas = {}
-        for ci, c in enumerate(sorted(set(t.edge_colors))):
-            dim = n ** len(t.assignment.strings_of(c))
-            sigmas[c] = sample_uniform_permutation(dim, rng_stream(seed, 7, d, ci))
+        sigmas = sample_color_permutations(t.assignment, set(t.edge_colors), n, seed, 7, d)
         # each label conjugated once per draw, for the trace and the chase alike
         drawn = LoopedTestGraph.with_identity(replace(t, labels=tuple(_conjugated_labels(t, sigmas))), n)
         tau = trace_test_graph(drawn, n=n, map_guard=map_guard)

@@ -6,7 +6,7 @@ import itertools
 
 from permprod.digraphs import DiGraph
 from permprod.strings import ColorGraph, StringAssignment
-from permprod.tensor import StructuredMatrix, rng_stream, sample_uniform_permutation
+from permprod.tensor import StructuredMatrix, rng_stream, sample_color_permutations, sample_uniform_permutation
 from permprod.traffic import TestGraph
 
 
@@ -71,11 +71,7 @@ def make_test_graph(assignment, nv, colored_edges, n=2, labels="identity", seed=
 
 
 def draw_color_permutations(t, n, seed):
-    out = {}
-    for ci, c in enumerate(sorted(set(t.edge_colors))):
-        dim = n ** len(t.assignment.strings_of(c))
-        out[c] = sample_uniform_permutation(dim, rng_stream(seed, 0, ci))
-    return out
+    return sample_color_permutations(t.assignment, set(t.edge_colors), n, seed, 0)
 
 
 def conjugated_dense_labels_oracle(t, sigmas, n):

@@ -746,19 +746,19 @@ MANY_GENERATORS = {"table": [[0, 1], [1, 0]], "generators": [1] * 3000}
         ("converge", dict(CONVERGE, samples=3), {"chains.SAMPLE_GUARD": 3 * (2 + 4) - 1}),
         # 1500**2 and 100000**2 full-space points (two strings): no block is
         # drawn, and G's block, the whole space, is not built
-        ("sofic-certify", dict(THREE_COLORS, n=1500), {"sofic.sample_uniform_permutation": refuse,
+        ("sofic-certify", dict(THREE_COLORS, n=1500), {"sofic.sample_color_permutations": refuse,
                                                        "sofic.cyclic_shift_rep": refuse}),
-        ("sofic-certify", dict(THREE_COLORS, n=100000), {"sofic.sample_uniform_permutation": refuse,
+        ("sofic-certify", dict(THREE_COLORS, n=100000), {"sofic.sample_color_permutations": refuse,
                                                          "sofic.cyclic_shift_rep": refuse}),
         # 6004 signed letters of 64**2 points: no vertex representation is
         # built and no block is drawn
         ("sofic-certify", dict(THREE_COLORS, n=64, words={"max_length": 1},
                                vertex_groups=dict(THREE_COLORS["vertex_groups"], R=MANY_GENERATORS)),
-         {"sofic.sample_uniform_permutation": refuse, "sofic.cyclic_shift_rep": refuse,
+         {"sofic.sample_color_permutations": refuse, "sofic.cyclic_shift_rep": refuse,
           "sofic.left_regular_rep": refuse, "sofic.pad_rep": refuse}),
         # a word of 5000 letters on 64**2 points: certify would stack 5000 prefix image arrays
         ("sofic-certify", dict(THREE_COLORS, n=64, words=[[["G", 1]] * 5000]),
-         {"sofic.sample_uniform_permutation": refuse, "sofic.cyclic_shift_rep": refuse}),
+         {"sofic.sample_color_permutations": refuse, "sofic.cyclic_shift_rep": refuse}),
         # 10**30 letters in a chain: refused before any letter is drawn
         ("converge", dict(CONVERGE, ell=[10**30, 1]), {"chains.ChainDraw.of": refuse}),
     ],
@@ -794,3 +794,19 @@ def test_letter_guard_counts_points_exactly(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("permprod.sofic.LETTER_GUARD", 53)
     assert main(["sofic-certify", str(cfg), "--out", str(tmp_path / "past")]) == 3
     assert "6 signed letters of 9 points exceed the letter guard 53 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["1e-7000000", "0e7000000"])
+def test_a_threshold_exponent_in_the_millions_is_read_at_once(tmp_path, threshold):
+    # both read as zero does, to the byte; read through `Fraction`, each
+    # formed 10**7000000 first, about 5 s
+    config = dict(THREE_COLORS, n=6, words={"max_length": 1})
+    runs = {}
+    for value in ("0", threshold):
+        write(tmp_path / "threshold.json", dict(config, threshold=value))
+        start = time.perf_counter()
+        code = main(["sofic-certify", str(tmp_path / "threshold.json"), "--out", str(tmp_path / value)])
+        elapsed = time.perf_counter() - start
+        runs[value] = code, [(tmp_path / value / name).read_bytes() for name in ("certificate.json", "certificate.csv")]
+    assert elapsed < 1.0
+    assert runs[threshold] == runs["0"] and runs["0"][0] == 0

@@ -161,6 +161,25 @@ def test_dense_path_kept_for_unitary_and_float_inputs():
     assert not ChainDraw.of(spec, n, 0).monomial
 
 
+def test_point_chase_refuses_a_draw_that_is_not_monomial():
+    # a dense letter has no image array, and a float diagonal must not be
+    # read into an integer Fraction
+    g, a = shared_string_model()
+    n = 3
+    unitary = ChainDraw.of(ChainSpec(g, a, ("a", "b"), (1, 1), "unitary"), n, 0)
+    x = (StructuredMatrix.from_permutation(("s",), n, Permutation((1, 2, 0))),)
+    lam = (np.full(n, 2.0),)
+    spec = ChainSpec(g, a, ("a",), (1,), "fixture", "fixture", x_fixtures=(x,), lambda_fixtures=(lam,))
+    floats = ChainDraw.of(spec, n, 0)
+    for draw in (unitary, floats):
+        with pytest.raises(ValueError, match="integer diagonals"):
+            draw.norm_sq(draw_sigmas(draw.spec, n, 0))
+    # nor may a diagonal of the wrong length reach the chase, which would read only part of it
+    short = ChainSpec(g, a, ("a",), (1,), "fixture", "fixture", x_fixtures=(x,), lambda_fixtures=((np.ones(n + 1, int),),))
+    with pytest.raises(ValueError, match="full-space points"):
+        ChainDraw.of(short, n, 0)
+
+
 def test_permutation_images_matches_dense_lift():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):

@@ -59,17 +59,41 @@ def _references(tree: ast.Module):
                 yield alias.name, node.lineno
 
 
-def test_every_private_definition_is_referenced_outside_itself():
+def _package_references() -> tuple[dict, dict]:
+    """Each package module's tree, and per name the (module, line) of each
+    reference to it."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    uses = defaultdict(list)  # name -> (module, line) of each reference
+    uses = defaultdict(list)
     for module, tree in trees.items():
         for name, line in _references(tree):
             uses[name].append((module, line))
+    return trees, uses
+
+
+def test_every_private_definition_is_referenced_outside_itself():
+    trees, uses = _package_references()
     unused = []
     for module, tree in trees.items():
         for name, first, last in _private_definitions(tree):
             if all(other == module and first <= line <= last for other, line in uses[name]):
                 unused.append(f"{module}:{first} {name}")
+    assert unused == []
+
+
+def test_every_public_definition_is_exported_traced_or_referenced():
+    # a public function or class that `permprod.__all__` does not export, the
+    # benchmark does not trace and nothing in the package calls is dead code
+    trees, uses = _package_references()
+    traced = {(f"{mod}.py", name.split(".")[0]) for mod, names in _tracer_layers().items() for name in names}
+    unused = []
+    for module, tree in trees.items():
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            if d.name in permprod.__all__ or (module, d.name) in traced:
+                continue
+            if all(other == module and d.lineno <= line <= d.end_lineno for other, line in uses[d.name]):
+                unused.append(f"{module}:{d.lineno} {d.name}")
     assert unused == []
 
 

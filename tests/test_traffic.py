@@ -30,7 +30,6 @@ from permprod.traffic import (
     lambda_value,
     omega,
     raw_graph_sum,
-    raw_injective_graph_sum,
     rho,
     trace_test_graph,
 )
@@ -57,6 +56,17 @@ def all_multipartitions(nv, strings):
 # graph sums against direct enumeration
 
 
+def injective_graph_sum(g, mats, dim, loops=None):
+    """The injective sum of dense matrices on dim points, read through
+    `injective_trace` on a one-color, one-string graph of side dim, times
+    dim**components."""
+    _, a = one_color_model()
+    labels = [StructuredMatrix.dense(["s"], dim, m) for m in mats]
+    t = make_test_graph(a, g.vertex_count, [(e, "a") for e in g.edges], dim, labels=labels)
+    looped = t if loops is None else LoopedTestGraph(t, tuple(loops))
+    return injective_trace(looped, n=dim) * dim ** weak_components(g).num_blocks
+
+
 def test_raw_and_injective_sums_match_enumeration_oracle():
     rng = np.random.default_rng(0)
     for _ in range(40):
@@ -68,8 +78,8 @@ def test_raw_and_injective_sums_match_enumeration_oracle():
         loops = [rng.integers(-2, 3, dim) for _ in range(nv)]
         assert raw_graph_sum(g, mats, dim) == brute_raw_sum(g, mats, dim)
         assert raw_graph_sum(g, mats, dim, loops) == brute_raw_sum(g, mats, dim, loops)
-        assert raw_injective_graph_sum(g, mats, dim) == brute_injective_sum(g, mats, dim)
-        assert raw_injective_graph_sum(g, mats, dim, loops) == brute_injective_sum(g, mats, dim, loops)
+        assert injective_graph_sum(g, mats, dim) == brute_injective_sum(g, mats, dim)
+        assert injective_graph_sum(g, mats, dim, loops) == brute_injective_sum(g, mats, dim, loops)
 
 
 def test_raw_sums_complex_path():
@@ -77,7 +87,7 @@ def test_raw_sums_complex_path():
     g = DiGraph.of(3, [(0, 1), (1, 2), (2, 0)])
     mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
     assert raw_graph_sum(g, mats, 3) == pytest.approx(brute_raw_sum(g, mats, 3))
-    assert raw_injective_graph_sum(g, mats, 3) == pytest.approx(brute_injective_sum(g, mats, 3))
+    assert injective_graph_sum(g, mats, 3) == pytest.approx(brute_injective_sum(g, mats, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +160,7 @@ def test_kernel_classification_identity_raw_vs_injective():
             rhs += brute_injective_sum(q, mats, 3)
         assert lhs == rhs
         # and the library injective sum agrees with the enumeration oracle
-        assert raw_injective_graph_sum(g, mats, 3) == brute_injective_sum(g, mats, 3)
+        assert injective_graph_sum(g, mats, 3) == brute_injective_sum(g, mats, 3)
 
 
 def test_full_space_trace_matches_oracle_pipeline():
