@@ -54,6 +54,7 @@ from .traffic import (
 X_MODES = ("permutation", "cycle", "unitary", "identity", "fixture")
 LAMBDA_MODES = ("identity", "signs", "fixture")
 SAMPLE_GUARD = 2**26  # samples * letters * sum of dim over the N grid: the points one converge run chases
+MEAN_RISE_SIGMAS = 2.0  # combined standard errors by which adjacent Monte Carlo means may rise
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def build_squared_chain(spec: ChainSpec, n: int, seed: int = 0) -> SquaredChainG
     digraph = DiGraph.of(count, edges)
     if not is_two_edge_connected(digraph):
         raise AssertionError("squared chain failed to be two-edge connected")
-    tg = TestGraph(spec.assignment, digraph, tuple(colors), tuple(labels))
+    tg = TestGraph(spec.assignment, digraph, tuple(colors), tuple(labels), n)
     return SquaredChainGraph(draw, LoopedTestGraph(tg, tuple(loops)))
 
 
@@ -314,7 +315,7 @@ def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutatio
     border pair, so each trace sums the chased weights on the rows where
     every selected pair agrees.  The chain and its quotients are connected,
     so each sum is divided by dim once."""
-    rows, weights, count = chase_labelings(chain.looped, sigmas, chain.draw.space.n)
+    rows, weights, count = chase_labelings(chain.looped.conjugated(sigmas))
     agree = {}
     for i in range(1, chain.spec.k + 1):
         for b in (i, -i):
@@ -327,19 +328,19 @@ def _chased_subset_traces(chain: SquaredChainGraph, sigmas: dict[str, Permutatio
     ]
 
 
-def signed_expansion_check(spec: ChainSpec, n: int, seed: int, tol: float = 1e-9) -> SignedExpansionReport:
+def signed_expansion_check(spec: ChainSpec, n: int, seed: int) -> SignedExpansionReport:
     """For one conjugation draw, compare the centered diagonally-projected
     squared norm of the chain, from its dense factors, against the signed
     sum of looped traces of the subset quotients, all read off one chase of
     the squared chain.  Exact equality with integer labels, else within
-    tol."""
+    `sums_agree`'s tolerance."""
     chain = build_squared_chain(spec, n, seed)
     sigmas = draw_sigmas(spec, n, seed)
     lhs = centered_chain_norm_sq(chain_factors(chain.draw, sigmas))
     terms = tuple(zip(subset_indices(spec.k), _chased_subset_traces(chain, sigmas)))
     rhs = sum(((-1 if len(subset) % 2 else 1) * tau for subset, tau in terms), Fraction(0))
     exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-    return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs, tol), terms)
+    return SignedExpansionReport(lhs, rhs, exact, sums_agree(lhs, rhs), terms)
 
 
 def inconsistency_search(spec: ChainSpec, drop_border_condition: bool = False) -> list[MultiPartition]:
@@ -433,14 +434,16 @@ def convergence_run(
     fitted log-log slope of the means (None when some mean vanishes)."""
     if len(n_grid) < 2:
         raise ValueError("need at least two grid points for a slope")
+    if len(set(n_grid)) < len(n_grid):
+        raise ValueError(f"the N grid {list(n_grid)} repeats a point")
     return _table_from_values(monte_carlo_values(spec, n_grid, samples, seed, workers))
 
 
-def means_nonincreasing(table: ResultTable, sigmas: float = 2.0) -> bool:
-    """Adjacent means may not rise by more than `sigmas` combined standard
-    errors."""
+def means_nonincreasing(table: ResultTable) -> bool:
+    """Adjacent means may not rise by more than MEAN_RISE_SIGMAS combined
+    standard errors."""
     for a, b in zip(table.rows, table.rows[1:]):
-        allowance = sigmas * math.hypot(a["stderr"], b["stderr"])
+        allowance = MEAN_RISE_SIGMAS * math.hypot(a["stderr"], b["stderr"])
         if b["mean"] > a["mean"] + allowance:
             return False
     return True

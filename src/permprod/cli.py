@@ -111,7 +111,7 @@ def _cmd_traffic_check(args) -> int:
     results.extend(verify.check_claims(t, data.get("claims", {})))
     results.extend(verify.exponent_suite(t, args.guard_partitions))
     try:
-        results.extend(verify.kernel_suite(t, n, seed, args.draws, args.guard_partitions, args.guard_maps))
+        results.extend(verify.kernel_suite(t, seed, args.draws, args.guard_partitions, args.guard_maps))
     except GuardExceeded as exc:
         results.append(("kernel-decomposition", True, f"skipped: {exc}"))
     report = {

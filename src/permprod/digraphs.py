@@ -20,6 +20,8 @@ class DiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count must be nonnegative, not {self.vertex_count}")
         for s, t in self.edges:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
                 raise ValueError(f"edge ({s},{t}) out of range")

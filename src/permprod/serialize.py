@@ -178,7 +178,7 @@ def load_test_graph(d: dict, n: int, seed: int = 0) -> TestGraph:
             if lab.n != n:
                 raise ValueError(f"label of test edge {i} has side {lab.n}, not the requested side {n}")
             labels.append(lab)
-    return TestGraph(a, digraph, tuple(colors), tuple(labels))
+    return TestGraph(a, digraph, tuple(colors), tuple(labels), n)
 
 
 ROWS = "\u0000rows"  # the one item of the list whose items `dump_json` streams from `rows`

@@ -39,6 +39,7 @@ from .strings import StringAssignment
 
 DENSE_GUARD = 2**22  # entries of a dense full-space matrix (dim**2)
 POINT_GUARD = 2**21  # full-space points of an image array (8 bytes each)
+SUM_TOLERANCE = 1e-9  # how far two float sums of one quantity may differ by rounding
 
 
 class GuardExceeded(RuntimeError):
@@ -372,13 +373,13 @@ def delta(a: np.ndarray) -> np.ndarray:
     return np.diag(delta_vector(a))
 
 
-def sums_agree(a, b, tol: float = 1e-9) -> bool:
+def sums_agree(a, b) -> bool:
     """Exact equality when both sums are Fractions; otherwise agreement
-    within tol as complex numbers, since float sums taken in different
-    orders differ by rounding."""
+    within SUM_TOLERANCE as complex numbers, since float sums taken in
+    different orders differ by rounding."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    return abs(complex(a) - complex(b)) <= tol
+    return abs(complex(a) - complex(b)) <= SUM_TOLERANCE
 
 
 def chain_product(lambdas: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Edge-colored test digraphs and their moment calculus.
 
 A test graph is a finite directed multigraph whose edges carry colors and
-matrix labels living on the color's string block.  Its trace sums, over all
-labelings of vertices by full-space indices, the product of label entries
-(target index, source index); the injective trace restricts to injective
-labelings.  Everything downstream of the kernel decomposition lives here:
-the minimal kernels rho_s, the per-color meets and quotients, the bipartite
-graph of colored components and its tree test, the exact expectation
-formula for a kernel class, and the growth exponent that decides which
-kernel classes survive as N grows.
+matrix labels living on the color's string block, all of the graph's side
+N.  Its trace sums, over all labelings of vertices by full-space indices,
+the product of label entries (target index, source index); the injective
+trace restricts to injective labelings.  A draw of the color permutations
+is the graph `conjugated(sigmas)`, each label conjugated by its color's
+permutation, and every sum of a draw is that graph's.  Everything
+downstream of the kernel decomposition lives here: the minimal kernels
+rho_s, the per-color meets and quotients, the bipartite graph of colored
+components and its tree test, the exact expectation formula for a kernel
+class, and the growth exponent that decides which kernel classes survive
+as N grows.
 
 Exact arithmetic: whenever every label involved is integer valued the sums
 are taken in integer arithmetic and traces come back as Fractions; any
@@ -21,7 +24,7 @@ import functools
 import itertools
 import math
 import string as _stringmod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -76,6 +79,7 @@ class TestGraph:
     digraph: DiGraph
     edge_colors: tuple[str, ...]
     labels: tuple[StructuredMatrix, ...]
+    n: int  # the side of every label and of the full space
 
     def __post_init__(self):
         if len(self.edge_colors) != self.digraph.edge_count or len(self.labels) != self.digraph.edge_count:
@@ -86,13 +90,18 @@ class TestGraph:
                 raise ValueError(f"color {c!r} has no strings")
             if lab.support != want:
                 raise ValueError(f"label support {lab.support} does not match strings of color {c!r}")
+            if lab.n != self.n:
+                raise ValueError(f"label of color {c!r} has side {lab.n}, not the graph's side {self.n}")
 
-    @property
-    def n(self) -> int:
-        return self.labels[0].n if self.labels else 1
+    def full_space(self) -> MultiIndexSpace:
+        return MultiIndexSpace.of(self.assignment.strings, self.n)
 
-    def full_space(self, n: int | None = None) -> MultiIndexSpace:
-        return MultiIndexSpace.of(self.assignment.strings, n if n is not None else self.n)
+    def conjugated(self, sigmas: dict[str, Permutation]) -> "TestGraph":
+        """The drawn graph: each label conjugated by its color's permutation,
+        or kept where `sigmas` has no permutation for its color."""
+        pairs = zip(self.edge_colors, self.labels)
+        labels = tuple(conjugate_by_color(lab, sigmas[c]) if c in sigmas else lab for c, lab in pairs)
+        return replace(self, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -105,13 +114,19 @@ class LoopedTestGraph:
     def __post_init__(self):
         if len(self.vertex_labels) != self.base.digraph.vertex_count:
             raise ValueError("one vertex label per vertex")
+        dim = self.base.full_space().total_dim
+        if any(np.shape(vec) != (dim,) for vec in self.vertex_labels):
+            raise ValueError(f"every vertex label must be a vector of the {dim} full-space points")
 
     @staticmethod
-    def with_identity(base: TestGraph, n: int | None = None) -> "LoopedTestGraph":
-        """All-ones loops over the side-n space (the labels' side by default)."""
-        dim = base.full_space(n).total_dim
-        ones = np.ones(dim, dtype=np.int64)
+    def with_identity(base: TestGraph) -> "LoopedTestGraph":
+        """All-ones loops over the base's full space."""
+        ones = np.ones(base.full_space().total_dim, dtype=np.int64)
         return LoopedTestGraph(base, tuple(ones for _ in range(base.digraph.vertex_count)))
+
+    def conjugated(self, sigmas: dict[str, Permutation]) -> "LoopedTestGraph":
+        """The drawn graph, as `TestGraph.conjugated`, with the same loops."""
+        return replace(self, base=self.base.conjugated(sigmas))
 
 
 @dataclass(frozen=True)
@@ -216,18 +231,10 @@ def _per_component(g: DiGraph, dim: int) -> int:
 # full-space traces of (looped) test graphs
 
 
-def _conjugated_labels(t: TestGraph, sigmas: dict[str, Permutation] | None) -> Iterator[StructuredMatrix]:
-    """Each label conjugated by its color's permutation (identity when absent)."""
-    for c, lab in zip(t.edge_colors, t.labels):
-        sigma = sigmas.get(c) if sigmas is not None else None
-        yield lab if sigma is None else conjugate_by_color(lab, sigma)
-
-
-def underline_labels(t: TestGraph, sigmas: dict[str, Permutation] | None, n: int | None = None) -> list[np.ndarray]:
-    """Dense full-space edge labels: each label conjugated by its color's
-    permutation (identity when absent) and lifted by `lift`."""
-    space = t.full_space(n)
-    return [lift(lab, space) for lab in _conjugated_labels(t, sigmas)]
+def underline_labels(t: TestGraph) -> list[np.ndarray]:
+    """Dense full-space edge labels: each label lifted by `lift`."""
+    space = t.full_space()
+    return [lift(lab, space) for lab in t.labels]
 
 
 def _check_labeling_count(n: int, nv: int, map_guard: int) -> None:
@@ -237,38 +244,29 @@ def _check_labeling_count(n: int, nv: int, map_guard: int) -> None:
         raise GuardExceeded(f"per-string labeling count {n}**{nv} exceeds map guard {map_guard}")
 
 
-def _trace_impl(t, sigmas, n, injective, map_guard):
+def _trace_impl(t, injective, map_guard):
     base = t.base if isinstance(t, LoopedTestGraph) else t
-    nn = n if n is not None else base.n
-    space = base.full_space(nn)
-    _check_labeling_count(nn, base.digraph.vertex_count, map_guard)
+    dim = base.full_space().total_dim
+    _check_labeling_count(base.n, base.digraph.vertex_count, map_guard)
     if injective:
-        looped = t if isinstance(t, LoopedTestGraph) else LoopedTestGraph.with_identity(t, nn)
-        raw = _injective_sum(*chase_labelings(looped, sigmas, nn, map_guard)[:2])
+        looped = t if isinstance(t, LoopedTestGraph) else LoopedTestGraph.with_identity(t)
+        raw = _injective_sum(*chase_labelings(looped, map_guard)[:2])
     else:
         loops = t.vertex_labels if isinstance(t, LoopedTestGraph) else None
-        mats = underline_labels(base, sigmas, nn)
-        raw = raw_graph_sum(base.digraph, mats, space.total_dim, loops)
-    return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, space.total_dim))
+        raw = raw_graph_sum(base.digraph, underline_labels(base), dim, loops)
+    return _kernel_sum(raw, isinstance(raw, int), _per_component(base.digraph, dim))
 
 
-def trace_test_graph(
-    t: TestGraph | LoopedTestGraph,
-    n: int | None = None,
-    sigmas: dict[str, Permutation] | None = None,
-    map_guard: int = MAP_GUARD,
-):
+def trace_test_graph(t: TestGraph | LoopedTestGraph, map_guard: int = MAP_GUARD):
     """The trace of the test graph over its full space: the sum over all
     vertex labelings, divided by dim per weakly connected component."""
-    return _trace_impl(t, sigmas, n, False, map_guard)
+    return _trace_impl(t, False, map_guard)
 
 
-def injective_trace(
-    t: TestGraph | LoopedTestGraph, n: int | None = None, sigmas: dict[str, Permutation] | None = None
-):
+def injective_trace(t: TestGraph | LoopedTestGraph):
     """The trace restricted to injective vertex labelings: the chased
     labelings whose points are all distinct."""
-    return _trace_impl(t, sigmas, n, True, MAP_GUARD)
+    return _trace_impl(t, True, MAP_GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +420,10 @@ def _kernel_sum(total, exact: bool, denom: int):
     return complex(total) / denom
 
 
-def lambda_value(t: LoopedTestGraph, pi: MultiPartition, n: int):
+def lambda_value(t: LoopedTestGraph, pi: MultiPartition):
     """Normalized sum of the vertex-label products over labelings whose
     per-string kernels are exactly pi."""
+    n = t.base.n
     denom = n ** sum(p.num_blocks for p in pi.parts)
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
@@ -444,12 +443,13 @@ def _is_ones(vec: np.ndarray) -> bool:
     return vec.dtype != object and np.issubdtype(vec.dtype, np.integer) and bool(np.all(vec == 1))
 
 
-def gamma_empirical(t: LoopedTestGraph, pi: MultiPartition, sigmas: dict[str, Permutation], n: int):
-    """The kernel-class contribution to the looped trace for one concrete
-    draw of the color permutations: sums only labelings whose per-string
-    kernels equal pi, divided by dim once per weak component as the trace is."""
-    base = t.base
-    dim = base.full_space(n).total_dim
+def gamma_empirical(t: LoopedTestGraph, pi: MultiPartition):
+    """The kernel-class contribution to the looped trace of a graph (of one
+    draw of the color permutations, for `conjugated(sigmas)`): sums only
+    labelings whose per-string kernels equal pi, divided by dim once per
+    weak component as the trace is."""
+    base, n = t.base, t.base.n
+    dim = base.full_space().total_dim
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
     count, labelings = _labeling_chunks(pi, n)
@@ -461,17 +461,15 @@ def gamma_empirical(t: LoopedTestGraph, pi: MultiPartition, sigmas: dict[str, Pe
     for (src, dst), lab in zip(edges, base.labels):
         if not all(p.same_block(src, dst) for s, p in pi.items() if s not in lab.support):
             return _kernel_sum(0, exact, dim)
-    imgs = {c: sigmas[c].images for c in set(base.edge_colors)}
-    conj = [lab.entries[imgs[c][:, None], imgs[c]] for c, lab in zip(base.edge_colors, base.labels)]
-    ops = exact_operands(vecs + conj, count)  # unchanged unless all are integer
-    vecs, conj = ops[: len(vecs)], ops[len(vecs) :]
+    ops = exact_operands(vecs + [lab.entries for lab in base.labels], count)  # unchanged unless all are integer
+    vecs, mats = ops[: len(vecs)], ops[len(vecs) :]
     supports = {lab.support for lab in base.labels}
     total = 0
     for digits in labelings:
         term = _loop_products(vecs, _encode(digits, n))
         keep = term != 0
         codes = {sup: _encode([digits[pi.strings.index(s)] for s in sup], n) for sup in supports}
-        for (src, dst), lab, m in zip(edges, base.labels, conj):
+        for (src, dst), lab, m in zip(edges, base.labels, mats):
             entry = m[codes[lab.support][:, dst], codes[lab.support][:, src]]
             keep &= entry != 0
             term = term * entry
@@ -542,25 +540,20 @@ def _chase(
     return rows[keep], weights[keep], count
 
 
-def chase_labelings(
-    t: LoopedTestGraph, sigmas: dict[str, Permutation] | None, n: int, map_guard: int = MAP_GUARD
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nonzero labelings of a looped graph over its full side-n space,
-    as `_chase` gives them, with each label conjugated by its color's
-    permutation (identity when absent)."""
+def chase_labelings(t: LoopedTestGraph, map_guard: int = MAP_GUARD) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero labelings of a looped graph over its full space, as
+    `_chase` gives them; a draw's are those of `conjugated(sigmas)`."""
     base = t.base
-    return _chase(base.digraph, list(_conjugated_labels(base, sigmas)), t.vertex_labels, base.full_space(n), map_guard)
+    return _chase(base.digraph, base.labels, t.vertex_labels, base.full_space(), map_guard)
 
 
-def _kernel_buckets(
-    t: LoopedTestGraph, sigmas: dict[str, Permutation] | None, n: int, map_guard: int = MAP_GUARD
-) -> dict:
-    """Every kernel-class sum of one draw, {kernel tuple: `gamma_empirical`}:
-    the chased labelings' weights summed per kernel tuple."""
-    rows, weights, count = chase_labelings(t, sigmas, n, map_guard)
+def _kernel_buckets(t: LoopedTestGraph, map_guard: int = MAP_GUARD) -> dict:
+    """Every kernel-class sum of a (drawn) graph, {kernel tuple:
+    `gamma_empirical`}: the chased labelings' weights summed per kernel tuple."""
+    rows, weights, count = chase_labelings(t, map_guard)
     # per row and string, each vertex's digit; its kernel block is named by
     # the last vertex holding the same digit
-    strings, nv = len(t.base.full_space(n).strings), rows.shape[1]
+    n, strings, nv = t.base.n, len(t.base.full_space().strings), rows.shape[1]
     digits = rows[:, None, :] // n ** np.arange(strings - 1, -1, -1)[:, None] % n
     names = np.empty_like(digits)
     for v in range(nv):
@@ -575,16 +568,16 @@ def _kernel_buckets(
     }
 
 
-def gamma_expected_formula(t: LoopedTestGraph, pi: MultiPartition, n: int):
+def gamma_expected_formula(t: LoopedTestGraph, pi: MultiPartition):
     """Exact expectation of the kernel-class sum over the uniform draws,
     valid for connected graphs and kernels above every rho_s: a power of N
     times the vertex-label sum times one factorial-weighted injective sum
     per color."""
-    base = t.base
+    base, n = t.base, t.base.n
     if weak_components(base.digraph).num_blocks != 1:
         raise ValueError("graph must be weakly connected")
     _check_admissible(base, pi)
-    lam = lambda_value(t, pi, n)
+    lam = lambda_value(t, pi)
     if lam == 0:
         return Fraction(0) if isinstance(lam, Fraction) else 0.0
     exponent = sum(p.num_blocks - 1 for p in pi.parts)
@@ -596,25 +589,25 @@ def gamma_expected_formula(t: LoopedTestGraph, pi: MultiPartition, n: int):
         v_c = q.partition.num_blocks
         if v_c > d_c:
             return Fraction(0) if isinstance(lam, Fraction) else 0.0
-        raw_inj = _color_injective_sum(base, q, c, n)
+        raw_inj = _color_injective_sum(base, q, c)
         factor = Fraction(1, math.perm(d_c, v_c)) if isinstance(raw_inj, (int, Fraction)) else 1.0 / math.perm(d_c, v_c)
         out = out * factor * raw_inj
     return out
 
 
-def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str, n: int):
+def color_injective_trace(t: TestGraph, pi: MultiPartition, c: str):
     """Normalized injective trace of the c-colored quotient, over the color's
     own string block."""
     q = color_quotient(t, pi, c)
-    d_c = n ** len(t.assignment.strings_of(c))
-    raw = _color_injective_sum(t, q, c, n)
+    d_c = t.n ** len(t.assignment.strings_of(c))
+    raw = _color_injective_sum(t, q, c)
     return _kernel_sum(raw, isinstance(raw, int), d_c**q.components.num_blocks)
 
 
-def _color_injective_sum(t: TestGraph, q: ColoredQuotient, c: str, n: int):
+def _color_injective_sum(t: TestGraph, q: ColoredQuotient, c: str):
     """The injective sum of a colored quotient over its color's own block:
     the chased labelings, with all-ones loops, whose points are all distinct."""
-    space = MultiIndexSpace.of(t.assignment.strings_of(c), n)
+    space = MultiIndexSpace.of(t.assignment.strings_of(c), t.n)
     loops = [np.ones(space.total_dim, dtype=np.int64)] * q.digraph.vertex_count
     return _injective_sum(*_chase(q.digraph, q.labels, loops, space, MAP_GUARD)[:2])
 
@@ -812,7 +805,7 @@ def enumerate_tree_partitions(t: TestGraph) -> Iterator[MultiPartition]:
             yield MultiPartition(strings, tuple(parts))
 
 
-def expected_trace_leading_terms(t: LoopedTestGraph, n: int):
+def expected_trace_leading_terms(t: LoopedTestGraph):
     """Sum, over kernel tuples whose colored-component graphs are all trees,
     of the vertex-label sum times the product of normalized injective traces
     of the colored quotients; the surviving part of the expected looped trace
@@ -822,21 +815,21 @@ def expected_trace_leading_terms(t: LoopedTestGraph, n: int):
         raise ValueError("graph must be two-edge connected")
     terms, total = [], Fraction(0)
     for pi in enumerate_tree_partitions(base):
-        term = lambda_value(t, pi, n)
+        term = lambda_value(t, pi)
         for c in sorted(set(base.edge_colors)):
             if term == 0:
                 break
-            term = term * color_injective_trace(base, pi, c, n)
+            term = term * color_injective_trace(base, pi, c)
         if term != 0:
             terms.append((pi, term))
             total = total + term
     return total, terms
 
 
-def expected_trace_full_sum(t: LoopedTestGraph, n: int):
+def expected_trace_full_sum(t: LoopedTestGraph):
     """Exact expected looped trace: the expectation formula summed over every
     admissible kernel tuple."""
     total = Fraction(0)
     for pi in enumerate_admissible(t.base):
-        total = total + gamma_expected_formula(t, pi, n)
+        total = total + gamma_expected_formula(t, pi)
     return total

@@ -4,16 +4,15 @@ Each suite returns (name, passed, detail) triples.  The exponent suite
 sweeps every admissible kernel tuple and checks the sign of the growth
 exponent, the tree characterization of equality, the leaf-to-component
 count at equality, and injectivity of the block maps at trees.  The kernel
-suite checks, per draw, that the looped trace (the einsum graph sum) splits
-exactly into the kernel-class sums, and that off-admissible classes vanish:
-one chase of the draw's labelings, permutation or dense, gives every
-kernel-class sum at once, and every kernel tuple a nonzero labeling lands in
-must be admissible.
+suite checks, per draw, that the looped trace (the einsum graph sum) of the
+drawn graph `conjugated(sigmas)` splits exactly into the kernel-class sums,
+and that off-admissible classes vanish: one chase of the drawn graph's
+labelings, permutation or dense, gives every kernel-class sum at once, and
+every kernel tuple a nonzero labeling lands in must be admissible.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .digraphs import is_two_edge_connected
@@ -24,7 +23,6 @@ from .traffic import (  # noqa: F401  (growth_exponent and enumerate_admissible 
     MultiPartition,
     TestGraph,
     _admissible_count,
-    _conjugated_labels,
     _injective,
     _kernel_buckets,
     _kernel_sweep,
@@ -100,21 +98,22 @@ def exponent_suite(t: TestGraph, partition_guard: int) -> list[CheckResult]:
 
 
 def kernel_suite(
-    t: TestGraph, n: int, seed: int, draws: int, partition_guard: int, map_guard: int = MAP_GUARD
+    t: TestGraph, seed: int, draws: int, partition_guard: int, map_guard: int = MAP_GUARD
 ) -> list[CheckResult]:
     """Per-draw decomposition of the looped trace into kernel-class sums,
     plus vanishing off the admissible cone: every chased kernel tuple lies
-    above rho, part by part.  The cone itself is only counted.  Exact sums
-    must match exactly; float sums agree within `sums_agree`'s tolerance."""
+    above rho, part by part.  Each draw is the graph `t.conjugated(sigmas)`,
+    at the graph's side, read by the trace and the chase alike.  The cone
+    itself is only counted.  Exact sums must match exactly; float sums agree
+    within `sums_agree`'s tolerance."""
     rhos, admissible = _admissible_count(t, partition_guard)
     decomposition_ok = True
     vanishing_ok = True
     for d in range(draws):
-        sigmas = sample_color_permutations(t.assignment, set(t.edge_colors), n, seed, 7, d)
-        # each label conjugated once per draw, for the trace and the chase alike
-        drawn = LoopedTestGraph.with_identity(replace(t, labels=tuple(_conjugated_labels(t, sigmas))), n)
-        tau = trace_test_graph(drawn, n=n, map_guard=map_guard)
-        sums = _kernel_buckets(drawn, None, n, map_guard)
+        sigmas = sample_color_permutations(t.assignment, set(t.edge_colors), t.n, seed, 7, d)
+        drawn = LoopedTestGraph.with_identity(t.conjugated(sigmas))
+        tau = trace_test_graph(drawn, map_guard=map_guard)
+        sums = _kernel_buckets(drawn, map_guard)
         vanishing_ok &= all(r.refines(p) for key in sums for r, p in zip(rhos.parts, key))
         decomposition_ok &= sums_agree(sum(sums.values(), Fraction(0)), tau)
     return [

@@ -67,7 +67,7 @@ def make_test_graph(assignment, nv, colored_edges, n=2, labels="identity", seed=
             labs.append(StructuredMatrix.dense(sup, n, rng.integers(-2, 3, (dim, dim))))
         else:
             labs.append(labels[i])
-    return TestGraph(assignment, digraph, colors, tuple(labs))
+    return TestGraph(assignment, digraph, colors, tuple(labs), n)
 
 
 def draw_color_permutations(t, n, seed):

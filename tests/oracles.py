@@ -180,7 +180,7 @@ def quotient_looped(t: LoopedTestGraph, p: Partition) -> LoopedTestGraph:
     vertices together: with `trace_test_graph`, the einsum reference for a
     subset quotient's looped trace."""
     q, _ = quotient_digraph(t.base.digraph, p)
-    tg = TestGraph(t.base.assignment, q, t.base.edge_colors, t.base.labels)
+    tg = TestGraph(t.base.assignment, q, t.base.edge_colors, t.base.labels, t.base.n)
     loops = []
     for b in p.blocks:
         acc = t.vertex_labels[b[0]]
@@ -430,7 +430,7 @@ def loop_gamma_empirical(t, pi, sigmas, n, map_guard=MAP_GUARD):
     once per weak component, as the trace is."""
     base = t.base
     nv = base.digraph.vertex_count
-    space = base.full_space(n)
+    space = MultiIndexSpace.of(base.assignment.strings, n)
     if any(p.num_blocks > n for p in pi.parts):
         return Fraction(0)
     strings = space.strings

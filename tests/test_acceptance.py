@@ -127,7 +127,7 @@ def brute_expected_gamma(lt, pi, n):
     count = 0
     for imgs in itertools.product(*(itertools.permutations(range(d)) for d in dims)):
         sigmas = {c: Permutation(tuple(im)) for c, im in zip(colors, imgs)}
-        total += gamma_empirical(lt, pi, sigmas, n)
+        total += gamma_empirical(lt.conjugated(sigmas), pi)
         count += 1
     return total / count
 
@@ -143,7 +143,7 @@ def test_criterion_2_exact_expectation_formula():
             continue
         lt = LoopedTestGraph.with_identity(t)
         for pi in enumerate_admissible(t):
-            assert gamma_expected_formula(lt, pi, n) == brute_expected_gamma(lt, pi, n)
+            assert gamma_expected_formula(lt, pi) == brute_expected_gamma(lt, pi, n)
             checked += 1
     elapsed = time.time() - start
     verdict(
@@ -183,10 +183,11 @@ def test_criterion_3_kernel_decomposition_and_vanishing():
         ]
         for d in range(13):
             sigmas = draw_color_permutations(t, n, seed=1000 * nv + d)
-            tau = trace_test_graph(lt, n=n, sigmas=sigmas)
+            drawn = lt.conjugated(sigmas)
+            tau = trace_test_graph(drawn)
             total = Fraction(0)
             for pi in all_pis:
-                gam = gamma_empirical(lt, pi, sigmas, n)
+                gam = gamma_empirical(drawn, pi)
                 admissible = all(rhos.part(s).refines(pi.part(s)) for s in strings)
                 if not admissible:
                     assert gam == 0
@@ -347,7 +348,7 @@ def test_criterion_7_convergence_decay():
     spec = ChainSpec(g, a, ("a", "b"), (1, 1), x_mode="cycle")
     table = convergence_run(spec, [4, 8, 16, 32], 200, seed=20240809)
     ok = table.slope is not None and -1.6 <= table.slope <= -0.6
-    ok &= means_nonincreasing(table, sigmas=2.0)
+    ok &= means_nonincreasing(table)
     elapsed = time.time() - start
     verdict(
         "criterion-7 convergence decay",

@@ -196,8 +196,9 @@ def einsum_terms(spec, n, seed):
     """Each subset's looped trace from its own quotient graph and dense sum."""
     chain = build_squared_chain(spec, n, seed)
     sigmas = draw_sigmas(spec, n, seed)
+    drawn = chain.looped.conjugated(sigmas)
     return [
-        (subset, trace_test_graph(quotient_looped(chain.looped, subset_quotient_partition(chain, subset)), n=n, sigmas=sigmas))
+        (subset, trace_test_graph(quotient_looped(drawn, subset_quotient_partition(chain, subset))))
         for subset in subset_indices(spec.k)
     ]
 

@@ -133,7 +133,7 @@ def test_traffic_check_dense_integer_labels_take_the_per_tuple_sums(tmp_path, mo
     calls, buckets = [], verify._kernel_buckets
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return buckets(*args, **kwargs)
 
     def refused(*args, **kwargs):
@@ -528,6 +528,8 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold=10**400)),
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold="1e7000000")),
         ("sofic-certify", dict(sofic_config({"a": "cyclic:2"}), threshold="1/0")),
+        ("converge", dict(CONVERGE, n_grid=[2, 2])),
+        ("traffic-check", {"colors": ["a"], "edges": [], "vertices": -1, "test_edges": []}),
     ],
     ids=[
         "short-test-edge",
@@ -602,6 +604,8 @@ WRONG_STRING_CLAIMS = [  # (the string the error names, claims): a pi names exac
         "sofic-threshold-integer-past-the-float-range",
         "sofic-threshold-exponent-in-the-millions",
         "sofic-threshold-over-zero",
+        "converge-n-grid-repeats-a-point",
+        "traffic-vertices-negative",
     ],
 )
 def test_malformed_config_shapes_are_input_errors(tmp_path, capsys, command, config):

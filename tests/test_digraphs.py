@@ -17,6 +17,8 @@ from oracles import brute_cut_edges, components_by_bfs, connected_multidigraphs
 def test_edge_range_validation():
     with pytest.raises(ValueError):
         DiGraph.of(2, [(0, 2)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, not -1"):
+        DiGraph.of(-1, [])
 
 
 def test_weak_components_basic():

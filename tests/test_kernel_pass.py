@@ -107,7 +107,7 @@ def test_kernel_suite_guard_is_the_enumeration_guard(monkeypatch):
     with pytest.raises(GuardExceeded) as direct:
         list(enumerate_admissible(t))
     with pytest.raises(GuardExceeded) as suite:
-        kernel_suite(t, 2, 0, 1, partition_guard=10)
+        kernel_suite(t, 0, 1, partition_guard=10)
     assert str(suite.value) == str(direct.value)
     assert str(suite.value).startswith("partition tuple count ")
 
@@ -139,7 +139,7 @@ def test_kernel_suite_counts_the_cone_without_enumerating_it(monkeypatch):
 
     monkeypatch.setattr(traffic, "enumerate_admissible", refuse)
     monkeypatch.setattr(verify, "enumerate_admissible", refuse)
-    assert kernel_suite(t, 2, 0, 1, partition_guard=10**7) == [
+    assert kernel_suite(t, 0, 1, partition_guard=10**7) == [
         ("kernel-decomposition", True, f"1 draws, {cone} admissible tuples"),
         ("off-cone-vanishing", True, "kernel sums vanish off the admissible cone"),
     ]
@@ -157,5 +157,5 @@ def test_kernel_suite_fails_a_kernel_tuple_below_rho(monkeypatch):
         return {**sums, below: 0}
 
     monkeypatch.setattr(verify, "_kernel_buckets", with_off_cone_key)
-    checks = {name: ok for name, ok, _ in kernel_suite(t, 2, 0, 1, partition_guard=10**7)}
+    checks = {name: ok for name, ok, _ in kernel_suite(t, 0, 1, partition_guard=10**7)}
     assert checks == {"kernel-decomposition": True, "off-cone-vanishing": False}

@@ -57,8 +57,8 @@ def _graph(wiring, n, labels, seed=2):
     return make_test_graph(a, nv, colored_edges, n, labels, seed)
 
 
-def _looped(t, n, loops, seed=9):
-    dim = t.full_space(n).total_dim
+def _looped(t, loops, seed=9):
+    dim = t.full_space().total_dim
     nv = t.digraph.vertex_count
     if loops == "identity":
         return LoopedTestGraph.with_identity(t)
@@ -79,19 +79,20 @@ def _same(got, want):
 
 def _sweep(wiring, n, labels, loops):
     t = _graph(wiring, n, labels)
-    lt = _looped(t, n, loops)
+    lt = _looped(t, loops)
     sigmas = draw_color_permutations(t, n, 1)
-    chased = traffic._kernel_buckets(lt, sigmas, n)
+    drawn = lt.conjugated(sigmas)
+    chased = traffic._kernel_buckets(drawn)
     assert {pi.parts for pi in enumerate_admissible(t)}.issuperset(chased)
     exact = labels != "float" and loops != "float"
     for pi in _all_multipartitions(t):
         want = loop_gamma_empirical(lt, pi, sigmas, n)
-        _same(gamma_empirical(lt, pi, sigmas, n), want)
+        _same(gamma_empirical(drawn, pi), want)
         if exact:
             _same(chased.pop(pi.parts, Fraction(0)), want)
         else:
             assert sums_agree(chased.pop(pi.parts, 0), want)
-        _same(lambda_value(lt, pi, n), loop_lambda_value(lt, pi, n))
+        _same(lambda_value(lt, pi), loop_lambda_value(lt, pi, n))
     assert not chased  # no bucket outside the multipartitions
 
 
@@ -111,10 +112,10 @@ def test_chase_of_mixed_labels_equals_the_loops(n):
     edges = [((0, 0), "G"), ((0, 1), "B"), ((1, 1), "R"), ((1, 2), "G"), ((2, 0), "B")]
     perm, dense = (make_test_graph(a, 3, edges, n, labels, seed=5) for labels in ("permutation", "integer"))
     labels = [p if i % 2 == 0 else d for i, (p, d) in enumerate(zip(perm.labels, dense.labels))]
-    lt = _looped(make_test_graph(a, 3, edges, n, labels), n, "integer")
+    lt = _looped(make_test_graph(a, 3, edges, n, labels), "integer")
     sigmas = draw_color_permutations(lt.base, n, 1)
-    chased = traffic._kernel_buckets(lt, sigmas, n)
-    assert sum(chased.values()) == traffic.trace_test_graph(lt, n, sigmas) != 0
+    chased = traffic._kernel_buckets(lt.conjugated(sigmas))
+    assert sum(chased.values()) == traffic.trace_test_graph(lt.conjugated(sigmas)) != 0
     for pi in _all_multipartitions(lt.base):
         _same(chased.pop(pi.parts, Fraction(0)), loop_gamma_empirical(lt, pi, sigmas, n))
     assert not chased
@@ -141,8 +142,8 @@ def test_labeling_count_past_one_chunk():
         pi = MultiPartition(("s",), (Partition.singletons(4),))
         sigmas = draw_color_permutations(t, n, 2)
         assert math.perm(n, 4) * 4 > traffic.LABELING_CHUNK
-        _same(gamma_empirical(lt, pi, sigmas, n), loop_gamma_empirical(lt, pi, sigmas, n))
-        _same(lambda_value(lt, pi, n), loop_lambda_value(lt, pi, n))
+        _same(gamma_empirical(lt.conjugated(sigmas), pi), loop_gamma_empirical(lt, pi, sigmas, n))
+        _same(lambda_value(lt, pi), loop_lambda_value(lt, pi, n))
 
 
 def test_chunks_stay_bounded_near_the_guard():
@@ -155,23 +156,23 @@ def test_chunks_stay_bounded_near_the_guard():
 
 
 def test_guard_trips_before_the_off_support_zero(monkeypatch):
-    t = _graph("disjoint-string", 2, "identity")
+    t = _graph("disjoint-string", 3, "identity")
     lt = LoopedTestGraph.with_identity(t)
-    sigmas = draw_color_permutations(t, 2, 0)
+    sigmas = draw_color_permutations(t, 3, 0)
     # edge 0 -> 1 has color a, off string sb; putting 0 and 1 apart in
     # pi_sb makes every labeling vanish, but the guard is checked first
     single = Partition.singletons(3)
     pi = MultiPartition(("sa", "sb"), (Partition.trivial(3), single))
-    assert gamma_empirical(lt, pi, sigmas, 3) == 0
+    assert gamma_empirical(lt.conjugated(sigmas), pi) == 0
     message = "kernel labeling count 18 exceeds map guard 5"
     monkeypatch.setattr(traffic, "MAP_GUARD", 5)
     with pytest.raises(GuardExceeded, match=message):
-        gamma_empirical(lt, pi, sigmas, 3)
+        gamma_empirical(lt.conjugated(sigmas), pi)
     with pytest.raises(GuardExceeded, match=message):
         loop_gamma_empirical(lt, pi, sigmas, 3, map_guard=5)
     loops = LoopedTestGraph(t, tuple(np.arange(9) for _ in range(3)))
     with pytest.raises(GuardExceeded, match=message):
-        lambda_value(loops, pi, 3)
+        lambda_value(loops, pi)
     with pytest.raises(GuardExceeded, match=message):
         loop_lambda_value(loops, pi, 3, map_guard=5)
 
@@ -184,9 +185,9 @@ def test_chase_guard_bounds_one_row_per_point_and_component():
     lt = LoopedTestGraph.with_identity(t)
     sigmas = draw_color_permutations(t, 2, 0)
     with pytest.raises(GuardExceeded, match=r"chased labeling count 2\*\*2 exceeds map guard 3"):
-        traffic._kernel_buckets(lt, sigmas, 2, map_guard=3)
-    sums = traffic._kernel_buckets(lt, sigmas, 2, map_guard=4)
-    assert sum(sums.values()) == traffic.trace_test_graph(lt, 2, sigmas) == 1
+        traffic._kernel_buckets(lt.conjugated(sigmas), map_guard=3)
+    sums = traffic._kernel_buckets(lt.conjugated(sigmas), map_guard=4)
+    assert sum(sums.values()) == traffic.trace_test_graph(lt.conjugated(sigmas)) == 1
 
 
 def test_chase_guard_bounds_the_rows_a_dense_label_builds():
@@ -197,9 +198,9 @@ def test_chase_guard_bounds_the_rows_a_dense_label_builds():
     lt = LoopedTestGraph.with_identity(make_test_graph(a, 2, [((0, 1), "a")], 2, [lab]))
     sigmas = {"a": Permutation((1, 0))}
     with pytest.raises(GuardExceeded, match=r"chased labeling count 2\*2 exceeds map guard 3"):
-        traffic._kernel_buckets(lt, sigmas, 2, map_guard=3)
-    sums = traffic._kernel_buckets(lt, sigmas, 2, map_guard=4)
-    assert sum(sums.values()) == traffic.trace_test_graph(lt, 2, sigmas) == 5
+        traffic._kernel_buckets(lt.conjugated(sigmas), map_guard=3)
+    sums = traffic._kernel_buckets(lt.conjugated(sigmas), map_guard=4)
+    assert sum(sums.values()) == traffic.trace_test_graph(lt.conjugated(sigmas)) == 5
 
 
 def test_integer_sums_stay_exact_past_int64():
@@ -218,6 +219,6 @@ def test_integer_sums_stay_exact_past_int64():
     gamma = brute_injective_sum(t.digraph, conj, 2, py_loops)
     lam = brute_injective_sum(t.digraph.restrict_edges([]), [], 2, py_loops)
     assert gamma == 2 * 10**34 and lam == 2 * 10**20
-    assert gamma_empirical(lt, pi, sigmas, 2) == Fraction(gamma, 2)
-    assert traffic._kernel_buckets(lt, sigmas, 2)[pi.parts] == Fraction(gamma, 2)
-    assert lambda_value(lt, pi, 2) == Fraction(lam, 4)
+    assert gamma_empirical(lt.conjugated(sigmas), pi) == Fraction(gamma, 2)
+    assert traffic._kernel_buckets(lt.conjugated(sigmas))[pi.parts] == Fraction(gamma, 2)
+    assert lambda_value(lt, pi) == Fraction(lam, 4)

@@ -311,9 +311,8 @@ def test_hamming_check_survives_optimized_mode():
 
 def densified(t):
     """The same test graph with every permutation label as its dense block matrix."""
-    return TestGraph(
-        t.assignment, t.digraph, t.edge_colors, tuple(StructuredMatrix.dense(lab.support, lab.n, lab.entries) for lab in t.labels)
-    )
+    labels = tuple(StructuredMatrix.dense(lab.support, lab.n, lab.entries) for lab in t.labels)
+    return TestGraph(t.assignment, t.digraph, t.edge_colors, labels, t.n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -330,9 +329,9 @@ def test_expectation_formula_chases_permutation_labels_exactly(n):
         dense = densified(t)
         looped, looped_dense = LoopedTestGraph.with_identity(t), LoopedTestGraph.with_identity(dense)
         for pi in enumerate_admissible(t):
-            got = gamma_expected_formula(looped, pi, n)
-            assert got == gamma_expected_formula(looped_dense, pi, n)
+            got = gamma_expected_formula(looped, pi)
+            assert got == gamma_expected_formula(looped_dense, pi)
             nonzero += got != 0
             for c in sorted(set(t.edge_colors)):
-                assert color_injective_trace(t, pi, c, n) == color_injective_trace(dense, pi, c, n)
+                assert color_injective_trace(t, pi, c) == color_injective_trace(dense, pi, c)
     assert nonzero >= 5

@@ -179,3 +179,26 @@ def test_only_the_cli_path_takes_a_guard_parameter():
     extra = sorted(set(found) - set(GUARD_PARAMETERS_ALLOWED))
     assert not extra, "guard parameters off the allowlist:\n" + "\n".join(extra)
     assert sorted(set(GUARD_PARAMETERS_ALLOWED) - set(found)) == []  # no stale entry
+
+
+# The one public way a draw enters a graph: every sum of a draw reads the graph it returns.
+DRAW_PARAMETERS_ALLOWED = {"traffic.py:TestGraph.conjugated", "traffic.py:LoopedTestGraph.conjugated"}
+
+
+def test_a_graph_carries_its_side_and_its_draw():
+    # a side or a draw passed beside a graph can disagree with the graph's
+    # labels; the graph holds its side `n`, and a draw is `conjugated(sigmas)`
+    found = []
+    for name in ("traffic.py", "verify.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        for node in tree.body:
+            members = [(f"{node.name}.", d) for d in node.body] if isinstance(node, ast.ClassDef) else [("", node)]
+            for prefix, d in members:
+                if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) or d.name.startswith("_"):
+                    continue
+                args = d.args
+                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                if params & {"n", "sigmas"}:
+                    found.append(f"{name}:{prefix}{d.name}")
+    assert sorted(set(found) - DRAW_PARAMETERS_ALLOWED) == []
+    assert sorted(DRAW_PARAMETERS_ALLOWED - set(found)) == []  # no stale entry

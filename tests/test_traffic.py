@@ -64,7 +64,7 @@ def injective_graph_sum(g, mats, dim, loops=None):
     labels = [StructuredMatrix.dense(["s"], dim, m) for m in mats]
     t = make_test_graph(a, g.vertex_count, [(e, "a") for e in g.edges], dim, labels=labels)
     looped = t if loops is None else LoopedTestGraph(t, tuple(loops))
-    return injective_trace(looped, n=dim) * dim ** weak_components(g).num_blocks
+    return injective_trace(looped) * dim ** weak_components(g).num_blocks
 
 
 def test_raw_and_injective_sums_match_enumeration_oracle():
@@ -109,7 +109,7 @@ def test_cycle_trace_is_normalized_matrix_product_trace():
     mats = [rng.integers(-2, 3, (n, n)) for _ in range(4)]
     labels = [StructuredMatrix.dense(["s"], n, m) for m in mats]
     t = cycle_graph(a, "a", labels)
-    got = trace_test_graph(t, n=n)
+    got = trace_test_graph(t)
     want = Fraction(int(np.trace(mats[0] @ mats[1] @ mats[2] @ mats[3])), n)
     assert got == want
 
@@ -118,7 +118,7 @@ def test_cycle_trace_identity_labels_is_one():
     _, a = one_color_model()
     labels = [StructuredMatrix.identity(["s"], 2) for _ in range(4)]
     t = cycle_graph(a, "a", labels)
-    assert trace_test_graph(t, n=2) == 1
+    assert trace_test_graph(t) == 1
 
 
 def test_single_vertex_loop_trace():
@@ -126,20 +126,20 @@ def test_single_vertex_loop_trace():
     rng = np.random.default_rng(5)
     m = rng.integers(-3, 4, (3, 3))
     t = make_test_graph(a, 1, [((0, 0), "a")], 3, labels=(StructuredMatrix.dense(["s"], 3, m),))
-    assert trace_test_graph(t, n=3) == Fraction(int(np.trace(m)), 3)
-    assert injective_trace(t, n=3) == Fraction(int(np.trace(m)), 3)
+    assert trace_test_graph(t) == Fraction(int(np.trace(m)), 3)
+    assert injective_trace(t) == Fraction(int(np.trace(m)), 3)
 
 
 def test_injective_trace_single_edge_identity_vanishes():
     _, a = one_color_model()
     t = make_test_graph(a, 2, [((0, 1), "a")], 2)
-    assert injective_trace(t, n=2) == 0
+    assert injective_trace(t) == 0
 
 
 def test_injective_zero_when_more_vertices_than_points():
     _, a = one_color_model()
     t = make_test_graph(a, 3, [((0, 1), "a"), ((1, 2), "a")], 2)
-    assert injective_trace(t, n=2) == 0
+    assert injective_trace(t) == 0
 
 
 def test_kernel_classification_identity_raw_vs_injective():
@@ -168,7 +168,7 @@ def test_full_space_trace_matches_oracle_pipeline():
     g, a = three_color_model()
     t = example_test_graph(n=2, labels="permutation", seed=4)
     sigmas = draw_color_permutations(t, 2, seed=9)
-    got = trace_test_graph(t, n=2, sigmas=sigmas)
+    got = trace_test_graph(t.conjugated(sigmas))
     mats = conjugated_dense_labels_oracle(t, sigmas, 2)
     want = Fraction(int(brute_raw_sum(t.digraph, mats, 8)), 8 ** weak_components(t.digraph).num_blocks)
     assert got == want
@@ -185,14 +185,37 @@ def test_injective_trace_matches_oracle_pipeline(labels):
     mats = conjugated_dense_labels_oracle(t, sigmas, 2)
     want = Fraction(int(brute_injective_sum(t.digraph, mats, 8)), 8)
     assert want != 0
-    assert injective_trace(t, n=2, sigmas=sigmas) == want
+    assert injective_trace(t.conjugated(sigmas)) == want
 
 
 def test_trace_guard():
     _, a = one_color_model()
     t = make_test_graph(a, 6, [((i, (i + 1) % 6), "a") for i in range(6)], 2)
     with pytest.raises(GuardExceeded):
-        trace_test_graph(t, n=2, map_guard=2**5)
+        trace_test_graph(t, map_guard=2**5)
+
+
+def test_a_test_graph_refuses_a_label_of_another_side():
+    # the side is the graph's one field; a label of another side is refused,
+    # not read at the graph's side or at its own
+    t = example_test_graph(n=3, labels="permutation", seed=1)
+    side_two = example_test_graph(n=2).labels[0]
+    with pytest.raises(ValueError, match="label of color 'R' has side 2, not the graph's side 3"):
+        dataclasses.replace(t, labels=(side_two, *t.labels[1:]))
+    with pytest.raises(ValueError, match="label of color 'R' has side 3, not the graph's side 2"):
+        dataclasses.replace(t, n=2)
+
+
+def test_a_looped_graph_refuses_a_loop_that_is_not_a_full_space_vector():
+    # three strings at side 3 give 27 points: the side-2 space's 8 points, or
+    # a 27 x 1 matrix, are refused rather than indexed by codes that fit them
+    t = example_test_graph(n=3, labels="permutation", seed=1)
+    loops = tuple(np.arange(1, 28) for _ in range(6))
+    trivial = MultiPartition.of({s: Partition.trivial(6) for s in t.assignment.strings})
+    assert lambda_value(LoopedTestGraph(t, loops), trivial) == Fraction(188357510, 3)
+    for bad in (np.arange(1, 9), np.ones((27, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="every vertex label must be a vector of the 27 full-space points"):
+            LoopedTestGraph(t, (bad, *loops[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +316,7 @@ def test_lambda_identity_loops_counting_formula():
     for p in pi.parts:
         b = p.num_blocks
         want *= Fraction(math.perm(n, b), n**b)
-    assert lambda_value(lt, pi, n) == want
+    assert lambda_value(lt, pi) == want
 
 
 def test_lambda_zero_when_blocks_exceed_points():
@@ -301,7 +324,7 @@ def test_lambda_zero_when_blocks_exceed_points():
     t = make_test_graph(a, 3, [((0, 1), "a"), ((1, 2), "a")], 2)
     lt = LoopedTestGraph.with_identity(t)
     pi = MultiPartition.of({"s": Partition.singletons(3)})
-    assert lambda_value(lt, pi, 2) == 0
+    assert lambda_value(lt, pi) == 0
 
 
 def test_lambda_bounded_by_loop_norm_power():
@@ -312,7 +335,7 @@ def test_lambda_bounded_by_loop_norm_power():
     loops = tuple(r * (2 * rng.random(3) - 1) for _ in range(2))
     lt = LoopedTestGraph(t, loops)
     for pi in all_multipartitions(2, ("s",)):
-        val = lambda_value(lt, pi, 3)
+        val = lambda_value(lt, pi)
         assert abs(complex(val)) <= r**2 + 1e-12
 
 
@@ -331,7 +354,7 @@ def test_lambda_general_loops_against_enumeration():
             if Partition.from_labels(i) == part:
                 total += loops[0][i[0]] * loops[1][i[1]]
         want = Fraction(total, n ** part.num_blocks)
-        assert lambda_value(lt, pi, n) == want
+        assert lambda_value(lt, pi) == want
 
 
 def test_gamma_kernel_decomposition_per_draw():
@@ -346,11 +369,11 @@ def test_gamma_kernel_decomposition_per_draw():
         lt = LoopedTestGraph.with_identity(t)
         strings = a.sorted_strings()
         for seed in range(3):
-            sigmas = draw_color_permutations(t, n, seed)
-            tau = trace_test_graph(lt, n=n, sigmas=sigmas)
+            drawn = lt.conjugated(draw_color_permutations(t, n, seed))
+            tau = trace_test_graph(drawn)
             total = Fraction(0)
             for pi in all_multipartitions(nv, strings):
-                total += gamma_empirical(lt, pi, sigmas, n)
+                total += gamma_empirical(drawn, pi)
             assert total == tau
 
 
@@ -361,11 +384,11 @@ def test_gamma_vanishes_off_admissible_cone():
     rhos = all_rho(t)
     strings = a.sorted_strings()
     for seed in range(3):
-        sigmas = draw_color_permutations(t, 2, seed)
+        drawn = lt.conjugated(draw_color_permutations(t, 2, seed))
         for pi in all_multipartitions(3, strings):
             if all(rhos.part(s).refines(pi.part(s)) for s in strings):
                 continue
-            assert gamma_empirical(lt, pi, sigmas, 2) == 0
+            assert gamma_empirical(drawn, pi) == 0
 
 
 def test_gamma_single_vertex_loop_reduces_to_diagonal_average():
@@ -376,7 +399,7 @@ def test_gamma_single_vertex_loop_reduces_to_diagonal_average():
     lt = LoopedTestGraph.with_identity(t)
     pi = MultiPartition.of({"s": Partition.trivial(1)})
     sigmas = {"a": Permutation((2, 0, 1))}
-    assert gamma_empirical(lt, pi, sigmas, 3) == Fraction(int(np.trace(m)), 3)
+    assert gamma_empirical(lt.conjugated(sigmas), pi) == Fraction(int(np.trace(m)), 3)
 
 
 def brute_expected_gamma(lt, pi, n):
@@ -388,7 +411,7 @@ def brute_expected_gamma(lt, pi, n):
     count = 0
     for imgs in itertools.product(*(itertools.permutations(range(d)) for d in dims)):
         sigmas = {c: Permutation(tuple(im)) for c, im in zip(colors, imgs)}
-        total += gamma_empirical(lt, pi, sigmas, n)
+        total += gamma_empirical(lt.conjugated(sigmas), pi)
         count += 1
     return total / count
 
@@ -402,7 +425,7 @@ def test_expectation_formula_exact_one_color():
             t = make_test_graph(a, nv, edges, n, labels="integer", seed=n)
             lt = LoopedTestGraph.with_identity(t)
             for pi in enumerate_admissible(t):
-                assert gamma_expected_formula(lt, pi, n) == brute_expected_gamma(lt, pi, n)
+                assert gamma_expected_formula(lt, pi) == brute_expected_gamma(lt, pi, n)
 
 
 def test_expectation_formula_exact_two_colors_and_loop_labels():
@@ -415,7 +438,7 @@ def test_expectation_formula_exact_two_colors_and_loop_labels():
         loops = tuple(rng.integers(-1, 2, dim) for _ in range(3))
         lt = LoopedTestGraph(t, loops)
         for pi in enumerate_admissible(t):
-            assert gamma_expected_formula(lt, pi, n) == brute_expected_gamma(lt, pi, n)
+            assert gamma_expected_formula(lt, pi) == brute_expected_gamma(lt, pi, n)
 
 
 def test_expectation_formula_exact_multi_string_blocks():
@@ -434,7 +457,7 @@ def test_expectation_formula_exact_multi_string_blocks():
         t = make_test_graph(a, nv, edges, n, labels="integer", seed=nv)
         lt = LoopedTestGraph.with_identity(t)
         for pi in enumerate_admissible(t):
-            assert gamma_expected_formula(lt, pi, n) == brute_expected_gamma(lt, pi, n)
+            assert gamma_expected_formula(lt, pi) == brute_expected_gamma(lt, pi, n)
 
 
 def test_multipartitions_are_immutable_slotted_and_pickle():
@@ -454,7 +477,7 @@ def test_expectation_formula_zero_on_oversized_kernels():
     t = make_test_graph(a, 3, [((0, 1), "a"), ((1, 2), "a"), ((2, 0), "a")], 2, labels="integer")
     lt = LoopedTestGraph.with_identity(t)
     pi = MultiPartition.of({"s": Partition.singletons(3)})
-    assert gamma_expected_formula(lt, pi, 2) == 0
+    assert gamma_expected_formula(lt, pi) == 0
 
 
 def test_expectation_formula_requires_admissible_kernels():
@@ -462,7 +485,7 @@ def test_expectation_formula_requires_admissible_kernels():
     lt = LoopedTestGraph.with_identity(t)
     pi = MultiPartition.of({s: Partition.singletons(6) for s in ("1", "2", "3")})
     with pytest.raises(ValueError):
-        gamma_expected_formula(lt, pi, 2)
+        gamma_expected_formula(lt, pi)
 
 
 def test_full_sum_matches_brute_force_expectation():
@@ -474,9 +497,9 @@ def test_full_sum_matches_brute_force_expectation():
     want = Fraction(0)
     for imgs in itertools.permutations(range(n)):
         sigmas = {"a": Permutation(tuple(imgs))}
-        want += trace_test_graph(lt, n=n, sigmas=sigmas)
+        want += trace_test_graph(lt.conjugated(sigmas))
     want /= math.factorial(n)
-    assert expected_trace_full_sum(lt, n) == want
+    assert expected_trace_full_sum(lt) == want
 
 
 def test_full_sum_matches_whole_space_average_multi_string():
@@ -496,9 +519,9 @@ def test_full_sum_matches_whole_space_average_multi_string():
     count = 0
     for imgs in itertools.product(*(itertools.permutations(range(d)) for d in dims)):
         sigmas = {c: Permutation(tuple(im)) for c, im in zip(colors, imgs)}
-        want += trace_test_graph(lt, n=n, sigmas=sigmas)
+        want += trace_test_graph(lt.conjugated(sigmas))
         count += 1
-    assert expected_trace_full_sum(lt, n) == want / count
+    assert expected_trace_full_sum(lt) == want / count
 
 
 def test_full_sum_monte_carlo_consistency():
@@ -508,11 +531,11 @@ def test_full_sum_monte_carlo_consistency():
     n = 3
     t = make_test_graph(a, 3, [((0, 1), "a"), ((1, 2), "b"), ((2, 0), "a")], n, labels="permutation", seed=5)
     lt = LoopedTestGraph.with_identity(t)
-    exact = expected_trace_full_sum(lt, n)
+    exact = expected_trace_full_sum(lt)
     vals = []
     for seed in range(400):
         sigmas = draw_color_permutations(t, n, seed)
-        vals.append(float(trace_test_graph(lt, n=n, sigmas=sigmas)))
+        vals.append(float(trace_test_graph(lt.conjugated(sigmas))))
     mean = np.mean(vals)
     stderr = np.std(vals, ddof=1) / len(vals) ** 0.5
     assert abs(mean - float(exact)) <= 4 * stderr + 1e-12
@@ -592,11 +615,11 @@ def test_leading_terms_single_color_two_cycle_trace_zero_labels():
     )
     t = make_test_graph(a, 2, [((0, 1), "a"), ((1, 0), "a")], n, labels=labels)
     lt = LoopedTestGraph.with_identity(t)
-    total, terms = expected_trace_leading_terms(lt, n)
+    total, terms = expected_trace_leading_terms(lt)
     # surviving kernel classes: singletons (wired correlation) and merged
     # (product of diagonal averages, zero for the shift)
     assert [p.num_blocks for pi, _ in terms for p in pi.parts] == [2]
-    assert total == Fraction(n - 1, n) * color_injective_trace(t, all_rho(t), "a", n) + 0
+    assert total == Fraction(n - 1, n) * color_injective_trace(t, all_rho(t), "a") + 0
 
 
 def test_leading_terms_approach_full_sum_at_rate_one_over_n():
@@ -606,8 +629,8 @@ def test_leading_terms_approach_full_sum_at_rate_one_over_n():
         labels = "integer"
         t = make_test_graph(a, 2, [((0, 1), "a"), ((1, 0), "a")], n, labels=labels, seed=2)
         lt = LoopedTestGraph.with_identity(t)
-        full = expected_trace_full_sum(lt, n)
-        lead, _ = expected_trace_leading_terms(lt, n)
+        full = expected_trace_full_sum(lt)
+        lead, _ = expected_trace_leading_terms(lt)
         ratios.append(abs(float(full - lead)) * n)
     assert max(ratios) <= 60  # bounded multiple of 1/N on this instance
 
@@ -616,7 +639,7 @@ def test_leading_terms_requires_two_edge_connectivity():
     t = example_test_graph(n=2, labels="permutation", seed=11)
     lt = LoopedTestGraph.with_identity(t)
     with pytest.raises(ValueError):
-        expected_trace_leading_terms(lt, 2)  # the example graph has a cut edge
+        expected_trace_leading_terms(lt)  # the example graph has a cut edge
 
 
 def test_leading_terms_empty_when_every_survivor_vanishes():
@@ -631,7 +654,7 @@ def test_leading_terms_empty_when_every_survivor_vanishes():
     )
     t = make_test_graph(a, 2, [((0, 1), "a"), ((1, 0), "a")], n, labels=labels)
     lt = LoopedTestGraph.with_identity(t)
-    total, terms = expected_trace_leading_terms(lt, n)
+    total, terms = expected_trace_leading_terms(lt)
     assert total == 0
     assert terms == []
 
@@ -650,7 +673,7 @@ def test_mingo_speicher_scaling_bounded():
         assert not dec.cut_edges
         leaf = dec.leaf_count
         comps = weak_components(t.digraph).num_blocks
-        tau0 = injective_trace(t, n=n)
+        tau0 = injective_trace(t)
         ratios.append(abs(float(tau0)) * n**comps / n ** (leaf / 2))
     assert max(ratios) <= 2.0
 
